@@ -466,8 +466,8 @@ fn serve_main(args: &[String]) -> Result<(), String> {
                     value
                         .parse::<f64>()
                         .ok()
-                        .filter(|r| *r > 0.0)
-                        .ok_or_else(|| "--rate requires a positive number".to_string())?,
+                        .filter(|r| r.is_finite() && *r > 0.0)
+                        .ok_or_else(|| "--rate requires a positive finite number".to_string())?,
                 );
             }
             "--scheduler" => scheduler_name = value.clone(),
@@ -492,8 +492,8 @@ fn serve_main(args: &[String]) -> Result<(), String> {
                 duration_s = value
                     .parse::<f64>()
                     .ok()
-                    .filter(|d| *d > 0.0)
-                    .ok_or_else(|| "--duration-s requires a positive number".to_string())?;
+                    .filter(|d| d.is_finite() && *d > 0.0)
+                    .ok_or_else(|| "--duration-s requires a positive finite number".to_string())?;
             }
             "--requests" => {
                 max_requests = Some(
@@ -687,8 +687,8 @@ fn token_main(args: &[String]) -> Result<(), String> {
                     value
                         .parse::<f64>()
                         .ok()
-                        .filter(|r| *r > 0.0)
-                        .ok_or_else(|| "--rate requires a positive number".to_string())?,
+                        .filter(|r| r.is_finite() && *r > 0.0)
+                        .ok_or_else(|| "--rate requires a positive finite number".to_string())?,
                 );
             }
             "--util" => {
@@ -743,8 +743,8 @@ fn token_main(args: &[String]) -> Result<(), String> {
                     value
                         .parse::<f64>()
                         .ok()
-                        .filter(|d| *d > 0.0)
-                        .ok_or_else(|| "--duration-s requires a positive number".to_string())?,
+                        .filter(|d| d.is_finite() && *d > 0.0)
+                        .ok_or_else(|| "--duration-s requires a positive finite number".to_string())?,
                 );
             }
             "--requests" => {
@@ -830,7 +830,7 @@ fn token_main(args: &[String]) -> Result<(), String> {
         max_requests,
         seed,
     };
-    cfg.validate();
+    cfg.validate()?;
 
     let sim_started = Instant::now();
     let (result, flight) = if trace_path.is_some() {
@@ -1102,8 +1102,8 @@ fn fleet_main(args: &[String]) -> Result<(), String> {
                     value
                         .parse::<f64>()
                         .ok()
-                        .filter(|r| *r > 0.0)
-                        .ok_or_else(|| "--rate requires a positive number".to_string())?,
+                        .filter(|r| r.is_finite() && *r > 0.0)
+                        .ok_or_else(|| "--rate requires a positive finite number".to_string())?,
                 );
             }
             "--policy" => rc.policy_name = value.clone(),
@@ -1120,8 +1120,8 @@ fn fleet_main(args: &[String]) -> Result<(), String> {
                 rc.duration_s = value
                     .parse::<f64>()
                     .ok()
-                    .filter(|d| *d > 0.0)
-                    .ok_or_else(|| "--duration-s requires a positive number".to_string())?;
+                    .filter(|d| d.is_finite() && *d > 0.0)
+                    .ok_or_else(|| "--duration-s requires a positive finite number".to_string())?;
             }
             "--windows" => {
                 rc.windows = value

@@ -3,7 +3,9 @@
 //! stdout must be byte-identical across invocations and `--jobs`
 //! counts, and different seeds must produce different sample paths.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn repro(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -152,4 +154,47 @@ fn serve_rejects_bad_flags() {
     assert!(!out.status.success(), "unknown scheduler must fail");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown scheduler"), "stderr: {err}");
+}
+
+/// A non-finite horizon or arrival rate means arrivals never stop, so
+/// each must fail fast with a typed error instead of running forever.
+/// `token --util inf` passes flag parsing and is caught by the
+/// scenario's own validation.
+#[test]
+fn non_finite_inputs_exit_nonzero_with_a_message() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["token", "--duration-s", "inf"], "--duration-s requires a positive finite number"),
+        (&["token", "--rate", "inf"], "--rate requires a positive finite number"),
+        (&["token", "--util", "inf"], "arrival rate must be positive and finite"),
+        (&["serve", "--duration-s", "inf"], "--duration-s requires a positive finite number"),
+    ];
+    for (args, msg) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("repro binary runs");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll repro") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("repro {args:?} still running after 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut err = String::new();
+        child
+            .stderr
+            .take()
+            .expect("stderr piped")
+            .read_to_string(&mut err)
+            .expect("stderr is UTF-8");
+        assert!(!status.success(), "repro {args:?} must fail");
+        assert!(err.contains(msg), "repro {args:?} stderr: {err}");
+    }
 }

@@ -424,27 +424,33 @@ pub struct TokenServiceCurve {
     pub weight_bytes: u64,
 }
 
-/// Piecewise-linear read of ascending `(x, y)` knots at `x`: clamp
-/// below the first knot, marginal-slope extrapolation above the last
-/// (flat for a single knot), linear interpolation between.
-fn interp_ascending(knots: &[(f64, f64)], x: f64) -> f64 {
-    debug_assert!(!knots.is_empty());
-    let first = knots[0];
-    if x <= first.0 {
-        return first.1;
+/// Piecewise-linear read at `x` of `n` ascending knots, knot `i` being
+/// `(kx(i), ky(i))`: clamp below the first knot, marginal-slope
+/// extrapolation above the last (flat for a single knot), linear
+/// interpolation between.
+///
+/// The knots are read in place and `ky` runs only for the one or two
+/// knots that bracket `x`, so a `ky` that is itself an interpolation
+/// (a context row of the decode grid) costs at most two row reads and
+/// no allocation. The token DES calls this once per decode iteration.
+fn interp_knots(n: usize, kx: impl Fn(usize) -> f64, ky: impl Fn(usize) -> f64, x: f64) -> f64 {
+    debug_assert!(n > 0);
+    if x <= kx(0) {
+        return ky(0);
     }
-    let last = knots[knots.len() - 1];
-    if x >= last.0 {
-        if knots.len() < 2 {
-            return last.1;
+    let last = n - 1;
+    let last_x = kx(last);
+    if x >= last_x {
+        let last_y = ky(last);
+        if n < 2 {
+            return last_y;
         }
-        let prev = knots[knots.len() - 2];
-        let slope = (last.1 - prev.1) / (last.0 - prev.0);
-        return last.1 + slope * (x - last.0);
+        let slope = (last_y - ky(last - 1)) / (last_x - kx(last - 1));
+        return last_y + slope * (x - last_x);
     }
-    let hi = knots.iter().position(|&(kx, _)| kx > x).expect("bracketing knot");
-    let (x0, y0) = knots[hi - 1];
-    let (x1, y1) = knots[hi];
+    let hi = (1..n).find(|&i| kx(i) > x).expect("bracketing knot");
+    let (x0, y0) = (kx(hi - 1), ky(hi - 1));
+    let (x1, y1) = (kx(hi), ky(hi));
     y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 }
 
@@ -559,13 +565,12 @@ impl TokenServiceCurve {
     #[must_use]
     pub fn step_s(&self, batch: usize, ctx_tokens: f64) -> f64 {
         assert!(batch > 0, "batch must be positive");
-        let per_ctx: Vec<(f64, f64)> = self
-            .ctx_knots
-            .iter()
-            .zip(&self.step_s)
-            .map(|(&ctx, row)| (ctx as f64, interp_batch(&self.batch_knots, row, batch)))
-            .collect();
-        interp_ascending(&per_ctx, ctx_tokens)
+        interp_knots(
+            self.ctx_knots.len(),
+            |ci| self.ctx_knots[ci] as f64,
+            |ci| interp_batch(&self.batch_knots, &self.step_s[ci], batch),
+            ctx_tokens,
+        )
     }
 
     /// Cumulative seconds to prefill a prompt's first `tokens` tokens
@@ -576,10 +581,13 @@ impl TokenServiceCurve {
         if self.prefill_s.is_empty() || tokens <= 0.0 {
             return 0.0;
         }
-        let mut knots: Vec<(f64, f64)> = Vec::with_capacity(self.prefill_s.len() + 1);
-        knots.push((0.0, 0.0));
-        knots.extend(self.prefill_s.iter().map(|&(n, s)| (n as f64, s)));
-        interp_ascending(&knots, tokens)
+        // Knot 0 is the implicit origin; knot i is `prefill_s[i - 1]`.
+        interp_knots(
+            self.prefill_s.len() + 1,
+            |i| if i == 0 { 0.0 } else { self.prefill_s[i - 1].0 as f64 },
+            |i| if i == 0 { 0.0 } else { self.prefill_s[i - 1].1 },
+            tokens,
+        )
     }
 
     /// Seconds to advance one sequence's prefill from token `from` to
@@ -608,12 +616,11 @@ fn interp_batch(knots: &[usize], row: &[f64], b: usize) -> f64 {
     if let Some(i) = knots.iter().position(|&k| k == b) {
         return row[i];
     }
-    let pts: Vec<(f64, f64)> = knots.iter().map(|&k| k as f64).zip(row.iter().copied()).collect();
     if knots.len() == 1 {
         // Single-knot batch axis: no batching benefit, scale linearly.
         return row[0] / knots[0] as f64 * b as f64;
     }
-    interp_ascending(&pts, b as f64)
+    interp_knots(knots.len(), |i| knots[i] as f64, |i| row[i], b as f64)
 }
 
 /// FP16 KV-cache bytes one resident token costs: K and V vectors of
@@ -844,6 +851,128 @@ mod tests {
         assert!(parti.prefill_cum_s(128.0) > 0.0, "text encoding must cost time");
         assert!(TokenServiceCurve::supports(ModelId::Llama2));
         assert!(!TokenServiceCurve::supports(ModelId::StableDiffusion));
+    }
+
+    /// The allocating formulas the in-place lookups replaced, kept as
+    /// the bitwise reference: collect every knot, then read the
+    /// piecewise-linear curve through them.
+    mod reference {
+        use super::TokenServiceCurve;
+
+        fn interp_ascending(knots: &[(f64, f64)], x: f64) -> f64 {
+            let first = knots[0];
+            if x <= first.0 {
+                return first.1;
+            }
+            let last = knots[knots.len() - 1];
+            if x >= last.0 {
+                if knots.len() < 2 {
+                    return last.1;
+                }
+                let prev = knots[knots.len() - 2];
+                let slope = (last.1 - prev.1) / (last.0 - prev.0);
+                return last.1 + slope * (x - last.0);
+            }
+            let hi = knots.iter().position(|&(kx, _)| kx > x).expect("bracketing knot");
+            let (x0, y0) = knots[hi - 1];
+            let (x1, y1) = knots[hi];
+            y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        }
+
+        fn interp_batch(knots: &[usize], row: &[f64], b: usize) -> f64 {
+            if let Some(i) = knots.iter().position(|&k| k == b) {
+                return row[i];
+            }
+            let pts: Vec<(f64, f64)> =
+                knots.iter().map(|&k| k as f64).zip(row.iter().copied()).collect();
+            if knots.len() == 1 {
+                return row[0] / knots[0] as f64 * b as f64;
+            }
+            interp_ascending(&pts, b as f64)
+        }
+
+        pub fn step_s(c: &TokenServiceCurve, batch: usize, ctx_tokens: f64) -> f64 {
+            let per_ctx: Vec<(f64, f64)> = c
+                .ctx_knots
+                .iter()
+                .zip(&c.step_s)
+                .map(|(&ctx, row)| (ctx as f64, interp_batch(&c.batch_knots, row, batch)))
+                .collect();
+            interp_ascending(&per_ctx, ctx_tokens)
+        }
+
+        pub fn prefill_cum_s(c: &TokenServiceCurve, tokens: f64) -> f64 {
+            if c.prefill_s.is_empty() || tokens <= 0.0 {
+                return 0.0;
+            }
+            let mut knots = vec![(0.0, 0.0)];
+            knots.extend(c.prefill_s.iter().map(|&(n, s)| (n as f64, s)));
+            interp_ascending(&knots, tokens)
+        }
+
+        pub fn prefill_chunk_s(c: &TokenServiceCurve, from: usize, to: usize) -> f64 {
+            (prefill_cum_s(c, to as f64) - prefill_cum_s(c, from as f64)).max(0.0)
+        }
+    }
+
+    #[test]
+    fn token_lookups_match_the_allocating_reference_bitwise() {
+        let p = profiler();
+        let curves = [
+            // Batch knots 1, 8, 32 leave most batches between knots.
+            crate::token::tests::toy_curve(),
+            TokenServiceCurve::from_profiler(&p, ModelId::Llama2),
+            TokenServiceCurve::from_profiler(&p, ModelId::Parti),
+            TokenServiceCurve::from_profiler(&p, ModelId::Muse),
+        ];
+        for c in &curves {
+            // Contexts below the first knot, at every knot, at every
+            // midpoint (plus off-centre fractions, as the engine's mean
+            // context is), and above the last knot.
+            let first = c.ctx_knots[0] as f64;
+            let last = c.ctx_knots[c.ctx_knots.len() - 1] as f64;
+            let mut ctxs = vec![0.0, 1.0, first / 2.0, first - 0.5];
+            for (i, &k) in c.ctx_knots.iter().enumerate() {
+                ctxs.push(k as f64);
+                if let Some(&next) = c.ctx_knots.get(i + 1) {
+                    let (a, b) = (k as f64, next as f64);
+                    ctxs.extend([(a + b) / 2.0, a + 0.3, b - 1.0 / 3.0]);
+                }
+            }
+            ctxs.extend([last + 0.5, last + 1.0, last * 1.5, last * 4.0 + 7.25]);
+            for batch in 1..=80 {
+                for &ctx in &ctxs {
+                    assert_eq!(
+                        c.step_s(batch, ctx).to_bits(),
+                        reference::step_s(c, batch, ctx).to_bits(),
+                        "{}: step_s({batch}, {ctx})",
+                        c.model
+                    );
+                }
+            }
+            let top = c.prefill_s.last().map_or(0, |&(n, _)| n) + 1000;
+            for to in 0..=top {
+                assert_eq!(
+                    c.prefill_cum_s(to as f64).to_bits(),
+                    reference::prefill_cum_s(c, to as f64).to_bits(),
+                    "{}: prefill_cum_s({to})",
+                    c.model
+                );
+                for from in [0, to / 2, to.saturating_sub(1), to.saturating_sub(256), to + 1] {
+                    assert_eq!(
+                        c.prefill_chunk_s(from, to).to_bits(),
+                        reference::prefill_chunk_s(c, from, to).to_bits(),
+                        "{}: prefill_chunk_s({from}, {to})",
+                        c.model
+                    );
+                }
+            }
+        }
+        // The edge paths are covered: Muse has one context knot and no
+        // prefill curve, Parti a single prefill knot.
+        assert_eq!(curves[3].ctx_knots.len(), 1);
+        assert!(curves[3].prefill_s.is_empty());
+        assert_eq!(curves[2].prefill_s.len(), 1);
     }
 
     #[test]

@@ -184,22 +184,38 @@ pub struct TokenScenarioCfg {
 }
 
 impl TokenScenarioCfg {
-    /// Validates the scenario.
+    /// Checks the scenario can run and terminate.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero GPUs, a zero batch cap, a zero prefill chunk, a
-    /// non-positive horizon, or a non-AR model.
-    pub fn validate(&self) {
-        assert!(self.gpus > 0, "need at least one GPU");
-        assert!(self.batching.cap() > 0, "batch cap must be positive");
-        assert!(self.chunk_tokens > 0, "prefill chunk must be positive");
-        assert!(self.duration_s > 0.0, "duration must be positive");
-        assert!(
-            TokenServiceCurve::supports(self.model),
-            "{} is not autoregressive; token serving needs llama | parti | muse",
-            self.model
-        );
+    /// Zero GPUs, a zero batch cap, a zero prefill chunk, a horizon or
+    /// mean arrival rate that is not positive and finite (an infinite
+    /// one never stops generating arrivals), or a non-AR model.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.gpus == 0 {
+            return Err("need at least one GPU".into());
+        }
+        if self.batching.cap() == 0 {
+            return Err("batch cap must be positive".into());
+        }
+        if self.chunk_tokens == 0 {
+            return Err("prefill chunk must be positive".into());
+        }
+        // Spelled to reject NaN too, which fails every comparison.
+        if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
+            return Err(format!("duration must be positive and finite, got {}", self.duration_s));
+        }
+        let rate = self.arrival.mean_rate_rps();
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(format!("arrival rate must be positive and finite, got {rate}"));
+        }
+        if !TokenServiceCurve::supports(self.model) {
+            return Err(format!(
+                "{} is not autoregressive; token serving needs llama | parti | muse",
+                self.model
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -504,7 +520,7 @@ impl<'a> TokenSim<'a> {
         (result, self.flight)
     }
 
-    /// KV bytes of a sequence's prompt (zero for models whose
+    /// KV-resident tokens of a sequence's prompt (zero for models whose
     /// conditioning lives outside the cache).
     fn prompt_kv_tokens(&self, seq: &Seq) -> u64 {
         if self.has_prompt_kv {
@@ -881,7 +897,9 @@ pub fn simulate_token(
     kv_budget_bytes: u64,
     registry: &Registry,
 ) -> TokenSimResult {
-    cfg.validate();
+    if let Err(e) = cfg.validate() {
+        panic!("invalid token scenario: {e}");
+    }
     assert_eq!(cfg.model, curve.model, "scenario/curve model mismatch");
     TokenSim::new(cfg, curve, kv_budget_bytes, registry, None).run(registry).0
 }
@@ -889,6 +907,11 @@ pub fn simulate_token(
 /// Like [`simulate_token`] with the flight recorder attached: iteration
 /// batches land on per-GPU lanes, arrivals/completions on the cluster
 /// lane.
+///
+/// # Panics
+///
+/// Panics on an invalid scenario ([`TokenScenarioCfg::validate`]) or a
+/// curve/model mismatch.
 #[must_use]
 pub fn simulate_token_recorded(
     cfg: &TokenScenarioCfg,
@@ -897,7 +920,9 @@ pub fn simulate_token_recorded(
     registry: &Registry,
     flight_cfg: FlightCfg,
 ) -> (TokenSimResult, FlightRecorder) {
-    cfg.validate();
+    if let Err(e) = cfg.validate() {
+        panic!("invalid token scenario: {e}");
+    }
     assert_eq!(cfg.model, curve.model, "scenario/curve model mismatch");
     let recorder = FlightRecorder::new(flight_cfg, cfg.gpus);
     let (result, flight) =
@@ -906,13 +931,13 @@ pub fn simulate_token_recorded(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A hand-built curve with llama-like shape: decode amortizes with
     /// batch, grows with context; prefill is ~linear. Keeps engine
     /// tests free of profiler cost.
-    fn toy_curve() -> TokenServiceCurve {
+    pub(crate) fn toy_curve() -> TokenServiceCurve {
         TokenServiceCurve {
             model: ModelId::Llama2,
             batch_knots: vec![1, 8, 32],
@@ -997,10 +1022,9 @@ mod tests {
 
     #[test]
     fn tight_budget_preempts_and_recovers() {
-        // ~24 MiB ≈ 48 sequences of KV? No: 512 KiB/token × ~640
-        // tokens ≈ 320 MiB per sequence. A 1 GiB budget fits ~3
-        // concurrent sequences — decode growth under Prompt admission
-        // must hit the ceiling and preempt.
+        // 512 KiB/token × ~640 tokens ≈ 320 MiB per sequence. A 1 GiB
+        // budget fits ~3 concurrent sequences — decode growth under
+        // Prompt admission must hit the ceiling and preempt.
         let mut cfg = base_cfg(TokenBatching::Continuous { max_batch: 16 }, 5);
         cfg.duration_s = 30.0;
         let tight = 1 << 30;
@@ -1135,5 +1159,31 @@ mod tests {
         assert!(PhasePriority::parse("both").is_err());
         assert_eq!(TokenBatching::Continuous { max_batch: 4 }.cap(), 4);
         assert_eq!(TokenBatching::Static { batch: 2 }.name(), "static");
+    }
+
+    #[test]
+    fn validate_rejects_scenarios_that_cannot_terminate() {
+        let ok = base_cfg(TokenBatching::Continuous { max_batch: 16 }, 1);
+        assert_eq!(ok.validate(), Ok(()));
+        for d in [f64::INFINITY, f64::NAN, 0.0] {
+            let cfg = TokenScenarioCfg { duration_s: d, ..ok.clone() };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("duration"), "{d}: {err}");
+        }
+        for r in [f64::INFINITY, f64::NAN] {
+            let cfg = TokenScenarioCfg { arrival: ArrivalProcess::poisson(r), ..ok.clone() };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("arrival rate"), "{r}: {err}");
+        }
+        let cfg = TokenScenarioCfg { model: ModelId::StableDiffusion, ..ok.clone() };
+        assert!(cfg.validate().unwrap_err().contains("not autoregressive"));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid token scenario: duration")]
+    fn simulate_panics_on_an_invalid_scenario() {
+        let mut cfg = base_cfg(TokenBatching::Continuous { max_batch: 16 }, 1);
+        cfg.duration_s = f64::INFINITY;
+        let _ = simulate_token(&cfg, &toy_curve(), AMPLE, &Registry::new());
     }
 }
