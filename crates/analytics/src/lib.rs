@@ -23,7 +23,6 @@ pub mod pareto;
 pub mod roofline;
 pub mod scheduling;
 pub mod seqlen_model;
-pub mod serving;
 pub mod temporal;
 pub mod training;
 

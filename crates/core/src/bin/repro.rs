@@ -20,21 +20,21 @@
 //!                              # suite under one explicit pass config
 //! ```
 //!
+//! Every entry point checks its arguments against one flag table;
+//! `repro` with no target prints the usage block generated from those
+//! tables, which names every flag and the values it takes.
+//!
 //! The `serve` subcommand runs one scenario on the `mmg-serve`
 //! discrete-event cluster simulator — profiler-grounded service curves,
 //! a mixed request stream, and a chosen router/scheduler — and prints
-//! the per-model latency/SLO report. Flags: `--gpus`, `--mix`
-//! (`model:weight,…`), `--arrival` (poisson | bursty | diurnal),
-//! `--rate` (requests/s; default targets 0.8 utilization),
-//! `--scheduler` (fifo | static | dynamic | pods), `--batch`,
-//! `--router` (rr | least-work | affinity), `--slo-ms` (default: 4x
-//! each model's own service time), `--duration-s`, `--requests`
-//! (arrival cap), `--seed`, `--metrics <path>` (Prometheus dump of the
-//! `serve_*` series), `--trace-out <path>` (Perfetto flight-recorder
-//! trace: per-GPU batch lanes, scheduler instants, counter tracks), and
-//! `--full-records`. One seed fixes the whole sample path, so stdout —
-//! and the flight trace — is byte-identical across runs, machines, and
-//! job counts.
+//! the per-model latency/SLO report. `--rate` defaults to 0.8
+//! utilization, `--slo-ms` to 4x each model's own service time, and
+//! `--requests` caps arrivals. `--metrics-out` dumps the registry (the
+//! JSON snapshot for a `.json` path, else the Prometheus text of the
+//! `serve_*` series) and `--trace-out` the Perfetto flight-recorder
+//! trace (per-GPU batch lanes, scheduler instants, counter tracks). One
+//! seed fixes the whole sample path, so stdout — and the flight trace —
+//! is byte-identical across runs, machines, and job counts.
 //!
 //! By default `serve` runs in streaming mode: constant memory no matter
 //! how many requests are simulated, with report quantiles from a
@@ -48,17 +48,12 @@
 //! autoregressive serving engine: GPUs advance in decode *iterations*
 //! with continuous (in-flight) batching or run-to-completion static
 //! batching, chunked prefill interleaved with decode, and a per-GPU
-//! KV-cache ledger balanced against the SKU's HBM budget. Flags:
-//! `--model` (llama | parti | muse), `--gpus`, `--arrival`, `--rate`
-//! (default: `--util` × cluster capacity from the profiled curve),
-//! `--prompt-len` / `--output-len` (median tokens), `--kv-budget`
-//! (GiB/GPU; default HBM − weights), `--scheduler`
-//! (static | continuous), `--batch`, `--policy` (decode | prefill
-//! priority), `--admission` (prompt | reserve), `--chunk`,
-//! `--duration-s`, `--requests`, `--seed`, `--metrics-out`,
-//! `--trace-out`, `--jobs`. Prints the TTFT/TPOT phase table, the
-//! per-GPU KV table, and the goodput line; stdout and the metrics dump
-//! are byte-identical for every `--jobs` value.
+//! KV-cache ledger balanced against the SKU's HBM budget. `--rate`
+//! defaults to `--util` × cluster capacity from the profiled curve,
+//! `--prompt-len` / `--output-len` are median tokens, and `--kv-budget`
+//! is GiB per GPU (default HBM − weights). Prints the TTFT/TPOT phase
+//! table, the per-GPU KV table, and the goodput line; stdout and the
+//! metrics dump are byte-identical for every `--jobs` value.
 //!
 //! Experiments run on a worker pool (`--jobs`); outputs are printed and
 //! telemetry merged in experiment order, so stdout and counter totals
@@ -86,7 +81,10 @@ use mmg_gpu::DeviceSpec;
 use mmg_models::{suite, ModelId};
 use mmg_profiler::trace::to_chrome_trace_object;
 use mmg_profiler::Profiler;
+use mmg_serve::FlightRecorder;
+use mmg_telemetry::Registry;
 use serde_json::Value;
+use Kind::{Count, Device, NonNegative, Positive, Seed, Switch, Text};
 
 fn device_by_name(name: &str) -> Option<DeviceSpec> {
     match name.to_lowercase().as_str() {
@@ -97,6 +95,283 @@ fn device_by_name(name: &str) -> Option<DeviceSpec> {
         "l4" | "l4-24gb" => Some(DeviceSpec::l4_24gb()),
         "h200" | "h200-141gb" => Some(DeviceSpec::h200_141gb()),
         _ => None,
+    }
+}
+
+/// What a flag's value must be. Each kind owns one error message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Takes no value.
+    Switch,
+    /// A `usize` of at least 1.
+    Count,
+    /// Any `u64`.
+    Seed,
+    /// A finite `f64` above 0.
+    Positive,
+    /// A finite `f64` of at least 0.
+    NonNegative,
+    /// A simulated device name, resolved by [`device_by_name`].
+    Device,
+    /// Any text; the entry point checks it.
+    Text,
+}
+
+/// A value that passed its [`Kind`]'s check.
+enum Val<'a> {
+    On,
+    Count(usize),
+    Seed(u64),
+    Num(f64),
+    Device(DeviceSpec),
+    Text(&'a str),
+}
+
+impl Kind {
+    /// Checks `v` as the value of `flag`.
+    fn check<'a>(self, flag: &str, v: &'a str) -> Result<Val<'a>, String> {
+        let num = v.parse::<f64>().ok().filter(|x| x.is_finite());
+        let (val, wants) = match self {
+            Switch => unreachable!("switches take no value"),
+            Count => (v.parse().ok().filter(|&n| n > 0).map(Val::Count), "a positive integer"),
+            Seed => (v.parse().ok().map(Val::Seed), "a non-negative integer"),
+            Positive => (num.filter(|&x| x > 0.0).map(Val::Num), "a positive finite number"),
+            NonNegative => {
+                (num.filter(|&x| x >= 0.0).map(Val::Num), "a non-negative finite number")
+            }
+            Device => {
+                let device = device_by_name(v).map(Val::Device);
+                return device.ok_or_else(|| format!("unknown device '{v}'"));
+            }
+            Text => (Some(Val::Text(v)), ""),
+        };
+        val.ok_or_else(|| format!("{flag} requires {wants}"))
+    }
+}
+
+/// One `repro` entry point: its flag table, as `(flag, kind, usage
+/// placeholder)` rows, and the usage text of its operands (empty when
+/// it takes none).
+struct Cmd {
+    name: &'static str,
+    operands: &'static str,
+    flags: &'static [(&'static str, Kind, &'static str)],
+}
+
+/// The experiment suite (every invocation no subcommand claims).
+const SUITE: Cmd = Cmd {
+    name: "repro",
+    operands: "<bench-snapshot | all | <experiment>>…",
+    flags: &[
+        ("--device", Device, "name"),
+        ("--jobs", Count, "n"),
+        ("--json", Switch, ""),
+        ("--list", Switch, ""),
+        ("--metrics", Text, "path"),
+        ("--trace-out", Text, "path"),
+        ("--manifest", Text, "path"),
+        ("--out", Text, "path"),
+        ("--replications", Count, "n"),
+        ("--sweep-seed", Seed, "n"),
+    ],
+};
+
+/// `repro optimize` with a pass flag: one explicit pass configuration.
+const OPTIMIZE: Cmd = Cmd {
+    name: "optimize",
+    operands: "",
+    flags: &[
+        ("--device", Device, "name"),
+        ("--fuse", Switch, ""),
+        ("--width", Text, "fp16|fp8|int8"),
+        ("--graph-capture", Switch, ""),
+        ("--sampler-steps", Count, "n"),
+    ],
+};
+
+const SERVE: Cmd = Cmd {
+    name: "serve",
+    operands: "",
+    flags: &[
+        ("--device", Device, "name"),
+        ("--gpus", Count, "n"),
+        ("--mix", Text, "model:weight,…"),
+        ("--arrival", Text, "poisson|bursty|diurnal"),
+        ("--rate", Positive, "rps"),
+        ("--scheduler", Text, "fifo|static|dynamic|pods"),
+        ("--batch", Count, "n"),
+        ("--router", Text, "rr|least-work|affinity"),
+        ("--slo-ms", Positive, "ms"),
+        ("--duration-s", Positive, "s"),
+        ("--requests", Count, "n"),
+        ("--seed", Seed, "n"),
+        ("--metrics-out", Text, "path"),
+        ("--trace-out", Text, "path"),
+        // The scenario DES is serial; `--jobs` is checked but unused so
+        // determinism harnesses can show the output ignores it.
+        ("--jobs", Count, "n"),
+        ("--full-records", Switch, ""),
+        ("--attrib", Switch, ""),
+    ],
+};
+
+const FLEET: Cmd = Cmd {
+    name: "fleet",
+    operands: "",
+    flags: &[
+        ("--clusters", Count, "n"),
+        ("--gpus", Count, "per-cluster"),
+        ("--arrival", Text, "poisson|diurnal"),
+        ("--util", Positive, "frac"),
+        ("--rate", Positive, "rps"),
+        ("--policy", Text, "fixed|reactive|reactive+spot"),
+        ("--requests", Count, "n"),
+        ("--duration-s", Positive, "s"),
+        ("--windows", Count, "n"),
+        ("--scheduler", Text, "fifo|static|dynamic|pods"),
+        ("--batch", Count, "n"),
+        ("--seed", Seed, "n"),
+        ("--jobs", Count, "n"),
+        ("--metrics-out", Text, "path"),
+    ],
+};
+
+const TOKEN: Cmd = Cmd {
+    name: "token",
+    operands: "",
+    flags: &[
+        ("--device", Device, "name"),
+        ("--model", Text, "llama|parti|muse"),
+        ("--gpus", Count, "n"),
+        ("--arrival", Text, "poisson|bursty|diurnal"),
+        ("--rate", Positive, "rps"),
+        ("--util", Positive, "frac"),
+        ("--prompt-len", Positive, "tokens"),
+        ("--output-len", Positive, "tokens"),
+        ("--kv-budget", Positive, "gib"),
+        ("--scheduler", Text, "static|continuous"),
+        ("--batch", Count, "n"),
+        ("--policy", Text, "decode|prefill"),
+        ("--admission", Text, "prompt|reserve"),
+        ("--chunk", Count, "tokens"),
+        ("--duration-s", Positive, "s"),
+        ("--requests", Count, "n"),
+        ("--seed", Seed, "n"),
+        ("--metrics-out", Text, "path"),
+        ("--trace-out", Text, "path"),
+        // Checked but unused, as for `serve`: the token DES is serial.
+        ("--jobs", Count, "n"),
+    ],
+};
+
+const BENCH_CHECK: Cmd = Cmd {
+    name: "bench-check",
+    operands: "<old.json> <new.json>",
+    flags: &[("--threshold", NonNegative, "frac"), ("--min-wall-s", NonNegative, "s")],
+};
+
+/// Every entry point, in usage order.
+const COMMANDS: [&Cmd; 6] = [&SUITE, &OPTIMIZE, &SERVE, &FLEET, &TOKEN, &BENCH_CHECK];
+
+/// `cmd`'s usage line.
+fn usage_line(cmd: &Cmd) -> String {
+    let mut line = String::from("repro");
+    if cmd.name != SUITE.name {
+        line += " ";
+        line += cmd.name;
+    }
+    for &(flag, kind, placeholder) in cmd.flags {
+        line += &match kind {
+            Switch => format!(" [{flag}]"),
+            _ => format!(" [{flag} <{placeholder}>]"),
+        };
+    }
+    if !cmd.operands.is_empty() {
+        line += " ";
+        line += cmd.operands;
+    }
+    line
+}
+
+/// The usage block: one line per entry point, then the experiment ids.
+fn usage() -> String {
+    let lines: Vec<String> = COMMANDS.iter().map(|cmd| usage_line(cmd)).collect();
+    let ids: Vec<String> = ExperimentId::ALL.iter().map(ToString::to_string).collect();
+    format!("usage: {}\n<experiment>: {}", lines.join("\n       "), ids.join(" | "))
+}
+
+/// Arguments checked against one [`Cmd`] table: a value per row (the
+/// last one given wins) and the operands in order.
+struct Flags<'a> {
+    cmd: &'static Cmd,
+    values: Vec<Option<Val<'a>>>,
+    operands: Vec<&'a str>,
+}
+
+/// Checks `args` against `cmd`'s table. An argument that is not a flag
+/// in the table is an operand when `cmd` takes operands and does not
+/// start with `--`; otherwise it is refused.
+fn parse<'a>(cmd: &'static Cmd, args: &'a [String]) -> Result<Flags<'a>, String> {
+    let values = cmd.flags.iter().map(|_| None).collect();
+    let mut out = Flags { cmd, values, operands: Vec::new() };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(row) = cmd.flags.iter().position(|&(flag, ..)| flag == arg) else {
+            if cmd.operands.is_empty() || arg.starts_with("--") {
+                let names: Vec<&str> = cmd.flags.iter().map(|&(flag, ..)| flag).collect();
+                return Err(format!(
+                    "unknown {} flag '{arg}'; expected {}",
+                    cmd.name,
+                    names.join(" | ")
+                ));
+            }
+            out.operands.push(arg);
+            continue;
+        };
+        let (flag, kind, _) = cmd.flags[row];
+        out.values[row] = Some(if kind == Switch {
+            Val::On
+        } else {
+            let v = args.next().ok_or_else(|| format!("{flag} requires a value"))?;
+            kind.check(flag, v)?
+        });
+    }
+    Ok(out)
+}
+
+impl<'a> Flags<'a> {
+    /// The value given for `flag`, read through `pick`. Panics when
+    /// `flag` is not in the table or `pick` does not fit its kind: both
+    /// are bugs in the caller.
+    fn get<T>(&self, flag: &str, pick: fn(&Val<'a>) -> Option<T>) -> Option<T> {
+        let row = self.cmd.flags.iter().position(|&(f, ..)| f == flag);
+        let row = row.unwrap_or_else(|| panic!("{flag} is not a {} flag", self.cmd.name));
+        let value = self.values[row].as_ref()?;
+        Some(pick(value).unwrap_or_else(|| panic!("{flag} read as the wrong kind")))
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.get(flag, |v| matches!(v, Val::On).then_some(())).is_some()
+    }
+
+    fn count(&self, flag: &str) -> Option<usize> {
+        self.get(flag, |v| if let Val::Count(n) = v { Some(*n) } else { None })
+    }
+
+    fn seed(&self, flag: &str) -> Option<u64> {
+        self.get(flag, |v| if let Val::Seed(n) = v { Some(*n) } else { None })
+    }
+
+    fn num(&self, flag: &str) -> Option<f64> {
+        self.get(flag, |v| if let Val::Num(x) = v { Some(*x) } else { None })
+    }
+
+    fn device(&self) -> Option<DeviceSpec> {
+        self.get("--device", |v| if let Val::Device(d) = v { Some(d.clone()) } else { None })
+    }
+
+    fn text(&self, flag: &str) -> Option<&'a str> {
+        self.get(flag, |v| if let Val::Text(s) = v { Some(*s) } else { None })
     }
 }
 
@@ -147,7 +422,7 @@ fn today_stamp() -> String {
 /// experiments see the warm entries earlier ones created — the shipped
 /// behaviour) and writes `{experiment → wall seconds}` plus memo
 /// statistics to `path` (default `BENCH_<date>.json`).
-fn bench_snapshot(spec: &DeviceSpec, path: Option<String>) -> Result<String, String> {
+fn bench_snapshot(spec: &DeviceSpec, path: Option<&str>) -> Result<String, String> {
     let memo = global_memo();
     let ctx = ExecContext::isolated(spec.clone(), memo.clone());
     let started = Instant::now();
@@ -315,95 +590,59 @@ fn bench_snapshot(spec: &DeviceSpec, path: Option<String>) -> Result<String, Str
             ]),
         ),
     ]);
-    let path = path.unwrap_or_else(|| format!("BENCH_{}.json", today_stamp()));
+    let path = path.map_or_else(|| format!("BENCH_{}.json", today_stamp()), str::to_string);
     let body = serde_json::to_string_pretty(&snapshot).expect("snapshots always serialize");
     write_file(&path, &body, "bench snapshot")?;
     Ok(path)
 }
 
-/// `repro optimize` — the kernel-graph optimization-pass experiment.
-/// With no pass flags, runs the full per-family grid on the suite
-/// engine (deterministic for every `--jobs` value). With any of
-/// `--fuse`, `--width`, `--graph-capture`, or `--sampler-steps`, runs
-/// the suite under exactly that pass configuration and prints the
-/// eager-vs-optimized table.
+/// Writes `registry` to `path`: the JSON snapshot for a `.json` path,
+/// the Prometheus text exposition otherwise.
+fn write_metrics(path: &str, registry: &Registry) -> Result<(), String> {
+    let body = if path.ends_with(".json") {
+        let mut s = serde_json::to_string_pretty(&registry.snapshot_json())
+            .expect("registry snapshots always serialize");
+        s.push('\n');
+        s
+    } else {
+        registry.render_prometheus()
+    };
+    write_file(path, &body, "metrics")
+}
+
+/// Writes a serving flight recorder's Perfetto trace to `path` and its
+/// size to stderr.
+fn write_flight_trace(path: &str, flight: &FlightRecorder, what: &str) -> Result<(), String> {
+    write_file(path, &flight.to_chrome_trace_object(), what)?;
+    eprintln!(
+        "flight trace: {} batch spans, {} scheduler events, {} windows",
+        flight.batches.len(),
+        flight.instants.len(),
+        flight.series.iter().count(),
+    );
+    Ok(())
+}
+
+/// `repro optimize` with any of `--fuse`, `--width`, `--graph-capture`
+/// or `--sampler-steps`: runs the suite under exactly that pass
+/// configuration and prints the eager-vs-optimized table. Without a
+/// pass flag, `repro optimize` is the suite's full per-family grid.
 fn optimize_main(args: &[String]) -> Result<(), String> {
     use mmg_core::experiments::optimize;
     use mmg_graph::{ElemWidth, OptConfig};
 
-    let mut spec = DeviceSpec::a100_80gb();
-    let mut fuse = false;
-    let mut width: Option<ElemWidth> = None;
-    let mut graph_capture = false;
-    let mut sampler_steps: Option<usize> = None;
-    let mut jobs = 1usize;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        if flag == "--fuse" {
-            fuse = true;
-            continue;
-        }
-        if flag == "--graph-capture" {
-            graph_capture = true;
-            continue;
-        }
-        let value = args
-            .get(i)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
-        match flag {
-            "--device" => {
-                spec = device_by_name(value).ok_or_else(|| format!("unknown device '{value}'"))?;
-            }
-            "--width" => {
-                width = Some(match value.to_lowercase().as_str() {
-                    "fp16" => ElemWidth::Fp16,
-                    "fp8" => ElemWidth::Fp8,
-                    "int8" => ElemWidth::Int8,
-                    other => return Err(format!("unknown width '{other}'; expected fp16 | fp8 | int8")),
-                });
-            }
-            "--sampler-steps" => {
-                sampler_steps = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| "--sampler-steps requires a positive integer".to_string())?,
-                );
-            }
-            "--jobs" => {
-                jobs = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--jobs requires a positive integer".to_string())?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown optimize flag '{other}'; expected --device | --fuse | --width | --graph-capture | --sampler-steps | --jobs"
-                ));
-            }
-        }
-        i += 1;
-    }
-
-    let custom = fuse || width.is_some() || graph_capture || sampler_steps.is_some();
-    if custom {
-        let opt = OptConfig { fuse, width: width.unwrap_or(ElemWidth::Fp16), graph_capture };
-        let ctx = ExecContext::shared(spec.clone());
-        println!("{}", optimize::render_single(&optimize::run_single_ctx(&ctx, opt, sampler_steps)));
-    } else {
-        // Full grid through the suite engine: stdout is byte-identical
-        // for every --jobs value (one experiment, merged in id order).
-        let memo = global_memo();
-        let registry = mmg_telemetry::global();
-        println!("device: {}\n", spec.name);
-        for report in run_suite(&[ExperimentId::Optimize], &spec, jobs, &memo, &registry) {
-            println!("{report}");
-        }
-    }
+    let f = parse(&OPTIMIZE, args)?;
+    let width = match f.text("--width").map(str::to_lowercase).as_deref() {
+        None | Some("fp16") => ElemWidth::Fp16,
+        Some("fp8") => ElemWidth::Fp8,
+        Some("int8") => ElemWidth::Int8,
+        Some(other) => return Err(format!("unknown width '{other}'; expected fp16 | fp8 | int8")),
+    };
+    let opt =
+        OptConfig { fuse: f.switch("--fuse"), width, graph_capture: f.switch("--graph-capture") };
+    let ctx = ExecContext::shared(f.device().unwrap_or_else(DeviceSpec::a100_80gb));
+    let result = optimize::run_single_ctx(&ctx, opt, f.count("--sampler-steps"));
+    println!("{}", optimize::render_single(&result));
     Ok(())
 }
 
@@ -412,138 +651,32 @@ fn optimize_main(args: &[String]) -> Result<(), String> {
 /// path, so stdout is byte-identical across invocations.
 fn serve_main(args: &[String]) -> Result<(), String> {
     use mmg_serve::{
-        simulate, simulate_recorded, ArrivalProcess, FlightCfg, RequestMix, ScenarioCfg,
-        SchedulerKind, ServiceProfile, SloReport, SloSpec,
+        simulate, simulate_recorded, ArrivalProcess, FlightCfg, RequestMix, RouterKind,
+        ScenarioCfg, SchedulerKind, ServiceProfile, SloReport, SloSpec,
     };
 
-    let mut spec = DeviceSpec::a100_80gb();
-    let mut gpus = 4usize;
-    let mut mix_spec = "sd:8,parti:2".to_string();
-    let mut arrival_name = "poisson".to_string();
-    let mut rate: Option<f64> = None;
-    let mut scheduler_name = "dynamic".to_string();
-    let mut batch = 16usize;
-    let mut router_name: Option<String> = None;
-    let mut slo_ms: Option<f64> = None;
-    let mut duration_s = 120.0f64;
-    let mut max_requests: Option<u64> = None;
-    let mut seed = 42u64;
-    let mut metrics_path: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut full_records = false;
-    let mut attrib = false;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        if flag == "--full-records" {
-            full_records = true;
-            continue;
-        }
-        if flag == "--attrib" {
-            attrib = true;
-            continue;
-        }
-        let value = args
-            .get(i)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
-        match flag {
-            "--device" => {
-                spec = device_by_name(value).ok_or_else(|| format!("unknown device '{value}'"))?;
-            }
-            "--gpus" => {
-                gpus = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--gpus requires a positive integer".to_string())?;
-            }
-            "--mix" => mix_spec = value.clone(),
-            "--arrival" => arrival_name = value.clone(),
-            "--rate" => {
-                rate = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .ok_or_else(|| "--rate requires a positive finite number".to_string())?,
-                );
-            }
-            "--scheduler" => scheduler_name = value.clone(),
-            "--batch" => {
-                batch = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--batch requires a positive integer".to_string())?;
-            }
-            "--router" => router_name = Some(value.clone()),
-            "--slo-ms" => {
-                slo_ms = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|s| *s > 0.0)
-                        .ok_or_else(|| "--slo-ms requires a positive number".to_string())?,
-                );
-            }
-            "--duration-s" => {
-                duration_s = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|d| d.is_finite() && *d > 0.0)
-                    .ok_or_else(|| "--duration-s requires a positive finite number".to_string())?;
-            }
-            "--requests" => {
-                max_requests = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| "--requests requires a positive integer".to_string())?,
-                );
-            }
-            "--seed" => {
-                seed = value
-                    .parse::<u64>()
-                    .map_err(|_| "--seed requires a non-negative integer".to_string())?;
-            }
-            "--metrics" => metrics_path = Some(value.clone()),
-            "--metrics-out" => metrics_out = Some(value.clone()),
-            "--trace-out" => trace_path = Some(value.clone()),
-            "--jobs" => {
-                // The scenario DES is inherently serial; the flag exists so
-                // determinism harnesses can assert the trace bytes do not
-                // depend on the advertised worker count.
-                value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--jobs requires a positive integer".to_string())?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown serve flag '{other}'; expected --device | --gpus | --mix | --arrival | --rate | --scheduler | --batch | --router | --slo-ms | --duration-s | --requests | --seed | --metrics | --metrics-out | --trace-out | --jobs | --full-records | --attrib"
-                ));
-            }
-        }
-        i += 1;
-    }
+    let f = parse(&SERVE, args)?;
+    let spec = f.device().unwrap_or_else(DeviceSpec::a100_80gb);
+    let gpus = f.count("--gpus").unwrap_or(4);
+    let mix_spec = f.text("--mix").unwrap_or("sd:8,parti:2");
+    let arrival_name = f.text("--arrival").unwrap_or("poisson");
+    let duration_s = f.num("--duration-s").unwrap_or(120.0);
+    let seed = f.seed("--seed").unwrap_or(42);
+    let full_records = f.switch("--full-records");
+    let trace_path = f.text("--trace-out");
 
-    let mix = RequestMix::parse(&mix_spec)?;
-    let scheduler = SchedulerKind::parse(&scheduler_name, batch)?;
+    let mix = RequestMix::parse(mix_spec)?;
+    let scheduler = SchedulerKind::parse(
+        f.text("--scheduler").unwrap_or("dynamic"),
+        f.count("--batch").unwrap_or(16),
+    )?;
 
     // Service curves come from the real profiler (shared memo + global
     // registry), at power-of-two batch sizes up to the scheduler's cap.
     let ctx = ExecContext::shared(spec.clone());
     let profiler = ctx.profiler(AttnImpl::Flash);
     let models: Vec<ModelId> = mix.models().collect();
-    let cap = match scheduler {
-        SchedulerKind::Fifo => 1,
-        SchedulerKind::Static { batch, .. } => batch,
-        SchedulerKind::Dynamic { max_batch } | SchedulerKind::Pods { max_batch } => max_batch,
-    };
+    let cap = scheduler.batch_cap();
     let batches: Vec<usize> = (0..).map(|i| 1usize << i).take_while(|&b| b <= cap).collect();
     let mut profile = ServiceProfile::from_profiler(&profiler, &models, &batches);
     if matches!(scheduler, SchedulerKind::Pods { .. }) {
@@ -555,22 +688,22 @@ fn serve_main(args: &[String]) -> Result<(), String> {
     }
 
     let mean_service_s = profile.mean_base_s(&mix);
-    let rate = rate.unwrap_or(0.8 * gpus as f64 / mean_service_s);
-    let arrival = ArrivalProcess::parse(&arrival_name, rate)?;
-    let slo = match slo_ms {
+    let rate = f.num("--rate").unwrap_or(0.8 * gpus as f64 / mean_service_s);
+    let arrival = ArrivalProcess::parse(arrival_name, rate)?;
+    let slo = match f.num("--slo-ms") {
         Some(ms) => SloSpec::FixedS(ms / 1e3),
         None => SloSpec::ServiceMultiple(4.0),
     };
     let mut cfg = ScenarioCfg::new(gpus, mix, arrival, scheduler, slo, duration_s, seed);
     cfg.full_records = full_records;
-    cfg.max_requests = max_requests;
-    if attrib {
+    cfg.max_requests = f.count("--requests").map(|n| n as u64);
+    if f.switch("--attrib") {
         // Latency attribution plus the SRE-style burn-rate alert engine,
         // budgeted against a 95% on-time objective over the horizon.
         cfg = cfg.with_health(0.95);
     }
-    if let Some(name) = &router_name {
-        cfg.router = mmg_serve::RouterKind::parse(name)?;
+    if let Some(name) = f.text("--router") {
+        cfg.router = RouterKind::parse(name)?;
     }
 
     let sim_started = Instant::now();
@@ -602,31 +735,11 @@ fn serve_main(args: &[String]) -> Result<(), String> {
         result.arrivals as f64 / sim_wall_s.max(1e-9),
         if full_records { "full records" } else { "streaming" },
     );
-    if let Some(path) = &metrics_path {
-        write_file(path, &ctx.registry.render_prometheus(), "metrics")?;
+    if let Some(path) = f.text("--metrics-out") {
+        write_metrics(path, &ctx.registry)?;
     }
-    if let Some(path) = &metrics_out {
-        // Extension-dispatched export of the final registry: `.json`
-        // gets the structured snapshot, anything else the Prometheus
-        // text exposition.
-        let body = if path.ends_with(".json") {
-            let mut s = serde_json::to_string_pretty(&ctx.registry.snapshot_json())
-                .expect("registry snapshots always serialize");
-            s.push('\n');
-            s
-        } else {
-            ctx.registry.render_prometheus()
-        };
-        write_file(path, &body, "metrics")?;
-    }
-    if let (Some(path), Some(flight)) = (&trace_path, &flight) {
-        write_file(path, &flight.to_chrome_trace_object(), "serve flight trace")?;
-        eprintln!(
-            "flight trace: {} batch spans, {} scheduler events, {} windows",
-            flight.batches.len(),
-            flight.instants.len(),
-            flight.series.iter().count(),
-        );
+    if let (Some(path), Some(flight)) = (trace_path, &flight) {
+        write_flight_trace(path, flight, "serve flight trace")?;
     }
     Ok(())
 }
@@ -643,154 +756,32 @@ fn token_main(args: &[String]) -> Result<(), String> {
         TokenScenarioCfg, TokenServiceCurve, TokenSlo, GIB,
     };
 
-    let mut spec = DeviceSpec::a100_80gb();
-    let mut model_name = "llama".to_string();
-    let mut gpus = 2usize;
-    let mut arrival_name = "poisson".to_string();
-    let mut rate: Option<f64> = None;
-    let mut util = 0.8f64;
-    let mut prompt_len = 512.0f64;
-    let mut output_len = 128.0f64;
-    let mut kv_budget_gib: Option<f64> = None;
-    let mut scheduler_name = "continuous".to_string();
-    let mut batch = 16usize;
-    let mut policy_name = "decode".to_string();
-    let mut admission_name = "prompt".to_string();
-    let mut chunk = 256usize;
-    let mut duration_s: Option<f64> = None;
-    let mut max_requests: Option<u64> = None;
-    let mut seed = 42u64;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = args
-            .get(i)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
-        match flag {
-            "--device" => {
-                spec = device_by_name(value).ok_or_else(|| format!("unknown device '{value}'"))?;
-            }
-            "--model" => model_name = value.clone(),
-            "--gpus" => {
-                gpus = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--gpus requires a positive integer".to_string())?;
-            }
-            "--arrival" => arrival_name = value.clone(),
-            "--rate" => {
-                rate = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .ok_or_else(|| "--rate requires a positive finite number".to_string())?,
-                );
-            }
-            "--util" => {
-                util = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|u| *u > 0.0)
-                    .ok_or_else(|| "--util requires a positive fraction".to_string())?;
-            }
-            "--prompt-len" => {
-                prompt_len = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|n| *n > 0.0)
-                    .ok_or_else(|| "--prompt-len requires a positive number".to_string())?;
-            }
-            "--output-len" => {
-                output_len = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|n| *n > 0.0)
-                    .ok_or_else(|| "--output-len requires a positive number".to_string())?;
-            }
-            "--kv-budget" => {
-                kv_budget_gib = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|g| *g > 0.0)
-                        .ok_or_else(|| "--kv-budget requires a positive GiB count".to_string())?,
-                );
-            }
-            "--scheduler" => scheduler_name = value.clone(),
-            "--batch" => {
-                batch = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--batch requires a positive integer".to_string())?;
-            }
-            "--policy" => policy_name = value.clone(),
-            "--admission" => admission_name = value.clone(),
-            "--chunk" => {
-                chunk = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--chunk requires a positive integer".to_string())?;
-            }
-            "--duration-s" => {
-                duration_s = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|d| d.is_finite() && *d > 0.0)
-                        .ok_or_else(|| "--duration-s requires a positive finite number".to_string())?,
-                );
-            }
-            "--requests" => {
-                max_requests = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| "--requests requires a positive integer".to_string())?,
-                );
-            }
-            "--seed" => {
-                seed = value
-                    .parse::<u64>()
-                    .map_err(|_| "--seed requires a non-negative integer".to_string())?;
-            }
-            "--metrics-out" => metrics_out = Some(value.clone()),
-            "--trace-out" => trace_path = Some(value.clone()),
-            "--jobs" => {
-                // The token DES is inherently serial; the flag exists so
-                // determinism harnesses can assert the report bytes do
-                // not depend on the advertised worker count.
-                value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--jobs requires a positive integer".to_string())?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown token flag '{other}'; expected --device | --model | --gpus | --arrival | --rate | --util | --prompt-len | --output-len | --kv-budget | --scheduler | --batch | --policy | --admission | --chunk | --duration-s | --requests | --seed | --metrics-out | --trace-out | --jobs"
-                ));
-            }
-        }
-        i += 1;
-    }
+    let f = parse(&TOKEN, args)?;
+    let spec = f.device().unwrap_or_else(DeviceSpec::a100_80gb);
+    let model_name = f.text("--model").unwrap_or("llama");
+    let gpus = f.count("--gpus").unwrap_or(2);
+    let arrival_name = f.text("--arrival").unwrap_or("poisson");
+    let util = f.num("--util").unwrap_or(0.8);
+    let prompt_len = f.num("--prompt-len").unwrap_or(512.0);
+    let output_len = f.num("--output-len").unwrap_or(128.0);
+    let kv_budget_gib = f.num("--kv-budget");
+    let chunk = f.count("--chunk").unwrap_or(256);
+    let max_requests = f.count("--requests").map(|n| n as u64);
+    let seed = f.seed("--seed").unwrap_or(42);
+    let trace_path = f.text("--trace-out");
 
-    let model = parse_model(&model_name)?;
+    let model = parse_model(model_name)?;
     if !TokenServiceCurve::supports(model) {
         return Err(format!(
             "model '{model_name}' is not autoregressive; token serving needs llama | parti | muse"
         ));
     }
-    let batching = TokenBatching::parse(&scheduler_name, batch)?;
-    let priority = PhasePriority::parse(&policy_name)?;
-    let admission = KvAdmission::parse(&admission_name)?;
+    let batching = TokenBatching::parse(
+        f.text("--scheduler").unwrap_or("continuous"),
+        f.count("--batch").unwrap_or(16),
+    )?;
+    let priority = PhasePriority::parse(f.text("--policy").unwrap_or("decode"))?;
+    let admission = KvAdmission::parse(f.text("--admission").unwrap_or("prompt"))?;
 
     // The per-step decode and cumulative prefill costs come from the
     // real profiler (shared memo + global registry).
@@ -805,13 +796,13 @@ fn token_main(args: &[String]) -> Result<(), String> {
     let output = LengthDist::new(output_len, 0.3, 1, 4096);
     let cap = batching.cap();
     let slo = TokenSlo::from_curve(&curve, prompt.mean(), output.mean(), cap);
-    let rate = rate.unwrap_or_else(|| {
+    let rate = f.num("--rate").unwrap_or_else(|| {
         util * gpus as f64 / curve.request_gpu_s(prompt.mean(), output.mean(), cap)
     });
-    let arrival = ArrivalProcess::parse(&arrival_name, rate)?;
+    let arrival = ArrivalProcess::parse(arrival_name, rate)?;
     // `--requests` without an explicit horizon sizes the horizon so the
     // realized arrival count reaches the cap (with 0.5% headroom).
-    let duration_s = duration_s.unwrap_or_else(|| match max_requests {
+    let duration_s = f.num("--duration-s").unwrap_or_else(|| match max_requests {
         Some(n) => n as f64 / rate * 1.005,
         None => 120.0,
     });
@@ -863,28 +854,11 @@ fn token_main(args: &[String]) -> Result<(), String> {
         result.stats.iterations,
         result.stats.decoded_tokens as f64 / sim_wall_s.max(1e-9),
     );
-    if let Some(path) = &metrics_out {
-        // Extension-dispatched export of the final registry: `.json`
-        // gets the structured snapshot, anything else the Prometheus
-        // text exposition.
-        let body = if path.ends_with(".json") {
-            let mut s = serde_json::to_string_pretty(&ctx.registry.snapshot_json())
-                .expect("registry snapshots always serialize");
-            s.push('\n');
-            s
-        } else {
-            ctx.registry.render_prometheus()
-        };
-        write_file(path, &body, "metrics")?;
+    if let Some(path) = f.text("--metrics-out") {
+        write_metrics(path, &ctx.registry)?;
     }
-    if let (Some(path), Some(flight)) = (&trace_path, &flight) {
-        write_file(path, &flight.to_chrome_trace_object(), "token flight trace")?;
-        eprintln!(
-            "flight trace: {} batch spans, {} scheduler events, {} windows",
-            flight.batches.len(),
-            flight.instants.len(),
-            flight.series.iter().count(),
-        );
+    if let (Some(path), Some(flight)) = (trace_path, &flight) {
+        write_flight_trace(path, flight, "token flight trace")?;
     }
     Ok(())
 }
@@ -963,18 +937,7 @@ fn run_fleet(
         SchedulerKind, SloSpec,
     };
 
-    if rc.clusters == 0 {
-        return Err("--clusters requires at least one cluster".to_string());
-    }
-    if rc.windows == 0 {
-        return Err("--windows requires at least one window".to_string());
-    }
     let scheduler = SchedulerKind::parse(&rc.scheduler_name, rc.batch)?;
-    let cap = match scheduler {
-        SchedulerKind::Fifo => 1,
-        SchedulerKind::Static { batch, .. } => batch,
-        SchedulerKind::Dynamic { max_batch } | SchedulerKind::Pods { max_batch } => max_batch,
-    };
     let policy = mmg_core::experiments::fleet_sweep::policies()
         .into_iter()
         .find(|p| p.name() == rc.policy_name)
@@ -994,7 +957,7 @@ fn run_fleet(
                 memo,
                 registry,
                 mix_str,
-                cap,
+                scheduler.batch_cap(),
                 matches!(scheduler, SchedulerKind::Pods { .. }),
             )
         })
@@ -1064,106 +1027,26 @@ fn run_fleet(
 /// worker pool, and prints the fleet report. Stdout is byte-identical
 /// for every `--jobs` value; the perf line goes to stderr.
 fn fleet_main(args: &[String]) -> Result<(), String> {
-    let mut rc = FleetRunCfg::default();
-    let mut jobs = 1usize;
-    let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = args
-            .get(i)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
-        match flag {
-            "--clusters" => {
-                rc.clusters = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--clusters requires a positive integer".to_string())?;
-            }
-            "--gpus" => {
-                rc.gpus_per_cluster = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--gpus requires a positive integer".to_string())?;
-            }
-            "--arrival" => rc.arrival_name = value.clone(),
-            "--util" => {
-                rc.utilization = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|u| *u > 0.0)
-                    .ok_or_else(|| "--util requires a positive fraction".to_string())?;
-            }
-            "--rate" => {
-                rc.rate = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .ok_or_else(|| "--rate requires a positive finite number".to_string())?,
-                );
-            }
-            "--policy" => rc.policy_name = value.clone(),
-            "--requests" => {
-                rc.requests = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| "--requests requires a positive integer".to_string())?,
-                );
-            }
-            "--duration-s" => {
-                rc.duration_s = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|d| d.is_finite() && *d > 0.0)
-                    .ok_or_else(|| "--duration-s requires a positive finite number".to_string())?;
-            }
-            "--windows" => {
-                rc.windows = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--windows requires a positive integer".to_string())?;
-            }
-            "--scheduler" => rc.scheduler_name = value.clone(),
-            "--batch" => {
-                rc.batch = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--batch requires a positive integer".to_string())?;
-            }
-            "--seed" => {
-                rc.seed = value
-                    .parse::<u64>()
-                    .map_err(|_| "--seed requires a non-negative integer".to_string())?;
-            }
-            "--jobs" => {
-                jobs = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--jobs requires a positive integer".to_string())?;
-            }
-            "--metrics-out" => metrics_out = Some(value.clone()),
-            other => {
-                return Err(format!(
-                    "unknown fleet flag '{other}'; expected --clusters | --gpus | --arrival | --util | --rate | --policy | --requests | --duration-s | --windows | --scheduler | --batch | --seed | --jobs | --metrics-out"
-                ));
-            }
-        }
-        i += 1;
-    }
-
-    let registry = mmg_telemetry::Registry::new();
+    let f = parse(&FLEET, args)?;
+    let d = FleetRunCfg::default();
+    let rc = FleetRunCfg {
+        clusters: f.count("--clusters").unwrap_or(d.clusters),
+        gpus_per_cluster: f.count("--gpus").unwrap_or(d.gpus_per_cluster),
+        arrival_name: f.text("--arrival").map_or(d.arrival_name, str::to_string),
+        utilization: f.num("--util").unwrap_or(d.utilization),
+        rate: f.num("--rate").or(d.rate),
+        policy_name: f.text("--policy").map_or(d.policy_name, str::to_string),
+        requests: f.count("--requests").map(|n| n as u64).or(d.requests),
+        duration_s: f.num("--duration-s").unwrap_or(d.duration_s),
+        windows: f.count("--windows").unwrap_or(d.windows),
+        scheduler_name: f.text("--scheduler").map_or(d.scheduler_name, str::to_string),
+        batch: f.count("--batch").unwrap_or(d.batch),
+        seed: f.seed("--seed").unwrap_or(d.seed),
+    };
+    let registry = Registry::new();
     let memo = global_memo();
     let sim_started = Instant::now();
-    let run = run_fleet(&rc, &registry, &memo, jobs)?;
+    let run = run_fleet(&rc, &registry, &memo, f.count("--jobs").unwrap_or(1))?;
     let sim_wall_s = sim_started.elapsed().as_secs_f64();
 
     print!("{}", mmg_serve::FleetReport::new(&run.cfg, &run.result).render());
@@ -1175,273 +1058,91 @@ fn fleet_main(args: &[String]) -> Result<(), String> {
         run.cfg.clusters.len(),
         run.result.arrivals() as f64 / sim_wall_s.max(1e-9),
     );
-    if let Some(path) = &metrics_out {
-        let body = if path.ends_with(".json") {
-            let mut s = serde_json::to_string_pretty(&registry.snapshot_json())
-                .expect("registry snapshots always serialize");
-            s.push('\n');
-            s
-        } else {
-            registry.render_prometheus()
-        };
-        write_file(path, &body, "metrics")?;
+    if let Some(path) = f.text("--metrics-out") {
+        write_metrics(path, &registry)?;
     }
     Ok(())
 }
 
 /// `repro bench-check <old> <new>` — compare two `bench-snapshot`
-/// outputs and exit nonzero when any figure regressed.
+/// outputs. Returns whether any figure regressed.
 fn bench_check_main(args: &[String]) -> Result<bool, String> {
     use mmg_core::benchcheck;
 
-    let mut threshold = benchcheck::DEFAULT_THRESHOLD;
-    let mut min_wall_s = benchcheck::DEFAULT_MIN_WALL_S;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        match arg {
-            "--threshold" | "--min-wall-s" => {
-                i += 1;
-                let parsed = args
-                    .get(i)
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| *v >= 0.0)
-                    .ok_or_else(|| format!("{arg} requires a non-negative number"))?;
-                if arg == "--threshold" {
-                    threshold = parsed;
-                } else {
-                    min_wall_s = parsed;
-                }
-            }
-            other if other.starts_with("--") => {
-                return Err(format!(
-                    "unknown bench-check flag '{other}'; expected --threshold | --min-wall-s"
-                ));
-            }
-            _ => paths.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [old_path, new_path] = paths[..] else {
-        return Err(
-            "usage: repro bench-check <old.json> <new.json> [--threshold <frac>] [--min-wall-s <s>]"
-                .to_string(),
-        );
+    let f = parse(&BENCH_CHECK, args)?;
+    let [old_path, new_path] = f.operands[..] else {
+        return Err(format!("usage: {}", usage_line(&BENCH_CHECK)));
     };
-    let read = |path: &String| -> Result<serde_json::Value, String> {
+    let read = |path: &str| -> Result<serde_json::Value, String> {
         let body = std::fs::read_to_string(path)
             .map_err(|e| format!("failed to read snapshot {path}: {e}"))?;
         serde_json::from_str(&body).map_err(|e| format!("snapshot {path} is not valid JSON: {e}"))
     };
     let old = read(old_path)?;
     let new = read(new_path)?;
+    let threshold = f.num("--threshold").unwrap_or(benchcheck::DEFAULT_THRESHOLD);
+    let min_wall_s = f.num("--min-wall-s").unwrap_or(benchcheck::DEFAULT_MIN_WALL_S);
     let check = benchcheck::compare(&old, &new, threshold, min_wall_s);
     print!("{}", benchcheck::render(&check));
     Ok(check.regressed())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // `repro optimize` with any pass flag takes the dedicated
-    // single-configuration path; a bare `repro optimize` flows through
-    // the generic experiment loop below (full grid, --jobs/--json/...).
-    let opt_flags = ["--fuse", "--width", "--graph-capture", "--sampler-steps"];
-    if args.first().map(String::as_str) == Some("optimize")
-        && args.iter().any(|a| opt_flags.contains(&a.as_str()))
-    {
-        return match optimize_main(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+/// The experiment suite: runs the named targets (or the bench snapshot,
+/// or the replicated serving sweep) and ends with the run manifest.
+fn suite_main(args: &[String]) -> Result<(), String> {
+    use mmg_core::experiments::serve_sweep;
+
+    let f = parse(&SUITE, args)?;
+    if f.switch("--list") {
+        for e in ExperimentId::ALL {
+            println!("{e}");
+        }
+        return Ok(());
     }
-    if args.first().map(String::as_str) == Some("serve") {
-        return match serve_main(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("token") {
-        return match token_main(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("fleet") {
-        return match fleet_main(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("bench-check") {
-        return match bench_check_main(&args[1..]) {
-            Ok(false) => ExitCode::SUCCESS,
-            Ok(true) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let mut spec = DeviceSpec::a100_80gb();
-    let mut json = false;
+    let spec = f.device().unwrap_or_else(DeviceSpec::a100_80gb);
+    let manifest = f.text("--manifest");
     let mut bench = false;
-    let mut replications: Option<u64> = None;
-    let mut sweep_seed = 42u64;
-    let mut jobs: Option<usize> = None;
-    let mut out_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut manifest_path: Option<String> = None;
     let mut targets: Vec<ExperimentId> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--list" => {
-                for e in ExperimentId::ALL {
-                    println!("{e}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--json" => json = true,
-            "--device" => {
-                i += 1;
-                let Some(name) = args.get(i) else {
-                    eprintln!(
-                        "--device requires a name (a100 | a100-40gb | v100 | h100 | l4 | h200)"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                let Some(d) = device_by_name(name) else {
-                    eprintln!("unknown device '{name}'");
-                    return ExitCode::FAILURE;
-                };
-                spec = d;
-            }
-            "--jobs" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|n| n.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n > 0) else {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                jobs = Some(n);
-            }
-            "--replications" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|n| n.parse::<u64>().ok());
-                let Some(n) = parsed.filter(|&n| n > 0) else {
-                    eprintln!("--replications requires a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                replications = Some(n);
-            }
-            "--sweep-seed" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|n| n.parse::<u64>().ok()) else {
-                    eprintln!("--sweep-seed requires a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                sweep_seed = n;
-            }
-            flag @ ("--metrics" | "--trace-out" | "--manifest" | "--out") => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("{flag} requires an output path");
-                    return ExitCode::FAILURE;
-                };
-                match flag {
-                    "--metrics" => metrics_path = Some(path.clone()),
-                    "--trace-out" => trace_path = Some(path.clone()),
-                    "--out" => out_path = Some(path.clone()),
-                    _ => manifest_path = Some(path.clone()),
-                }
-            }
+    for &operand in &f.operands {
+        match operand {
             "bench-snapshot" => bench = true,
             "all" => targets.extend(ExperimentId::ALL),
-            other => match other.parse::<ExperimentId>() {
-                Ok(id) => targets.push(id),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+            other => targets.push(other.parse().map_err(|e| format!("{e}"))?),
         }
-        i += 1;
     }
     if bench {
-        return match bench_snapshot(&spec, out_path) {
-            Ok(path) => {
-                eprintln!("bench snapshot written to {path}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+        let path = bench_snapshot(&spec, f.text("--out"))?;
+        eprintln!("bench snapshot written to {path}");
+        return Ok(());
     }
     // Repeated targets (e.g. `repro fig6 all`) run once, first-mention order.
     let mut seen = std::collections::HashSet::new();
     targets.retain(|id| seen.insert(*id));
-    if let Some(reps) = replications {
-        // Replicated serving sweep: seed × scheduler × utilization grid
-        // on the worker pool, deterministic for every --jobs.
-        if !targets.iter().all(|&t| t == ExperimentId::ServeSweep) {
-            eprintln!("--replications applies only to the serve-sweep target");
-            return ExitCode::FAILURE;
-        }
-        let jobs = jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        });
-        let started = Instant::now();
-        let memo = global_memo();
-        let registry = mmg_telemetry::global();
-        let result = mmg_core::experiments::serve_sweep::run_replicated(
-            &spec, reps, sweep_seed, jobs, &memo, &registry,
-        );
-        println!("device: {}\n", spec.name);
-        println!("{}", mmg_core::experiments::serve_sweep::render_replicated(&result));
-        let targets = [ExperimentId::ServeSweep];
-        if let Err(e) =
-            emit_manifest(&spec, &targets, started.elapsed().as_secs_f64(), &registry, &manifest_path)
-        {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-    if targets.is_empty() {
-        eprintln!("usage: repro [--device <name>] [--jobs <n>] [--json] [--metrics <path>] [--trace-out <path>] [--manifest <path>] [--replications <n> [--sweep-seed <n>]] <bench-snapshot | all | fig1 | table1 | fig4 | fig5 | fig6 | table2 | table3 | fig7 | fig8 | fig9 | fig11 | fig12 | fig13 | secv | flashdec | optimize | pods | batch | tp | ablations | serve-sweep | serve-timeline | serve-attrib | fleet-sweep | token-sweep | energy>…");
-        eprintln!("       repro optimize [--device <name>] [--fuse] [--width <fp16|fp8|int8>] [--graph-capture] [--sampler-steps <n>] [--jobs <n>]");
-        eprintln!("       repro serve [--device <name>] [--gpus <n>] [--mix <model:weight,…>] [--arrival <poisson|bursty|diurnal>] [--rate <rps>] [--scheduler <fifo|static|dynamic|pods>] [--batch <n>] [--router <rr|least-work|affinity>] [--slo-ms <ms>] [--duration-s <s>] [--requests <n>] [--seed <n>] [--metrics <path>] [--metrics-out <path>] [--trace-out <path>] [--jobs <n>] [--full-records] [--attrib]");
-        eprintln!("       repro fleet [--clusters <n>] [--gpus <per-cluster>] [--arrival <poisson|diurnal>] [--util <frac>] [--rate <rps>] [--policy <fixed|reactive|reactive+spot>] [--requests <n>] [--duration-s <s>] [--windows <n>] [--scheduler <fifo|static|dynamic|pods>] [--batch <n>] [--seed <n>] [--jobs <n>] [--metrics-out <path>]");
-        eprintln!("       repro token [--device <name>] [--model <llama|parti|muse>] [--gpus <n>] [--arrival <poisson|bursty|diurnal>] [--rate <rps>] [--util <frac>] [--prompt-len <tokens>] [--output-len <tokens>] [--kv-budget <gib>] [--scheduler <static|continuous>] [--batch <n>] [--policy <decode|prefill>] [--admission <prompt|reserve>] [--chunk <tokens>] [--duration-s <s>] [--requests <n>] [--seed <n>] [--metrics-out <path>] [--trace-out <path>] [--jobs <n>]");
-        eprintln!("       repro bench-check <old.json> <new.json> [--threshold <frac>] [--min-wall-s <s>]");
-        return ExitCode::FAILURE;
-    }
-    let jobs = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    });
+    let jobs = f
+        .count("--jobs")
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
     let started = Instant::now();
     let memo = global_memo();
     let registry = mmg_telemetry::global();
+    if let Some(reps) = f.count("--replications") {
+        // Replicated serving sweep: seed × scheduler × utilization grid
+        // on the worker pool, deterministic for every --jobs.
+        if !targets.iter().all(|&t| t == ExperimentId::ServeSweep) {
+            return Err("--replications applies only to the serve-sweep target".to_string());
+        }
+        let seed = f.seed("--sweep-seed").unwrap_or(42);
+        let result = serve_sweep::run_replicated(&spec, reps as u64, seed, jobs, &memo, &registry);
+        println!("device: {}\n", spec.name);
+        println!("{}", serve_sweep::render_replicated(&result));
+        return emit_manifest(&spec, &[ExperimentId::ServeSweep], started, &registry, manifest);
+    }
+    if targets.is_empty() {
+        return Err(usage());
+    }
     // Experiments run on the worker pool; printing and telemetry merge
     // happen in target order after the join, so stdout and counter
     // totals do not depend on `--jobs`.
-    if json {
+    if f.switch("--json") {
         let lines = run_suite_with(&targets, &spec, jobs, &memo, &registry, |id, ctx| {
             let envelope = Value::Object(vec![
                 ("experiment".to_string(), Value::from(id.to_string())),
@@ -1458,31 +1159,39 @@ fn main() -> ExitCode {
             println!("{report}");
         }
     }
-    if let Some(path) = &trace_path {
-        let trace = match unet_step_trace(&spec) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = write_file(path, &trace, "Chrome trace") {
+    if let Some(path) = f.text("--trace-out") {
+        write_file(path, &unet_step_trace(&spec)?, "Chrome trace")?;
+    }
+    if let Some(path) = f.text("--metrics") {
+        write_file(path, &registry.render_prometheus(), "metrics")?;
+    }
+    emit_manifest(&spec, &targets, started, &registry, manifest)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
+    // `repro optimize` with a pass flag runs one explicit configuration;
+    // a bare `repro optimize` (with --jobs/--json/...) is the suite's
+    // full grid.
+    let pass_flag = |a: &String| OPTIMIZE.flags.iter().any(|&(f, ..)| f == a && f != "--device");
+    // Ok(false): the command ran and reported a failure (a regression).
+    let outcome = match args.first().map(String::as_str) {
+        Some("optimize") if rest.iter().any(pass_flag) => optimize_main(rest).map(|()| true),
+        Some("serve") => serve_main(rest).map(|()| true),
+        Some("token") => token_main(rest).map(|()| true),
+        Some("fleet") => fleet_main(rest).map(|()| true),
+        Some("bench-check") => bench_check_main(rest).map(|regressed| !regressed),
+        _ => suite_main(&args).map(|()| true),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    let registry = mmg_telemetry::global();
-    if let Some(path) = &metrics_path {
-        if let Err(e) = write_file(path, &registry.render_prometheus(), "metrics") {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = emit_manifest(&spec, &targets, started.elapsed().as_secs_f64(), &registry, &manifest_path) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// Emits the end-of-run manifest. Default: the deterministic form (no
@@ -1493,24 +1202,115 @@ fn main() -> ExitCode {
 fn emit_manifest(
     spec: &DeviceSpec,
     targets: &[ExperimentId],
-    elapsed_s: f64,
-    registry: &mmg_telemetry::Registry,
-    manifest_path: &Option<String>,
+    started: Instant,
+    registry: &Registry,
+    manifest_path: Option<&str>,
 ) -> Result<(), String> {
+    let elapsed_s = started.elapsed().as_secs_f64();
+    let manifest = run_manifest(spec, targets, manifest_path.map(|_| elapsed_s), registry);
+    let line = serde_json::to_string(&manifest).expect("run manifests always serialize");
     match manifest_path {
-        Some(path) => {
-            let manifest = run_manifest(spec, targets, Some(elapsed_s), registry);
-            let line =
-                serde_json::to_string(&manifest).expect("run manifests always serialize");
-            write_file(path, &line, "run manifest")
-        }
+        Some(path) => write_file(path, &line, "run manifest"),
         None => {
-            let manifest = run_manifest(spec, targets, None, registry);
-            let line =
-                serde_json::to_string(&manifest).expect("run manifests always serialize");
             println!("{line}");
             eprintln!("{{\"elapsed_s\":{elapsed_s}}}");
             Ok(())
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(cmd: &'static Cmd, args: &[&str]) -> Result<Flags<'static>, String> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        parse(cmd, Vec::leak(args))
+    }
+
+    fn refused(cmd: &'static Cmd, args: &[&str]) -> String {
+        match run(cmd, args) {
+            Ok(_) => panic!("{args:?} must be refused"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn each_kind_refuses_its_boundary_values() {
+        // (table, flag, refused values, message; empty for the device kind)
+        let cases: [(&'static Cmd, &str, &[&str], &str); 5] = [
+            (&SERVE, "--gpus", &["0", "-1", "inf", "NaN", "1.5"], "a positive integer"),
+            (&SERVE, "--seed", &["-1", "inf", "NaN", "1e3"], "a non-negative integer"),
+            (&SERVE, "--rate", &["0", "-1", "inf", "-inf", "NaN"], "a positive finite number"),
+            (&BENCH_CHECK, "--threshold", &["-1", "-1e-9", "inf"], "a non-negative finite number"),
+            (&SERVE, "--device", &["0", "-1", "inf", "NaN"], ""),
+        ];
+        for (cmd, flag, bad, wants) in cases {
+            for v in bad {
+                let want = match wants {
+                    "" => format!("unknown device '{v}'"),
+                    _ => format!("{flag} requires {wants}"),
+                };
+                assert_eq!(refused(cmd, &[flag, v]), want);
+            }
+            assert_eq!(refused(cmd, &[flag]), format!("{flag} requires a value"));
+        }
+
+        let ok = run(&SERVE, &["--gpus", "1", "--seed", "0", "--rate", "1e-9", "--device", "H100"])
+            .expect("boundary values are accepted");
+        assert_eq!(ok.count("--gpus"), Some(1));
+        assert_eq!(ok.seed("--seed"), Some(0));
+        assert_eq!(ok.num("--rate"), Some(1e-9));
+        assert_eq!(ok.device().map(|d| d.name), Some(DeviceSpec::h100_80gb().name));
+        assert_eq!(ok.num("--slo-ms"), None);
+        let ok = run(&BENCH_CHECK, &["--threshold", "0"]).expect("zero is non-negative");
+        assert_eq!(ok.num("--threshold"), Some(0.0));
+        // Text takes the next argument whatever it looks like; a switch
+        // takes none, so what follows it is parsed as a flag.
+        let ok = run(&SERVE, &["--mix", "-1", "--attrib"]).expect("text and switch");
+        assert_eq!(ok.text("--mix"), Some("-1"));
+        assert!(ok.switch("--attrib") && !ok.switch("--full-records"));
+        assert!(refused(&SERVE, &["--attrib", "1"]).starts_with("unknown serve flag '1'"));
+    }
+
+    #[test]
+    fn a_repeated_flag_keeps_its_last_value() {
+        let f = run(&SERVE, &["--gpus", "2", "--mix", "sd", "--gpus", "3", "--mix", "parti"])
+            .expect("valid flags");
+        assert_eq!(f.count("--gpus"), Some(3));
+        assert_eq!(f.text("--mix"), Some("parti"));
+    }
+
+    #[test]
+    fn subcommands_refuse_operands() {
+        for cmd in [&OPTIMIZE, &SERVE, &FLEET, &TOKEN] {
+            let err = refused(cmd, &["extra"]);
+            let names: Vec<&str> = cmd.flags.iter().map(|&(flag, ..)| flag).collect();
+            let want = format!("unknown {} flag 'extra'; expected {}", cmd.name, names.join(" | "));
+            assert_eq!(err, want);
+        }
+        let f = run(&SUITE, &["fig4", "--json", "all"]).expect("suite targets are operands");
+        assert_eq!(f.operands, ["fig4", "all"]);
+        assert_eq!(
+            refused(&BENCH_CHECK, &["old.json", "--bogus"]),
+            "unknown bench-check flag '--bogus'; expected --threshold | --min-wall-s"
+        );
+    }
+
+    #[test]
+    fn flag_names_are_unique_within_each_table() {
+        let usage = usage();
+        for cmd in COMMANDS {
+            for (i, &(flag, kind, placeholder)) in cmd.flags.iter().enumerate() {
+                assert!(flag.starts_with("--"), "{flag}");
+                assert!(
+                    cmd.flags[..i].iter().all(|&(other, ..)| other != flag),
+                    "{flag} appears twice in the {} table",
+                    cmd.name
+                );
+                assert_eq!(kind == Switch, placeholder.is_empty(), "{flag} placeholder");
+            }
+            assert!(usage.contains(&usage_line(cmd)), "{} missing from usage", cmd.name);
         }
     }
 }

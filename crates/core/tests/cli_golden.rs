@@ -53,8 +53,9 @@ fn check_golden(name: &str, got: &str) {
         std::fs::write(&path, got).expect("write golden");
         return;
     }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("golden {} unreadable ({e}); MMG_BLESS=1 to create", path.display()));
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("golden {} unreadable ({e}); MMG_BLESS=1 to create", path.display())
+    });
     assert!(
         got == want,
         "{name} diverged from the golden; if intentional, regenerate with MMG_BLESS=1\n\

@@ -156,17 +156,27 @@ fn serve_rejects_bad_flags() {
     assert!(err.contains("unknown scheduler"), "stderr: {err}");
 }
 
-/// A non-finite horizon or arrival rate means arrivals never stop, so
-/// each must fail fast with a typed error instead of running forever.
-/// `token --util inf` passes flag parsing and is caught by the
-/// scenario's own validation.
+/// A non-finite horizon, arrival rate or mix weight means arrivals never
+/// stop (or a constructor panics), so each must exit 1 fast with a typed
+/// error. Non-finite flag values are refused while parsing; finite ones
+/// whose product overflows (`--util 1e308` times the cluster capacity,
+/// or a mix total) are caught by the library's own validation.
 #[test]
 fn non_finite_inputs_exit_nonzero_with_a_message() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["token", "--duration-s", "inf"], "--duration-s requires a positive finite number"),
         (&["token", "--rate", "inf"], "--rate requires a positive finite number"),
-        (&["token", "--util", "inf"], "arrival rate must be positive and finite"),
+        (&["token", "--util", "inf"], "--util requires a positive finite number"),
+        (&["token", "--util", "1e308", "--gpus", "100"], "arrival rate must be positive"),
+        (&["token", "--prompt-len", "inf"], "--prompt-len requires a positive finite number"),
+        (&["token", "--kv-budget", "inf"], "--kv-budget requires a positive finite number"),
         (&["serve", "--duration-s", "inf"], "--duration-s requires a positive finite number"),
+        (&["serve", "--slo-ms", "inf"], "--slo-ms requires a positive finite number"),
+        (&["serve", "--mix", "sd:nan,parti:1"], "'sd:nan' must be positive and finite"),
+        (&["serve", "--mix", "sd:inf"], "'sd:inf' must be positive and finite"),
+        (&["serve", "--mix", "sd:1e308,parti:1e308"], "must have a finite total"),
+        (&["fleet", "--util", "inf"], "--util requires a positive finite number"),
+        (&["fleet", "--util", "1e308"], "arrival rate must be positive and finite"),
     ];
     for (args, msg) in cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -194,7 +204,7 @@ fn non_finite_inputs_exit_nonzero_with_a_message() {
             .expect("stderr piped")
             .read_to_string(&mut err)
             .expect("stderr is UTF-8");
-        assert!(!status.success(), "repro {args:?} must fail");
+        assert_eq!(status.code(), Some(1), "repro {args:?} must exit 1: {err}");
         assert!(err.contains(msg), "repro {args:?} stderr: {err}");
     }
 }

@@ -153,6 +153,17 @@ impl SchedulerKind {
         }
     }
 
+    /// The largest batch the scheduler launches: 1 for FIFO, otherwise
+    /// its batch target or cap.
+    #[must_use]
+    pub fn batch_cap(&self) -> usize {
+        match *self {
+            SchedulerKind::Fifo => 1,
+            SchedulerKind::Static { batch, .. } => batch,
+            SchedulerKind::Dynamic { max_batch } | SchedulerKind::Pods { max_batch } => max_batch,
+        }
+    }
+
     /// Scheduler name as printed in reports.
     #[must_use]
     pub fn name(&self) -> &'static str {

@@ -252,6 +252,12 @@ impl FleetCfg {
         {
             return Err("fleet needs a positive window and at least one window".into());
         }
+        // Spelled to reject NaN too. An infinite rate never lets
+        // simulated time reach the horizon.
+        let rate = self.arrival.mean_rate_rps();
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(format!("arrival rate must be positive and finite, got {rate}"));
+        }
         Ok(())
     }
 }
@@ -1405,5 +1411,16 @@ mod tests {
         let mut fleet = test_fleet(2);
         fleet.arrival = ArrivalProcess::bursty(10.0);
         assert!(fleet.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_or_zero_rates_are_rejected() {
+        let ok = test_fleet(2);
+        assert_eq!(ok.validate(), Ok(()));
+        for rate in [f64::INFINITY, f64::NAN, 0.0] {
+            let fleet = FleetCfg { arrival: ok.arrival.with_rate(rate), ..ok.clone() };
+            let err = fleet.validate().unwrap_err();
+            assert!(err.starts_with("arrival rate must be positive and finite"), "{rate}: {err}");
+        }
     }
 }

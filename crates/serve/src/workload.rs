@@ -426,13 +426,19 @@ impl RequestMix {
                 }
                 None => (part.trim(), 1.0),
             };
-            if weight <= 0.0 {
-                return Err(format!("mix weight in '{part}' must be positive"));
+            // Spelled to reject NaN too, which fails every comparison.
+            if !(weight.is_finite() && weight > 0.0) {
+                return Err(format!("mix weight in '{part}' must be positive and finite"));
             }
             entries.push((parse_model(name)?, weight));
         }
         if entries.is_empty() {
             return Err("empty request mix".to_string());
+        }
+        // Finite weights can still overflow the total, which would make
+        // every share zero and the default arrival rate infinite.
+        if !entries.iter().map(|(_, w)| w).sum::<f64>().is_finite() {
+            return Err(format!("mix weights in '{spec}' must have a finite total"));
         }
         for (i, (id, _)) in entries.iter().enumerate() {
             if entries[..i].iter().any(|(other, _)| other == id) {
@@ -664,6 +670,17 @@ mod tests {
         assert!(RequestMix::parse("sd:0").is_err());
         assert!(RequestMix::parse("sd:8,sd:2").is_err());
         assert!(RequestMix::parse("notamodel:1").is_err());
+    }
+
+    #[test]
+    fn mix_rejects_non_finite_weights_and_totals() {
+        for spec in ["sd:nan,parti:1", "sd:inf", "sd:-inf", "sd:1,parti:NaN"] {
+            let err = RequestMix::parse(spec).unwrap_err();
+            assert!(err.ends_with("must be positive and finite"), "{spec}: {err}");
+        }
+        let err = RequestMix::parse("sd:1e308,parti:1e308").unwrap_err();
+        assert!(err.contains("finite total"), "{err}");
+        assert!(RequestMix::parse("sd:1e307,parti:1e307").is_ok());
     }
 
     #[test]

@@ -154,11 +154,7 @@ proptest! {
         let scheduler = scheduler_from(sel, batch, wait_s);
         let cfg = scenario(gpus, rate, scheduler, 30.0, seed);
         let r = simulate(&cfg, &profile(0.3), &Registry::new());
-        let cap = match scheduler {
-            SchedulerKind::Fifo => 1,
-            SchedulerKind::Static { batch, .. } => batch,
-            SchedulerKind::Dynamic { max_batch } | SchedulerKind::Pods { max_batch } => max_batch,
-        };
+        let cap = scheduler.batch_cap();
         for rec in &r.records {
             prop_assert!(rec.start_s >= rec.arrival_s - 1e-12);
             prop_assert!(rec.finish_s > rec.start_s);
@@ -167,4 +163,19 @@ proptest! {
             prop_assert!(rec.depth_at_arrival >= 1);
         }
     }
+}
+
+/// Closed-form oracle: one FIFO GPU with a constant service time under
+/// Poisson arrivals is an M/D/1 queue, whose mean wait is
+/// `ρ·s / (2(1-ρ))` (Pollaczek-Khinchine with zero service variance).
+#[test]
+fn fifo_mean_wait_matches_the_md1_closed_form() {
+    let (rho, s) = (0.5, 0.3);
+    let mut cfg = scenario(1, rho / s, SchedulerKind::Fifo, f64::INFINITY, 3);
+    cfg.max_requests = Some(60_000);
+    let r = simulate(&cfg, &profile(s), &Registry::new());
+    assert_eq!(r.records.len(), 60_000);
+    let mean_wait = r.records.iter().map(|rec| rec.wait_s()).sum::<f64>() / 60_000.0;
+    let theory = rho * s / (2.0 * (1.0 - rho));
+    assert!((mean_wait - theory).abs() / theory < 0.15, "wait {mean_wait} vs theory {theory}");
 }

@@ -11,15 +11,41 @@
 
 use mmgen::analytics::parallel::tp_sweep;
 use mmgen::analytics::scheduling::{pod_estimate, simulated_pod_speedup};
-use mmgen::analytics::serving::{simulate_mdl, summarize};
 use mmgen::attn::AttnImpl;
 use mmgen::gpu::DeviceSpec;
 use mmgen::graph::OpCategory;
 use mmgen::models::suite::dit::{pipeline as dit_pipeline, DitConfig};
 use mmgen::models::suite::parti::PartiConfig;
 use mmgen::models::suite::stable_diffusion::{pipeline as sd_pipeline, StableDiffusionConfig};
+use mmgen::models::ModelId;
 use mmgen::profiler::report::fmt_seconds;
 use mmgen::profiler::Profiler;
+use mmgen::serve::{
+    simulate, ArrivalProcess, RequestMix, RequestRecord, ScenarioCfg, SchedulerKind, ServiceCurve,
+    ServiceProfile, SloSpec,
+};
+use mmgen::telemetry::{quantile_sorted, Registry};
+
+/// p99 latency of `n` Poisson arrivals at `rate` into one FIFO GPU with
+/// a fixed `service_s` per request (an M/D/1 queue on the serving DES).
+fn fifo_p99_s(rate: f64, service_s: f64, n: u64, seed: u64) -> f64 {
+    let model = ModelId::StableDiffusion;
+    let profile = ServiceProfile::new(vec![ServiceCurve::constant(model, service_s)]);
+    let mut cfg = ScenarioCfg::new(
+        1,
+        RequestMix::single(model),
+        ArrivalProcess::poisson(rate),
+        SchedulerKind::Fifo,
+        SloSpec::None,
+        f64::INFINITY,
+        seed,
+    );
+    cfg.max_requests = Some(n);
+    let result = simulate(&cfg, &profile, &Registry::new());
+    let mut latencies: Vec<f64> = result.records.iter().map(RequestRecord::latency_s).collect();
+    latencies.sort_by(f64::total_cmp);
+    quantile_sorted(&latencies, 0.99).expect("requests completed")
+}
 
 fn main() {
     let device = DeviceSpec::a100_80gb();
@@ -55,15 +81,12 @@ fn main() {
     let service = sd_prof.total_time_s();
     println!("\nServing one A100 with SD requests (service {:.0} ms):", service * 1e3);
     for rate in [1.0f64, 2.0, 2.5] {
-        let plain = summarize(&simulate_mdl(rate, service, 5000, 42), rate * service);
-        let podded = summarize(
-            &simulate_mdl(rate, service / sim2, 5000, 42),
-            rate * service / sim2,
-        );
+        let plain = fifo_p99_s(rate, service, 5000, 42);
+        let podded = fifo_p99_s(rate, service / sim2, 5000, 42);
         println!(
             "  {rate:.1} req/s: p99 {:>9} plain | {:>9} with pods",
-            fmt_seconds(plain.p99_s),
-            fmt_seconds(podded.p99_s)
+            fmt_seconds(plain),
+            fmt_seconds(podded)
         );
     }
 

@@ -4,7 +4,6 @@
 
 use mmgen::analytics::parallel::tp_decode_step;
 use mmgen::analytics::scheduling::{pod_estimate, simulated_pod_speedup};
-use mmgen::analytics::serving::{load_sweep, simulate_mdl, summarize};
 use mmgen::attn::AttnImpl;
 use mmgen::core::experiments::{ablations, batch, flashdec, pods, tp};
 use mmgen::core::{run_experiment, run_experiment_json, ExperimentId};
@@ -13,12 +12,39 @@ use mmgen::models::diffusion::NoiseSchedule;
 use mmgen::models::suite::dit::{dit_step_graph, pipeline as dit_pipeline, DitConfig};
 use mmgen::models::suite::parti::PartiConfig;
 use mmgen::models::suite::stable_diffusion::{pipeline as sd_pipeline, StableDiffusionConfig};
+use mmgen::models::ModelId;
 use mmgen::profiler::trace::to_trace_events;
 use mmgen::profiler::Profiler;
+use mmgen::serve::{
+    simulate, ArrivalProcess, RequestMix, RequestRecord, ScenarioCfg, SchedulerKind, ServiceCurve,
+    ServiceProfile, SloSpec,
+};
+use mmgen::telemetry::{quantile_sorted, Registry};
 use mmgen::tensor::Tensor;
 
 fn spec() -> DeviceSpec {
     DeviceSpec::a100_80gb()
+}
+
+/// p99 latency of `n` Poisson arrivals at `rate` into one FIFO GPU with
+/// a fixed `service_s` per request (an M/D/1 queue on the serving DES).
+fn fifo_p99_s(rate: f64, service_s: f64, n: u64, seed: u64) -> f64 {
+    let model = ModelId::StableDiffusion;
+    let profile = ServiceProfile::new(vec![ServiceCurve::constant(model, service_s)]);
+    let mut cfg = ScenarioCfg::new(
+        1,
+        RequestMix::single(model),
+        ArrivalProcess::poisson(rate),
+        SchedulerKind::Fifo,
+        SloSpec::None,
+        f64::INFINITY,
+        seed,
+    );
+    cfg.max_requests = Some(n);
+    let result = simulate(&cfg, &profile, &Registry::new());
+    let mut latencies: Vec<f64> = result.records.iter().map(RequestRecord::latency_s).collect();
+    latencies.sort_by(f64::total_cmp);
+    quantile_sorted(&latencies, 0.99).expect("requests completed")
 }
 
 #[test]
@@ -36,9 +62,10 @@ fn serving_degrades_gracefully_until_saturation() {
     let service = sd_pipeline(&StableDiffusionConfig::default())
         .profile(&Profiler::new(spec(), AttnImpl::Flash))
         .total_time_s();
-    let sweep = load_sweep(service, 1.0, &[0.3, 0.6, 0.9], 3000, 11);
-    assert!(sweep[0].p99_s < 3.0 * service, "light load near service time");
-    assert!(sweep[2].p99_s > sweep[0].p99_s, "queueing grows with load");
+    let p99: Vec<f64> =
+        [0.3, 0.6, 0.9].iter().map(|u| fifo_p99_s(u / service, service, 3000, 11)).collect();
+    assert!(p99[0] < 3.0 * service, "light load near service time");
+    assert!(p99[2] > p99[0], "queueing grows with load");
 }
 
 #[test]
@@ -52,10 +79,9 @@ fn pods_raise_serving_capacity_end_to_end() {
     assert!(gain > 1.1);
     let service = prof.total_time_s();
     let rate = 0.9 / service * gain; // beyond the plain server's capacity
-    let plain = summarize(&simulate_mdl(rate, service, 2000, 3), rate * service);
-    let podded =
-        summarize(&simulate_mdl(rate, service / gain, 2000, 3), rate * service / gain);
-    assert!(plain.p99_s > 2.0 * podded.p99_s);
+    let plain = fifo_p99_s(rate, service, 2000, 3);
+    let podded = fifo_p99_s(rate, service / gain, 2000, 3);
+    assert!(plain > 2.0 * podded);
 }
 
 #[test]
