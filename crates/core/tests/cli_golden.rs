@@ -1,8 +1,9 @@
 //! Golden-file pins of `repro`'s output: one invocation per subcommand
 //! flag parser (serve, token, fleet, optimize, bench-check), each
 //! compared byte for byte against a file under `tests/golden/`. The
-//! token run also pins its `--metrics-out` Prometheus dump, and the
-//! bench-check run its exit status.
+//! token run also pins its `--metrics-out` Prometheus dump, a serve run
+//! the digest of its JSON span stream, and the bench-check run its exit
+//! status.
 //!
 //! A change that intentionally alters one of these outputs regenerates
 //! the goldens with:
@@ -67,6 +68,53 @@ fn check_golden(name: &str, got: &str) {
 fn serve_attributed_report_matches_golden() {
     let got = repro_ok(&["serve", "--duration-s", "20", "--seed", "7", "--attrib"]);
     check_golden("serve_attrib.txt", &got);
+}
+
+/// 64-bit FNV-1a: a stable digest that does not depend on the
+/// standard library's hasher.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the span stream of `serve --metrics-out *.json`: every span's
+/// path and counter deltas, in order. `start_us` and `dur_us` are wall
+/// clock and stay out of the digest.
+#[test]
+fn serve_span_stream_matches_golden() {
+    let dir = std::env::temp_dir().join(format!("mmg-cli-spans-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let json = dir.join("serve.json");
+    repro_ok(&[
+        "serve",
+        "--duration-s",
+        "20",
+        "--seed",
+        "7",
+        "--metrics-out",
+        json.to_str().expect("UTF-8 temp path"),
+    ]);
+    let text = std::fs::read_to_string(&json).expect("metrics snapshot written");
+    std::fs::remove_dir_all(&dir).ok();
+    let snapshot: serde_json::Value = serde_json::from_str(&text).expect("snapshot is JSON");
+    let spans = snapshot.field("spans").and_then(|s| s.as_array()).expect("spans array");
+    let mut stream = String::new();
+    for span in spans {
+        stream.push_str(span.field("path").and_then(|p| p.as_str()).expect("span path"));
+        match span.field("counter_deltas") {
+            Some(serde_json::Value::Object(deltas)) => {
+                for (name, delta) in deltas {
+                    let delta = delta.as_u64().expect("integer counter delta");
+                    stream.push_str(&format!("\t{name}={delta}"));
+                }
+            }
+            other => panic!("counter_deltas is not an object: {other:?}"),
+        }
+        stream.push('\n');
+    }
+    let got = format!("spans {}\nfnv1a {:016x}\n", spans.len(), fnv1a(stream.as_bytes()));
+    check_golden("serve_spans.txt", &got);
 }
 
 #[test]
