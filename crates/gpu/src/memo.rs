@@ -8,12 +8,15 @@
 //! locked `HashMap`, and eviction inside a shard is least-recently-used by
 //! a global access tick.
 //!
+//! A key is hashed once per call: the same SipHash value picks the shard
+//! and keys the shard's map (through a pass-through hasher), with the
+//! rare keys that share a hash kept in a short list compared by `Eq`.
 //! Values are handed out as `Arc<V>` so hits never clone the payload, and
 //! the map never blocks readers of *other* shards while one shard evicts.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -26,6 +29,60 @@ const SHARDS: usize = 8;
 struct Slot<V> {
     value: Arc<V>,
     last_used: u64,
+}
+
+/// Hasher for keys that already are a hash: passes the `u64` through.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps are keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// The entries whose keys share one shard-local hash: almost always one.
+type Bucket<K, V> = Vec<(K, Slot<V>)>;
+
+/// One locked shard: shard-local hash → bucket, plus the entry count.
+#[derive(Debug)]
+struct Shard<K, V> {
+    map: HashMap<u64, Bucket<K, V>, BuildHasherDefault<PassThrough>>,
+    len: usize,
+}
+
+impl<K: Eq, V> Shard<K, V> {
+    fn slot_mut(&mut self, hash: u64, key: &K) -> Option<&mut Slot<V>> {
+        let bucket = self.map.get_mut(&hash)?;
+        bucket.iter_mut().find(|(k, _)| k == key).map(|(_, slot)| slot)
+    }
+
+    /// Drops the least-recently-used entry.
+    fn evict_lru(&mut self) {
+        let lru = self
+            .map
+            .iter()
+            .flat_map(|(&hash, bucket)| {
+                bucket.iter().enumerate().map(move |(i, (_, slot))| (slot.last_used, hash, i))
+            })
+            .min();
+        if let Some((_, hash, i)) = lru {
+            let bucket = self.map.get_mut(&hash).expect("bucket just scanned");
+            bucket.swap_remove(i);
+            if bucket.is_empty() {
+                self.map.remove(&hash);
+            }
+            self.len -= 1;
+        }
+    }
 }
 
 /// A concurrent, bounded, sharded LRU map.
@@ -42,7 +99,7 @@ struct Slot<V> {
 /// ```
 #[derive(Debug)]
 pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<HashMap<K, Slot<V>>>>,
+    shards: Vec<Mutex<Shard<K, V>>>,
     capacity_per_shard: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -55,7 +112,9 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         ShardedLru {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(Shard { map: HashMap::default(), len: 0 }))
+                .collect(),
             capacity_per_shard: capacity.div_ceil(SHARDS).max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -63,18 +122,24 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
         }
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<HashMap<K, Slot<V>>> {
+    /// Hashes `key` once: the low bits pick its shard, the rest key the
+    /// shard's map. Every hash in a shard shares those low bits, so
+    /// dropping them loses nothing and keeps them from crowding the map's
+    /// buckets.
+    fn locate(&self, key: &K) -> (&Mutex<Shard<K, V>>, u64) {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+        let hash = h.finish();
+        (&self.shards[(hash as usize) % SHARDS], hash / SHARDS as u64)
     }
 
     /// Looks up `key`, refreshing its recency on a hit. Also counts the
     /// outcome into [`ShardedLru::hits`] / [`ShardedLru::misses`].
     #[must_use]
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        let mut shard = self.shard_of(key).lock().expect("memo shard poisoned");
-        match shard.get_mut(key) {
+        let (shard, hash) = self.locate(key);
+        let mut shard = shard.lock().expect("memo shard poisoned");
+        match shard.slot_mut(hash, key) {
             Some(slot) => {
                 slot.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -89,30 +154,23 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
 
     /// Inserts (or replaces) `key`, evicting the shard's least-recently
     /// used entry if the shard is at capacity. Returns the shared value.
-    pub fn insert(&self, key: K, value: V) -> Arc<V>
-    where
-        K: Clone,
-    {
+    pub fn insert(&self, key: K, value: V) -> Arc<V> {
         let value = Arc::new(value);
-        let mut shard = self.shard_of(&key).lock().expect("memo shard poisoned");
-        if !shard.contains_key(&key) && shard.len() >= self.capacity_per_shard {
-            // Keys are small (shapes + enums + hashes); cloning one per
-            // eviction beats maintaining a separate recency list.
-            if let Some(lru_key) = shard
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                shard.remove(&lru_key);
-            }
+        let (shard, hash) = self.locate(&key);
+        let mut shard = shard.lock().expect("memo shard poisoned");
+        let slot = Slot {
+            value: Arc::clone(&value),
+            last_used: self.tick.fetch_add(1, Ordering::Relaxed),
+        };
+        if let Some(old) = shard.slot_mut(hash, &key) {
+            *old = slot;
+            return value;
         }
-        shard.insert(
-            key,
-            Slot {
-                value: Arc::clone(&value),
-                last_used: self.tick.fetch_add(1, Ordering::Relaxed),
-            },
-        );
+        if shard.len >= self.capacity_per_shard {
+            shard.evict_lru();
+        }
+        shard.map.entry(hash).or_default().push((key, slot));
+        shard.len += 1;
         value
     }
 
@@ -121,7 +179,7 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").len())
+            .map(|s| s.lock().expect("memo shard poisoned").len)
             .sum()
     }
 
@@ -158,7 +216,9 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     /// Drops every entry and zeroes the hit/miss statistics.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().expect("memo shard poisoned").clear();
+            let mut shard = shard.lock().expect("memo shard poisoned");
+            shard.map.clear();
+            shard.len = 0;
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -239,6 +299,60 @@ mod tests {
         assert!(lru.is_empty());
         assert_eq!(lru.hits(), 0);
         assert_eq!(lru.misses(), 0);
+    }
+
+    /// A key whose every value hashes alike: all keys share one shard
+    /// and one hash, so only `Eq` tells them apart.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Colliding(u32);
+
+    impl Hash for Colliding {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u64(0x5eed);
+        }
+    }
+
+    #[test]
+    fn colliding_keys_behave_like_distinct_ones() {
+        // Three entries per shard, and every key lands in the same one.
+        let lru: ShardedLru<Colliding, u32> = ShardedLru::new(SHARDS * 3);
+        assert!(lru.get(&Colliding(1)).is_none());
+        for k in 1..=3 {
+            lru.insert(Colliding(k), k * 10);
+        }
+        assert_eq!(lru.len(), 3);
+        let occupied: Vec<usize> = lru
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap().map.len())
+            .filter(|&hashes| hashes > 0)
+            .collect();
+        assert_eq!(occupied, vec![1], "one shard, one hash, three keys");
+        for k in 1..=3 {
+            assert_eq!(lru.get(&Colliding(k)).as_deref(), Some(&(k * 10)));
+        }
+        // Replacing a key keeps the count and serves the new value.
+        lru.insert(Colliding(2), 21);
+        assert_eq!(lru.len(), 3);
+        assert_eq!(lru.get(&Colliding(2)).as_deref(), Some(&21));
+        // Key 1 was used longest ago, so a fourth key evicts it.
+        lru.insert(Colliding(4), 40);
+        assert_eq!(lru.len(), 3);
+        assert!(lru.get(&Colliding(1)).is_none());
+        // Refreshing 3 leaves 2 as the least recently used.
+        assert_eq!(lru.get(&Colliding(3)).as_deref(), Some(&30));
+        lru.insert(Colliding(5), 50);
+        assert!(lru.get(&Colliding(2)).is_none());
+        for (k, v) in [(3, 30), (4, 40), (5, 50)] {
+            assert_eq!(lru.get(&Colliding(k)).as_deref(), Some(&v));
+        }
+        assert_eq!(lru.len(), 3);
+        assert_eq!(lru.hits(), 3 + 1 + 1 + 3);
+        assert_eq!(lru.misses(), 3);
+        lru.clear();
+        assert!(lru.is_empty());
+        assert_eq!((lru.hits(), lru.misses()), (0, 0));
+        assert!(lru.get(&Colliding(3)).is_none());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Graphs: ordered, annotated operator sequences.
 
+use std::sync::Arc;
+
 use crate::{Op, OpCategory};
 
 /// One operator plus the module path it came from.
@@ -9,8 +11,9 @@ use crate::{Op, OpCategory};
 /// can be attributed back to model components.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
-    /// Dotted module path.
-    pub path: String,
+    /// Dotted module path, shared (`Arc`) with the profiler's events and
+    /// spans so profiling an op never copies it.
+    pub path: Arc<str>,
     /// The operator.
     pub op: Op,
 }
@@ -30,14 +33,14 @@ impl Graph {
     }
 
     /// Appends an operator under a module path.
-    pub fn push(&mut self, path: impl Into<String>, op: Op) {
+    pub fn push(&mut self, path: impl Into<Arc<str>>, op: Op) {
         self.nodes.push(Node { path: path.into(), op });
     }
 
     /// Appends all nodes of another graph, prefixing their paths.
     pub fn extend_prefixed(&mut self, prefix: &str, other: &Graph) {
         for n in &other.nodes {
-            self.nodes.push(Node { path: format!("{prefix}.{}", n.path), op: n.op.clone() });
+            self.push(format!("{prefix}.{}", n.path), n.op.clone());
         }
     }
 
@@ -131,7 +134,7 @@ mod tests {
         let g = sample();
         assert_eq!(g.len(), 3);
         assert!(!g.is_empty());
-        assert_eq!(g.nodes()[0].path, "proj");
+        assert_eq!(&*g.nodes()[0].path, "proj");
     }
 
     #[test]
@@ -157,14 +160,14 @@ mod tests {
         let g = sample();
         let attn: Vec<_> = g.attention_nodes().collect();
         assert_eq!(attn.len(), 1);
-        assert_eq!(attn[0].path, "attn");
+        assert_eq!(&*attn[0].path, "attn");
     }
 
     #[test]
     fn extend_prefixed_rewrites_paths() {
         let mut g = Graph::new();
         g.extend_prefixed("unet.down", &sample());
-        assert_eq!(g.nodes()[0].path, "unet.down.proj");
+        assert_eq!(&*g.nodes()[0].path, "unet.down.proj");
         assert_eq!(g.len(), 3);
     }
 }

@@ -49,8 +49,9 @@ pub struct AttnCallInfo {
 pub struct OpEvent {
     /// Position in execution order.
     pub index: usize,
-    /// Module path that launched the operator.
-    pub path: String,
+    /// Module path that launched the operator, shared with the graph
+    /// node and the op's span.
+    pub path: Arc<str>,
     /// Fig. 6 category.
     pub category: OpCategory,
     /// Total duration in seconds (sum of kernels).

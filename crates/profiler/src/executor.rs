@@ -10,7 +10,7 @@ use mmg_graph::optimize::{self, OptConfig, OptStats};
 use mmg_graph::{lower::lower_on, AttnKind, Graph};
 use mmg_kernels::access::{AttentionKernel, VideoAttentionAccess};
 use mmg_kernels::conv::ConvAlgorithm;
-use mmg_telemetry::{Counter, Registry, SpanRecord};
+use mmg_telemetry::{Counter, Registry};
 
 use crate::memo::{synthetic_op_deltas, CostMemo, MemoKey, OpCostEntry};
 use crate::{AttnCallInfo, KernelRecord, ModuleHook, OpEvent, Timeline};
@@ -235,8 +235,8 @@ impl Profiler {
                     continue;
                 }
             }
+            let started = Instant::now();
             let snap = self.registry.counters_snapshot();
-            let span = self.registry.span(&node.path);
             let mut kernels = lower_on(
                 &node.op,
                 self.attn,
@@ -296,10 +296,11 @@ impl Profiler {
                     ),
                 );
             }
-            drop(span);
+            let counters = Arc::new(snap.delta_since(&self.registry));
+            self.registry.record_span(Arc::clone(&node.path), started, Arc::clone(&counters));
             let event = OpEvent {
                 index,
-                path: node.path.clone(),
+                path: Arc::clone(&node.path),
                 category: node.op.category(),
                 time_s,
                 flops,
@@ -307,7 +308,7 @@ impl Profiler {
                 energy_j,
                 kernels: records,
                 attention,
-                counters: Arc::new(snap.delta_since(&self.registry)),
+                counters,
             };
             for h in hooks.iter_mut() {
                 h.on_op(&event);
@@ -342,13 +343,12 @@ impl Profiler {
     fn replay_op(
         &self,
         index: usize,
-        path: &str,
+        path: &Arc<str>,
         op: &mmg_graph::Op,
         entry: &Arc<OpCostEntry>,
         attention: Option<AttnCallInfo>,
     ) -> OpEvent {
-        let wall = Instant::now();
-        let start_us = self.registry.epoch_us();
+        let started = Instant::now();
         self.apply_replay_deltas(entry);
         for k in entry.records.iter() {
             self.kernel_time_us.observe(k.time_s * 1e6);
@@ -356,15 +356,10 @@ impl Profiler {
         if let Some(last) = entry.records.last() {
             self.power_w.set(last.draw_w);
         }
-        self.registry.record_span(SpanRecord {
-            path: mmg_telemetry::nested_span_path(path),
-            start_us,
-            dur_us: wall.elapsed().as_secs_f64() * 1e6,
-            counter_deltas: Arc::clone(&entry.visible),
-        });
+        self.registry.record_span(Arc::clone(path), started, Arc::clone(&entry.visible));
         OpEvent {
             index,
-            path: path.to_string(),
+            path: Arc::clone(path),
             category: op.category(),
             time_s: entry.time_s,
             flops: entry.flops,
@@ -518,7 +513,7 @@ mod tests {
         // Spans were recorded per op with the same attribution.
         let spans = registry.finished_spans();
         assert_eq!(spans.len(), t.events().len());
-        assert_eq!(spans[0].path, "blk.attn");
+        assert_eq!(&*spans[0].path, "blk.attn");
     }
 
     #[test]

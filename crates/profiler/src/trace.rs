@@ -67,7 +67,7 @@ pub fn to_trace_events(timeline: &Timeline) -> Vec<TraceEvent> {
             args.insert(name.clone(), Value::from(*delta));
         }
         events.push(TraceEvent {
-            name: ev.path.clone(),
+            name: ev.path.to_string(),
             cat: format!("op:{}", ev.category),
             ph: "X".into(),
             ts: t_us,

@@ -6,10 +6,10 @@
 //!   ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-backed atomics, so
 //!   instrumented code pays one atomic op per event and never takes a
 //!   lock after registration.
-//! - **Spans** ([`Span::enter`] / [`Registry::span`]) capture nested
-//!   scopes with wall time and the *delta of every counter* over the
-//!   scope, so a trace row can say "this UNet block moved 3.1 MB through
-//!   HBM and hit L1 12 000 times".
+//! - **Spans** ([`Registry::record_span`]) record one finished scope
+//!   with its wall time and the *delta of every counter* over the scope,
+//!   so a trace row can say "this UNet block moved 3.1 MB through HBM and
+//!   hit L1 12 000 times".
 //! - **Exporters**: [`Registry::render_prometheus`] emits Prometheus
 //!   text exposition; [`Registry::snapshot_json`] emits a JSON snapshot
 //!   (counters, gauges, histogram quantiles, finished spans).
@@ -31,7 +31,6 @@ pub use burnrate::{
 pub use sketch::QuantileSketch;
 pub use timeseries::{WindowValue, WindowedSeries};
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -255,11 +254,12 @@ fn parse_full_name(full: &str) -> Key {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// A finished span: nested scope with wall time and counter deltas.
+/// A finished span: one scope with wall time and counter deltas.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Dot-joined path of enclosing span names (`unet.down.attn`).
-    pub path: String,
+    /// Dotted module path of the scope (`unet.down.attn`), shared with
+    /// the graph node it came from.
+    pub path: Arc<str>,
     /// Microseconds since the registry epoch at which the span opened.
     pub start_us: f64,
     /// Span duration in microseconds.
@@ -302,69 +302,6 @@ impl CounterSnapshot {
                 (delta > 0).then_some((name, delta))
             })
             .collect()
-    }
-}
-
-thread_local! {
-    static SPAN_PATH: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
-/// RAII guard for an open span; records a [`SpanRecord`] on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    registry: Registry,
-    path: String,
-    start: Instant,
-    start_us: f64,
-    snap: CounterSnapshot,
-}
-
-impl SpanGuard {
-    /// The full dot-joined path of this span.
-    #[must_use]
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        SPAN_PATH.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-        let record = SpanRecord {
-            path: std::mem::take(&mut self.path),
-            start_us: self.start_us,
-            dur_us: self.start.elapsed().as_secs_f64() * 1e6,
-            counter_deltas: Arc::new(self.snap.delta_since(&self.registry)),
-        };
-        if let Ok(mut spans) = self.registry.inner.spans.lock() {
-            spans.push(record);
-        }
-    }
-}
-
-/// The dot-joined path a span named `name` would receive if opened on
-/// this thread right now — nested under any open span — without
-/// actually opening one. Pairs with [`Registry::record_span`] on replay
-/// paths that must emit the same paths a live run would.
-#[must_use]
-pub fn nested_span_path(name: &str) -> String {
-    SPAN_PATH.with(|stack| match stack.borrow().last() {
-        Some(parent) => format!("{parent}.{name}"),
-        None => name.to_string(),
-    })
-}
-
-/// Entry point for spans on the [`global`] registry.
-pub struct Span;
-
-impl Span {
-    /// Opens a span named `name` on the global registry, nested under
-    /// any span already open on this thread.
-    #[must_use]
-    pub fn enter(name: &str) -> SpanGuard {
-        global().span(name)
     }
 }
 
@@ -485,24 +422,26 @@ impl Registry {
         map.insert(name.to_string(), help.to_string());
     }
 
-    /// Appends a pre-built [`SpanRecord`] to this registry's finished
-    /// spans, bypassing the snapshot machinery of [`Registry::span`].
-    ///
-    /// Replay paths (e.g. a profiler serving an operator from its memo
-    /// cache) use this to record the span a live execution would have
-    /// produced — same path and counter deltas — without paying two full
-    /// counter snapshots per operator.
-    pub fn record_span(&self, record: SpanRecord) {
+    /// Appends a span that opened at `started` and closes now, carrying
+    /// `counter_deltas` (as [`CounterSnapshot::delta_since`] reports
+    /// them) verbatim. `start_us` counts from this registry's epoch and
+    /// `dur_us` is the time since `started`, so a span costs one clock
+    /// read here on top of the caller's `Instant::now()`.
+    pub fn record_span(
+        &self,
+        path: Arc<str>,
+        started: Instant,
+        counter_deltas: Arc<Vec<(String, u64)>>,
+    ) {
+        let record = SpanRecord {
+            path,
+            start_us: started.saturating_duration_since(self.inner.epoch).as_secs_f64() * 1e6,
+            dur_us: started.elapsed().as_secs_f64() * 1e6,
+            counter_deltas,
+        };
         if let Ok(mut spans) = self.inner.spans.lock() {
             spans.push(record);
         }
-    }
-
-    /// Microseconds elapsed since this registry's epoch — the timebase
-    /// of [`SpanRecord::start_us`].
-    #[must_use]
-    pub fn epoch_us(&self) -> f64 {
-        self.inner.epoch.elapsed().as_secs_f64() * 1e6
     }
 
     /// Adds `deltas` — `(full metric name, increment)` pairs as produced
@@ -602,29 +541,6 @@ impl Registry {
         if !their_spans.is_empty() {
             let mut spans = self.inner.spans.lock().expect("span registry poisoned");
             spans.extend(their_spans);
-        }
-    }
-
-    /// Opens a span on this registry, nested under any span already
-    /// open on this thread.
-    #[must_use]
-    pub fn span(&self, name: &str) -> SpanGuard {
-        let path = SPAN_PATH.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = if let Some(parent) = stack.last() {
-                format!("{parent}.{name}")
-            } else {
-                name.to_string()
-            };
-            stack.push(path.clone());
-            path
-        });
-        SpanGuard {
-            registry: self.clone(),
-            path,
-            start: Instant::now(),
-            start_us: self.inner.epoch.elapsed().as_secs_f64() * 1e6,
-            snap: self.counters_snapshot(),
         }
     }
 
@@ -796,7 +712,7 @@ impl Registry {
             .into_iter()
             .map(|s| {
                 Value::Object(vec![
-                    ("path".to_string(), Value::String(s.path)),
+                    ("path".to_string(), Value::String(s.path.to_string())),
                     ("start_us".to_string(), Value::from(s.start_us)),
                     ("dur_us".to_string(), Value::from(s.dur_us)),
                     (
@@ -905,29 +821,6 @@ mod tests {
         let p50 = h.quantile(0.5);
         assert!((10.0..=20.0).contains(&p50), "p50 {p50}");
         assert!((h.mean() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn span_records_path_nesting_and_counter_deltas() {
-        let r = Registry::new();
-        let c = r.counter("work_total");
-        {
-            let _outer = r.span("unet");
-            c.add(5);
-            {
-                let _inner = r.span("attn");
-                c.add(7);
-            }
-            c.add(1);
-        }
-        let spans = r.finished_spans();
-        assert_eq!(spans.len(), 2);
-        // Inner closes first.
-        assert_eq!(spans[0].path, "unet.attn");
-        assert_eq!(*spans[0].counter_deltas, vec![("work_total".to_string(), 7)]);
-        assert_eq!(spans[1].path, "unet");
-        assert_eq!(*spans[1].counter_deltas, vec![("work_total".to_string(), 13)]);
-        assert!(spans[1].dur_us >= spans[0].dur_us);
     }
 
     #[test]
@@ -1084,9 +977,7 @@ mod tests {
         c.add(9);
         let h = r.histogram("h", &[1.0]);
         h.observe(0.5);
-        {
-            let _s = r.span("s");
-        }
+        r.record_span("s".into(), Instant::now(), Arc::new(vec![]));
         r.reset();
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
@@ -1137,30 +1028,17 @@ mod tests {
     #[test]
     fn record_span_appends_verbatim() {
         let r = Registry::new();
-        let record = SpanRecord {
-            path: "unet.replayed".to_string(),
-            start_us: 12.5,
-            dur_us: 3.0,
-            counter_deltas: Arc::new(vec![("k".to_string(), 7)]),
-        };
-        r.record_span(record.clone());
-        assert_eq!(r.finished_spans(), vec![record]);
-    }
-
-    #[test]
-    fn nested_span_path_matches_live_span_paths() {
-        let r = Registry::new();
-        assert_eq!(nested_span_path("root"), "root");
-        {
-            let _outer = r.span("unet");
-            assert_eq!(nested_span_path("attn"), "unet.attn");
-            {
-                let _inner = r.span("down");
-                assert_eq!(nested_span_path("gemm"), "unet.down.gemm");
-            }
-            assert_eq!(nested_span_path("attn"), "unet.attn");
-        }
-        assert_eq!(nested_span_path("root"), "root");
+        let deltas = Arc::new(vec![("k".to_string(), 7)]);
+        let started = Instant::now();
+        let before_us = started.duration_since(r.inner.epoch).as_secs_f64() * 1e6;
+        r.record_span("unet.replayed".into(), started, Arc::clone(&deltas));
+        let elapsed_us = started.elapsed().as_secs_f64() * 1e6;
+        let spans = r.finished_spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(&*spans[0].path, "unet.replayed");
+        assert!(Arc::ptr_eq(&spans[0].counter_deltas, &deltas), "deltas are shared, not copied");
+        assert_eq!(spans[0].start_us, before_us, "start counts from the registry epoch");
+        assert!((0.0..=elapsed_us).contains(&spans[0].dur_us), "dur {}", spans[0].dur_us);
     }
 
     #[test]
@@ -1171,12 +1049,7 @@ mod tests {
         b.counter("shared_total").add(7);
         b.counter("only_b_total").add(1);
         b.gauge("depth").set(4.0);
-        b.record_span(SpanRecord {
-            path: "exp".to_string(),
-            start_us: 0.0,
-            dur_us: 1.0,
-            counter_deltas: Arc::new(vec![]),
-        });
+        b.record_span("exp".into(), Instant::now(), Arc::new(vec![]));
         a.merge_from(&b);
         assert_eq!(a.counter("shared_total").get(), 12);
         assert_eq!(a.counter("only_b_total").get(), 1);
