@@ -697,6 +697,7 @@ fn serve_main(args: &[String]) -> Result<(), String> {
     let mut cfg = ScenarioCfg::new(gpus, mix, arrival, scheduler, slo, duration_s, seed);
     cfg.full_records = full_records;
     cfg.max_requests = f.count("--requests").map(|n| n as u64);
+    cfg.validate()?;
     if f.switch("--attrib") {
         // Latency attribution plus the SRE-style burn-rate alert engine,
         // budgeted against a 95% on-time objective over the horizon.
@@ -822,6 +823,7 @@ fn token_main(args: &[String]) -> Result<(), String> {
         seed,
     };
     cfg.validate()?;
+    cfg.validate_kv_budget(&curve, kv_budget_bytes)?;
 
     let sim_started = Instant::now();
     let (result, flight) = if trace_path.is_some() {

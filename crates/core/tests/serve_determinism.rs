@@ -160,10 +160,13 @@ fn serve_rejects_bad_flags() {
 /// stop (or a constructor panics), so each must exit 1 fast with a typed
 /// error. Non-finite flag values are refused while parsing; finite ones
 /// whose product overflows (`--util 1e308` times the cluster capacity,
-/// or a mix total) are caught by the library's own validation.
+/// or a mix total) are caught by the library's own validation, as are
+/// finite ones that expect more arrivals than the run budget allows and
+/// a KV budget that no request fits.
 #[test]
 fn non_finite_inputs_exit_nonzero_with_a_message() {
-    let cases: [(&[&str], &str); 13] = [
+    let budget = "exceeds the budget of 1e10";
+    let cases: [(&[&str], &str); 20] = [
         (&["token", "--duration-s", "inf"], "--duration-s requires a positive finite number"),
         (&["token", "--rate", "inf"], "--rate requires a positive finite number"),
         (&["token", "--util", "inf"], "--util requires a positive finite number"),
@@ -177,6 +180,13 @@ fn non_finite_inputs_exit_nonzero_with_a_message() {
         (&["serve", "--mix", "sd:1e308,parti:1e308"], "must have a finite total"),
         (&["fleet", "--util", "inf"], "--util requires a positive finite number"),
         (&["fleet", "--util", "1e308"], "arrival rate must be positive and finite"),
+        (&["serve", "--rate", "1e12"], budget),
+        (&["serve", "--rate", "1e300"], budget),
+        (&["serve", "--duration-s", "1e300"], budget),
+        (&["token", "--util", "1e300"], budget),
+        (&["token", "--rate", "1e300"], budget),
+        (&["fleet", "--util", "1e300"], budget),
+        (&["token", "--kv-budget", "1e-9"], "below the smallest request's KV footprint"),
     ];
     for (args, msg) in cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))

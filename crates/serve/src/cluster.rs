@@ -43,7 +43,9 @@ use rand::SeedableRng;
 use crate::des::EventQueue;
 use crate::flight::{Exemplars, FlightCfg, FlightRecorder};
 use crate::profile::{ServiceCurve, ServiceProfile};
-use crate::workload::{model_short_name, ArrivalGen, ArrivalProcess, RequestMix};
+use crate::workload::{
+    check_expected_arrivals, model_short_name, ArrivalGen, ArrivalProcess, RequestMix,
+};
 
 /// Relative rank-error bound of the streaming latency sketches: every
 /// reported quantile has true rank within `eps * n + 1` of exact (see
@@ -287,6 +289,33 @@ impl ScenarioCfg {
             slo_policy: None,
             seed,
         }
+    }
+
+    /// Checks the scenario can run and terminate.
+    ///
+    /// # Errors
+    ///
+    /// Zero GPUs, a horizon or mean arrival rate that is not positive
+    /// and finite, or more expected arrivals than
+    /// [`crate::MAX_EXPECTED_ARRIVALS`].
+    pub fn validate(&self) -> Result<(), String> {
+        if self.gpus == 0 {
+            return Err("need at least one GPU".into());
+        }
+        // Spelled to reject NaN too, which fails every comparison.
+        if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
+            return Err(format!("duration must be positive and finite, got {}", self.duration_s));
+        }
+        let rate = self.arrival.mean_rate_rps();
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(format!("arrival rate must be positive and finite, got {rate}"));
+        }
+        check_expected_arrivals(
+            rate,
+            self.duration_s,
+            self.max_requests,
+            "--rate or --duration-s, or cap the run with --requests",
+        )
     }
 
     /// Enables the full observability layer: phase attribution plus the
@@ -1728,6 +1757,30 @@ mod tests {
             duration_s,
             7,
         )
+    }
+
+    #[test]
+    fn validate_refuses_scenarios_that_cannot_terminate() {
+        let ok = scenario(SchedulerKind::Fifo, 3.0, 200.0);
+        assert_eq!(ok.validate(), Ok(()));
+        let mut cfg = ok.clone();
+        cfg.gpus = 0;
+        assert!(cfg.validate().unwrap_err().contains("GPU"));
+        for d in [f64::INFINITY, f64::NAN, 0.0] {
+            let cfg = ScenarioCfg { duration_s: d, ..ok.clone() };
+            assert!(cfg.validate().unwrap_err().contains("duration"), "{d}");
+        }
+        for r in [f64::INFINITY, f64::NAN, 0.0] {
+            let cfg = ScenarioCfg { arrival: ArrivalProcess::poisson(r), ..ok.clone() };
+            assert!(cfg.validate().unwrap_err().contains("arrival rate"), "{r}");
+        }
+        // 1e12 rps over 200 s expects 2e14 arrivals, unless a request
+        // cap bounds the run first.
+        let flood = ScenarioCfg { arrival: ArrivalProcess::poisson(1e12), ..ok.clone() };
+        let err = flood.validate().unwrap_err();
+        assert!(err.starts_with("expected arrival count 2.000e14 exceeds"), "{err}");
+        let capped = ScenarioCfg { max_requests: Some(1_000), ..flood };
+        assert_eq!(capped.validate(), Ok(()));
     }
 
     #[test]

@@ -51,7 +51,7 @@ use rand::SeedableRng;
 
 use crate::cluster::{simulate_stream, ArrivalSource, RouterKind, ScenarioCfg, SchedulerKind, SloSpec};
 use crate::profile::ServiceProfile;
-use crate::workload::{ArrivalGen, ArrivalProcess, RequestMix};
+use crate::workload::{check_expected_arrivals, ArrivalGen, ArrivalProcess, RequestMix};
 
 /// Rank-error bound of the fleet-level latency sketches. Coarser than
 /// the per-cluster [`crate::LATENCY_SKETCH_EPS`]: fleet runs push 10⁸+
@@ -219,7 +219,9 @@ impl FleetCfg {
     }
 
     /// Checks the configuration, returning a description of the first
-    /// problem found.
+    /// problem found. A fleet expecting more than
+    /// [`crate::MAX_EXPECTED_ARRIVALS`] arrivals over its horizon is
+    /// refused.
     pub fn validate(&self) -> Result<(), String> {
         if self.clusters.is_empty() {
             return Err("fleet needs at least one cluster".into());
@@ -258,7 +260,12 @@ impl FleetCfg {
         if !(rate.is_finite() && rate > 0.0) {
             return Err(format!("arrival rate must be positive and finite, got {rate}"));
         }
-        Ok(())
+        check_expected_arrivals(
+            rate,
+            self.horizon_s(),
+            None,
+            "--util, --rate, --duration-s or --requests",
+        )
     }
 }
 
@@ -1422,5 +1429,14 @@ mod tests {
             let err = fleet.validate().unwrap_err();
             assert!(err.starts_with("arrival rate must be positive and finite"), "{rate}: {err}");
         }
+    }
+
+    #[test]
+    fn fleets_past_the_arrival_budget_are_rejected() {
+        let ok = test_fleet(2);
+        let rate = 2.0 * crate::MAX_EXPECTED_ARRIVALS / ok.horizon_s();
+        let fleet = FleetCfg { arrival: ok.arrival.with_rate(rate), ..ok.clone() };
+        let err = fleet.validate().unwrap_err();
+        assert!(err.starts_with("expected arrival count 2.000e10 exceeds"), "{err}");
     }
 }

@@ -76,5 +76,5 @@ pub use token::{
 };
 pub use workload::{
     model_short_name, parse_model, ArrivalGen, ArrivalProcess, LengthDist, LengthSampler,
-    RequestMix,
+    RequestMix, MAX_EXPECTED_ARRIVALS,
 };

@@ -597,6 +597,15 @@ impl TokenServiceCurve {
         (self.prefill_cum_s(to as f64) - self.prefill_cum_s(from as f64)).max(0.0)
     }
 
+    /// KV-cache bytes a request pins once fully decoded: its prompt
+    /// (only for models that keep prompt KV, i.e. have a prefill curve)
+    /// plus its output tokens.
+    #[must_use]
+    pub fn request_kv_bytes(&self, prompt_tokens: u64, output_tokens: u64) -> u64 {
+        let prompt_kv = if self.prefill_s.is_empty() { 0 } else { prompt_tokens };
+        (prompt_kv + output_tokens) * self.kv_bytes_per_token
+    }
+
     /// Mean GPU-seconds one request costs at decode batch `cap` —
     /// prefill at batch 1 plus its share of every decode iteration it
     /// rides in. The anchor for translating a target utilization into

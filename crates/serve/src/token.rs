@@ -38,7 +38,10 @@ use crate::des::EventQueue;
 use crate::flight::{FlightCfg, FlightRecorder};
 use crate::kv::{KvAdmission, KvLedger};
 use crate::profile::TokenServiceCurve;
-use crate::workload::{model_short_name, ArrivalGen, ArrivalProcess, LengthDist, LengthSampler};
+use crate::workload::{
+    check_expected_arrivals, model_short_name, ArrivalGen, ArrivalProcess, LengthDist,
+    LengthSampler,
+};
 
 /// How requests are grouped onto a GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,7 +193,8 @@ impl TokenScenarioCfg {
     ///
     /// Zero GPUs, a zero batch cap, a zero prefill chunk, a horizon or
     /// mean arrival rate that is not positive and finite (an infinite
-    /// one never stops generating arrivals), or a non-AR model.
+    /// one never stops generating arrivals), more expected arrivals
+    /// than [`crate::MAX_EXPECTED_ARRIVALS`], or a non-AR model.
     pub fn validate(&self) -> Result<(), String> {
         if self.gpus == 0 {
             return Err("need at least one GPU".into());
@@ -209,10 +213,50 @@ impl TokenScenarioCfg {
         if !(rate.is_finite() && rate > 0.0) {
             return Err(format!("arrival rate must be positive and finite, got {rate}"));
         }
+        check_expected_arrivals(
+            rate,
+            self.duration_s,
+            self.max_requests,
+            "--util, --rate or --duration-s, or cap the run with --requests",
+        )?;
         if !TokenServiceCurve::supports(self.model) {
             return Err(format!(
                 "{} is not autoregressive; token serving needs llama | parti | muse",
                 self.model
+            ));
+        }
+        Ok(())
+    }
+
+    /// KV bytes the smallest request this scenario can draw pins once
+    /// decoded: the shortest prompt (when the model keeps prompt KV)
+    /// plus the shortest output. The drop-at-door rule refuses any
+    /// request whose footprint exceeds the per-GPU budget.
+    #[must_use]
+    pub fn min_request_kv_bytes(&self, curve: &TokenServiceCurve) -> u64 {
+        let output = curve.fixed_output_tokens.unwrap_or(self.output.min);
+        curve.request_kv_bytes(self.prompt.min as u64, output as u64)
+    }
+
+    /// Checks that a per-GPU KV budget fits at least the smallest
+    /// request ([`TokenScenarioCfg::min_request_kv_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// A budget below that floor, under which every arrival would be
+    /// dropped at the door and the run would decode nothing.
+    pub fn validate_kv_budget(
+        &self,
+        curve: &TokenServiceCurve,
+        kv_budget_bytes: u64,
+    ) -> Result<(), String> {
+        let floor = self.min_request_kv_bytes(curve);
+        if kv_budget_bytes < floor {
+            return Err(format!(
+                "KV budget of {kv_budget_bytes} B per GPU is below the smallest request's \
+                 KV footprint of {floor} B ({:.1} MiB); every arrival would be dropped, \
+                 so raise --kv-budget",
+                floor as f64 / (1u64 << 20) as f64
             ));
         }
         Ok(())
@@ -562,8 +606,7 @@ impl<'a> TokenSim<'a> {
         };
         // A sequence whose full footprint can never fit is dropped at
         // the door — admitting it would deadlock the preemption loop.
-        let max_bytes =
-            (self.prompt_kv_tokens(&seq) + seq.output as u64) * self.curve.kv_bytes_per_token;
+        let max_bytes = self.curve.request_kv_bytes(u64::from(seq.prompt), u64::from(seq.output));
         if max_bytes > self.gpus[0].ledger.budget_bytes {
             self.stats.dropped_oversized += 1;
         } else {
@@ -1177,6 +1220,43 @@ pub(crate) mod tests {
         }
         let cfg = TokenScenarioCfg { model: ModelId::StableDiffusion, ..ok.clone() };
         assert!(cfg.validate().unwrap_err().contains("not autoregressive"));
+        let cfg = TokenScenarioCfg { arrival: ArrivalProcess::poisson(1e300), ..ok.clone() };
+        assert!(cfg.validate().unwrap_err().contains("exceeds the budget"));
+        let cfg = TokenScenarioCfg { max_requests: Some(10), ..cfg };
+        assert_eq!(cfg.validate(), Ok(()), "a request cap bounds the run");
+    }
+
+    #[test]
+    fn kv_budget_floor_is_the_smallest_request_footprint() {
+        let cfg = base_cfg(TokenBatching::Continuous { max_batch: 16 }, 1);
+        let curve = toy_curve();
+        // Prompt min 16 + output min 4 tokens at 512 KiB each.
+        let floor = 20 * 512 * 1024;
+        assert_eq!(cfg.min_request_kv_bytes(&curve), floor);
+        assert_eq!(cfg.validate_kv_budget(&curve, floor), Ok(()));
+        let err = cfg.validate_kv_budget(&curve, floor - 1).unwrap_err();
+        assert!(err.contains("below the smallest request's KV footprint"), "{err}");
+        // No prompt KV (MaskGIT-style) and a fixed output length.
+        let grid = TokenServiceCurve {
+            prefill_s: vec![],
+            fixed_output_tokens: Some(256),
+            ..toy_curve()
+        };
+        assert_eq!(cfg.min_request_kv_bytes(&grid), 256 * 512 * 1024);
+        // The floor is the door rule's own threshold: the smallest
+        // request fits a budget of exactly the floor and is dropped
+        // below it.
+        let smallest = TokenScenarioCfg {
+            prompt: LengthDist::fixed(16),
+            output: LengthDist::fixed(4),
+            max_requests: Some(50),
+            ..cfg
+        };
+        let at = simulate_token(&smallest, &curve, floor, &Registry::new());
+        assert_eq!(at.stats.dropped_oversized, 0);
+        assert_eq!(at.stats.completed, at.stats.arrivals);
+        let below = simulate_token(&smallest, &curve, floor - 1, &Registry::new());
+        assert_eq!(below.stats.dropped_oversized, below.stats.arrivals);
     }
 
     #[test]

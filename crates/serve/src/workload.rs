@@ -13,6 +13,35 @@ use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The most arrivals one run may expect: 100× the 100M-request fleet
+/// headline. A horizon that holds far more never ends in practice
+/// (`serve --rate 1e300` would generate arrivals for ages), so
+/// [`crate::ScenarioCfg::validate`], [`crate::TokenScenarioCfg::validate`]
+/// and [`crate::FleetCfg::validate`] refuse a scenario above it.
+pub const MAX_EXPECTED_ARRIVALS: f64 = 1e10;
+
+/// Refuses a run whose expected arrival count — mean rate × horizon, or
+/// `max_requests` when that is smaller — exceeds
+/// [`MAX_EXPECTED_ARRIVALS`]. `lower` names the flags that shrink it.
+pub(crate) fn check_expected_arrivals(
+    rate_rps: f64,
+    horizon_s: f64,
+    max_requests: Option<u64>,
+    lower: &str,
+) -> Result<(), String> {
+    let mut expected = rate_rps * horizon_s;
+    if let Some(cap) = max_requests {
+        expected = expected.min(cap as f64);
+    }
+    if expected > MAX_EXPECTED_ARRIVALS {
+        return Err(format!(
+            "expected arrival count {expected:.3e} exceeds the budget of \
+             {MAX_EXPECTED_ARRIVALS:.0e}; lower {lower}"
+        ));
+    }
+    Ok(())
+}
+
 /// An arrival process with a configurable mean offered rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
