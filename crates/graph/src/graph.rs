@@ -1,5 +1,7 @@
 //! Graphs: ordered, annotated operator sequences.
 
+use std::cell::RefCell;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 use crate::{Op, OpCategory};
@@ -32,15 +34,25 @@ impl Graph {
         Graph::default()
     }
 
-    /// Appends an operator under a module path.
-    pub fn push(&mut self, path: impl Into<Arc<str>>, op: Op) {
-        self.nodes.push(Node { path: path.into(), op });
+    /// Appends an operator under a module path: a string, or
+    /// `format_args!` output, which is formatted through a reused buffer
+    /// straight into the node's `Arc<str>`, one allocation per node.
+    pub fn push(&mut self, path: impl fmt::Display, op: Op) {
+        thread_local! {
+            static PATH: RefCell<String> = const { RefCell::new(String::new()) };
+        }
+        let path = PATH.with_borrow_mut(|buf| {
+            buf.clear();
+            write!(buf, "{path}").expect("writing to a String cannot fail");
+            Arc::from(buf.as_str())
+        });
+        self.nodes.push(Node { path, op });
     }
 
     /// Appends all nodes of another graph, prefixing their paths.
     pub fn extend_prefixed(&mut self, prefix: &str, other: &Graph) {
         for n in &other.nodes {
-            self.push(format!("{prefix}.{}", n.path), n.op.clone());
+            self.push(format_args!("{prefix}.{}", n.path), n.op.clone());
         }
     }
 

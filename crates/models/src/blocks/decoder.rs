@@ -37,18 +37,18 @@ impl VaeDecoderConfig {
 
 fn conv_block(g: &mut Graph, path: &str, c_in: usize, c_out: usize, res: usize) {
     g.push(
-        format!("{path}.norm"),
+        format_args!("{path}.norm"),
         Op::GroupNorm { batch: 1, channels: c_in, h: res, w: res, groups: 32.min(c_in) },
     );
     g.push(
-        format!("{path}.act"),
+        format_args!("{path}.act"),
         Op::Activation { elems: c_in * res * res, kind: ActivationKind::Silu },
     );
     g.push(
-        format!("{path}.conv"),
+        format_args!("{path}.conv"),
         Op::Conv2d { batch: 1, c_in, c_out, h: res, w: res, kernel: 3, stride: 1 },
     );
-    g.push(format!("{path}.residual"), Op::Elementwise { elems: c_out * res * res, inputs: 2 });
+    g.push(format_args!("{path}.residual"), Op::Elementwise { elems: c_out * res * res, inputs: 2 });
 }
 
 /// Builds the decoder graph from `latent_res` to
@@ -83,12 +83,12 @@ pub fn vae_decoder_graph(cfg: &VaeDecoderConfig, latent_res: usize) -> Graph {
         }
         if level + 1 < cfg.channel_div.len() {
             g.push(
-                format!("up.{level}.upsample"),
+                format_args!("up.{level}.upsample"),
                 Op::Upsample { batch: 1, c, h: res, w: res, factor: 2 },
             );
             res *= 2;
             g.push(
-                format!("up.{level}.upsample_conv"),
+                format_args!("up.{level}.upsample_conv"),
                 Op::Conv2d { batch: 1, c_in: c, c_out: c, h: res, w: res, kernel: 3, stride: 1 },
             );
         }

@@ -25,32 +25,32 @@ fn attn_block(
     kv_in_dim: usize,
 ) {
     let d = cfg.d_model;
-    g.push(format!("{path}.norm"), Op::LayerNorm { rows: q_tokens, cols: d });
-    g.push(format!("{path}.q_proj"), Op::Linear { tokens: q_tokens, in_features: d, out_features: d });
-    g.push(format!("{path}.k_proj"), Op::Linear { tokens: kv_tokens, in_features: kv_in_dim, out_features: d });
-    g.push(format!("{path}.v_proj"), Op::Linear { tokens: kv_tokens, in_features: kv_in_dim, out_features: d });
-    g.push(format!("{path}.attention"), Op::Attention { shape, kind });
-    g.push(format!("{path}.out_proj"), Op::Linear { tokens: q_tokens, in_features: d, out_features: d });
-    g.push(format!("{path}.residual"), Op::Elementwise { elems: q_tokens * d, inputs: 2 });
+    g.push(format_args!("{path}.norm"), Op::LayerNorm { rows: q_tokens, cols: d });
+    g.push(format_args!("{path}.q_proj"), Op::Linear { tokens: q_tokens, in_features: d, out_features: d });
+    g.push(format_args!("{path}.k_proj"), Op::Linear { tokens: kv_tokens, in_features: kv_in_dim, out_features: d });
+    g.push(format_args!("{path}.v_proj"), Op::Linear { tokens: kv_tokens, in_features: kv_in_dim, out_features: d });
+    g.push(format_args!("{path}.attention"), Op::Attention { shape, kind });
+    g.push(format_args!("{path}.out_proj"), Op::Linear { tokens: q_tokens, in_features: d, out_features: d });
+    g.push(format_args!("{path}.residual"), Op::Elementwise { elems: q_tokens * d, inputs: 2 });
 }
 
 fn ffn_block(g: &mut Graph, path: &str, cfg: &TransformerConfig, tokens: usize) {
     let d = cfg.d_model;
-    g.push(format!("{path}.norm"), Op::LayerNorm { rows: tokens, cols: d });
-    g.push(format!("{path}.fc1"), Op::Linear { tokens, in_features: d, out_features: cfg.d_ff });
+    g.push(format_args!("{path}.norm"), Op::LayerNorm { rows: tokens, cols: d });
+    g.push(format_args!("{path}.fc1"), Op::Linear { tokens, in_features: d, out_features: cfg.d_ff });
     g.push(
-        format!("{path}.act"),
+        format_args!("{path}.act"),
         Op::Activation { elems: tokens * cfg.d_ff, kind: ActivationKind::Gelu },
     );
     if cfg.gated_ffn {
         g.push(
-            format!("{path}.gate"),
+            format_args!("{path}.gate"),
             Op::Linear { tokens, in_features: d, out_features: cfg.d_ff },
         );
-        g.push(format!("{path}.gate_mul"), Op::Elementwise { elems: tokens * cfg.d_ff, inputs: 2 });
+        g.push(format_args!("{path}.gate_mul"), Op::Elementwise { elems: tokens * cfg.d_ff, inputs: 2 });
     }
-    g.push(format!("{path}.fc2"), Op::Linear { tokens, in_features: cfg.d_ff, out_features: d });
-    g.push(format!("{path}.residual"), Op::Elementwise { elems: tokens * d, inputs: 2 });
+    g.push(format_args!("{path}.fc2"), Op::Linear { tokens, in_features: cfg.d_ff, out_features: d });
+    g.push(format_args!("{path}.residual"), Op::Elementwise { elems: tokens * d, inputs: 2 });
 }
 
 fn layer(
@@ -148,7 +148,7 @@ pub fn batched_decode_step_graph(cfg: &TransformerConfig, kv_len: usize, batch: 
     for i in 0..cfg.layers {
         // KV-cache append for each sequence's new token.
         g.push(
-            format!("layer{i}.kv_cache"),
+            format_args!("layer{i}.kv_cache"),
             Op::Memcpy { bytes: (batch * 2 * cfg.d_model * 2) as u64, amplification: 1.0 },
         );
         layer(&mut g, i, cfg, shape, AttnKind::Causal, batch);

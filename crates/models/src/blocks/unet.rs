@@ -18,45 +18,45 @@ fn resnet_block(
     time_dim: usize,
 ) {
     let groups = 32.min(c_in);
-    g.push(format!("{path}.norm1"), Op::GroupNorm { batch, channels: c_in, h: res, w: res, groups });
+    g.push(format_args!("{path}.norm1"), Op::GroupNorm { batch, channels: c_in, h: res, w: res, groups });
     g.push(
-        format!("{path}.act1"),
+        format_args!("{path}.act1"),
         Op::Activation { elems: batch * c_in * res * res, kind: ActivationKind::Silu },
     );
     g.push(
-        format!("{path}.conv1"),
+        format_args!("{path}.conv1"),
         Op::Conv2d { batch, c_in, c_out, h: res, w: res, kernel: 3, stride: 1 },
     );
     // Timestep-embedding modulation.
     g.push(
-        format!("{path}.time_proj"),
+        format_args!("{path}.time_proj"),
         Op::Linear { tokens: batch, in_features: time_dim, out_features: c_out },
     );
     g.push(
-        format!("{path}.time_add"),
+        format_args!("{path}.time_add"),
         Op::Elementwise { elems: batch * c_out * res * res, inputs: 2 },
     );
     let groups2 = 32.min(c_out);
     g.push(
-        format!("{path}.norm2"),
+        format_args!("{path}.norm2"),
         Op::GroupNorm { batch, channels: c_out, h: res, w: res, groups: groups2 },
     );
     g.push(
-        format!("{path}.act2"),
+        format_args!("{path}.act2"),
         Op::Activation { elems: batch * c_out * res * res, kind: ActivationKind::Silu },
     );
     g.push(
-        format!("{path}.conv2"),
+        format_args!("{path}.conv2"),
         Op::Conv2d { batch, c_in: c_out, c_out, h: res, w: res, kernel: 3, stride: 1 },
     );
     if c_in != c_out {
         g.push(
-            format!("{path}.skip_conv"),
+            format_args!("{path}.skip_conv"),
             Op::Conv2d { batch, c_in, c_out, h: res, w: res, kernel: 1, stride: 1 },
         );
     }
     g.push(
-        format!("{path}.residual"),
+        format_args!("{path}.residual"),
         Op::Elementwise { elems: batch * c_out * res * res, inputs: 2 },
     );
 }
@@ -65,23 +65,23 @@ fn spatial_attn_block(g: &mut Graph, path: &str, batch: usize, c: usize, res: us
     let tokens = batch * res * res;
     let head_dim = c / heads;
     let groups = 32.min(c);
-    g.push(format!("{path}.norm"), Op::GroupNorm { batch, channels: c, h: res, w: res, groups });
+    g.push(format_args!("{path}.norm"), Op::GroupNorm { batch, channels: c, h: res, w: res, groups });
     g.push(
-        format!("{path}.to_seq"),
+        format_args!("{path}.to_seq"),
         Op::Memcpy { bytes: (tokens * c) as u64 * ELEM_BYTES, amplification: 1.0 },
     );
     for proj in ["q_proj", "k_proj", "v_proj"] {
-        g.push(format!("{path}.{proj}"), Op::Linear { tokens, in_features: c, out_features: c });
+        g.push(format_args!("{path}.{proj}"), Op::Linear { tokens, in_features: c, out_features: c });
     }
     g.push(
-        format!("{path}.attention"),
+        format_args!("{path}.attention"),
         Op::Attention {
             shape: AttentionShape::self_attn(batch, heads, res * res, head_dim),
             kind: AttnKind::SpatialSelf,
         },
     );
-    g.push(format!("{path}.out_proj"), Op::Linear { tokens, in_features: c, out_features: c });
-    g.push(format!("{path}.residual"), Op::Elementwise { elems: tokens * c, inputs: 2 });
+    g.push(format_args!("{path}.out_proj"), Op::Linear { tokens, in_features: c, out_features: c });
+    g.push(format_args!("{path}.residual"), Op::Elementwise { elems: tokens * c, inputs: 2 });
 }
 
 #[allow(clippy::too_many_arguments)] // graph builders thread explicit shape state
@@ -97,25 +97,25 @@ fn cross_attn_block(
 ) {
     let tokens = batch * res * res;
     let head_dim = c / heads;
-    g.push(format!("{path}.norm"), Op::LayerNorm { rows: tokens, cols: c });
-    g.push(format!("{path}.q_proj"), Op::Linear { tokens, in_features: c, out_features: c });
+    g.push(format_args!("{path}.norm"), Op::LayerNorm { rows: tokens, cols: c });
+    g.push(format_args!("{path}.q_proj"), Op::Linear { tokens, in_features: c, out_features: c });
     g.push(
-        format!("{path}.k_proj"),
+        format_args!("{path}.k_proj"),
         Op::Linear { tokens: text_len, in_features: text_dim, out_features: c },
     );
     g.push(
-        format!("{path}.v_proj"),
+        format_args!("{path}.v_proj"),
         Op::Linear { tokens: text_len, in_features: text_dim, out_features: c },
     );
     g.push(
-        format!("{path}.attention"),
+        format_args!("{path}.attention"),
         Op::Attention {
             shape: AttentionShape::cross_attn(batch, heads, res * res, text_len, head_dim),
             kind: AttnKind::Cross,
         },
     );
-    g.push(format!("{path}.out_proj"), Op::Linear { tokens, in_features: c, out_features: c });
-    g.push(format!("{path}.residual"), Op::Elementwise { elems: tokens * c, inputs: 2 });
+    g.push(format_args!("{path}.out_proj"), Op::Linear { tokens, in_features: c, out_features: c });
+    g.push(format_args!("{path}.residual"), Op::Elementwise { elems: tokens * c, inputs: 2 });
 }
 
 fn temporal_attn_block(
@@ -128,30 +128,30 @@ fn temporal_attn_block(
 ) {
     let tokens = frames * res * res;
     let head_dim = c / heads;
-    g.push(format!("{path}.norm"), Op::LayerNorm { rows: tokens, cols: c });
+    g.push(format_args!("{path}.norm"), Op::LayerNorm { rows: tokens, cols: c });
     for proj in ["q_proj", "k_proj", "v_proj"] {
-        g.push(format!("{path}.{proj}"), Op::Linear { tokens, in_features: c, out_features: c });
+        g.push(format_args!("{path}.{proj}"), Op::Linear { tokens, in_features: c, out_features: c });
     }
     // Rearrange `(f, hw, c) → (hw, f, c)` (Fig. 10): a strided transpose
     // whose partially-used cache lines cost ~2x the logical traffic.
     g.push(
-        format!("{path}.to_temporal"),
+        format_args!("{path}.to_temporal"),
         Op::Memcpy { bytes: (2 * tokens * c) as u64 * ELEM_BYTES, amplification: 2.0 },
     );
     // The attended axis is frames; pixels fold into batch (Fig. 10).
     g.push(
-        format!("{path}.attention"),
+        format_args!("{path}.attention"),
         Op::Attention {
             shape: AttentionShape::self_attn(res * res, heads, frames, head_dim),
             kind: AttnKind::Temporal,
         },
     );
     g.push(
-        format!("{path}.from_temporal"),
+        format_args!("{path}.from_temporal"),
         Op::Memcpy { bytes: (2 * tokens * c) as u64 * ELEM_BYTES, amplification: 2.0 },
     );
-    g.push(format!("{path}.out_proj"), Op::Linear { tokens, in_features: c, out_features: c });
-    g.push(format!("{path}.residual"), Op::Elementwise { elems: tokens * c, inputs: 2 });
+    g.push(format_args!("{path}.out_proj"), Op::Linear { tokens, in_features: c, out_features: c });
+    g.push(format_args!("{path}.residual"), Op::Elementwise { elems: tokens * c, inputs: 2 });
 }
 
 fn temporal_conv_block(g: &mut Graph, path: &str, frames: usize, c: usize, res: usize) {
@@ -159,11 +159,11 @@ fn temporal_conv_block(g: &mut Graph, path: &str, frames: usize, c: usize, res: 
     // at each pixel. Modelled as a conv over [frames, 1] patches (padding
     // positions are multiplied like real kernels do).
     g.push(
-        format!("{path}.conv"),
+        format_args!("{path}.conv"),
         Op::Conv2d { batch: res * res, c_in: c, c_out: c, h: frames, w: 1, kernel: 3, stride: 1 },
     );
     g.push(
-        format!("{path}.residual"),
+        format_args!("{path}.residual"),
         Op::Elementwise { elems: frames * c * res * res, inputs: 2 },
     );
 }
@@ -246,7 +246,7 @@ pub fn unet_step_graph(cfg: &UNetConfig, latent_res: usize, frames: usize) -> Gr
         }
         if level + 1 < cfg.levels() {
             g.push(
-                format!("down.{level}.downsample"),
+                format_args!("down.{level}.downsample"),
                 Op::Conv2d { batch: frames, c_in: c, c_out: c, h: res, w: res, kernel: 3, stride: 2 },
             );
             res /= 2;
@@ -282,7 +282,7 @@ pub fn unet_step_graph(cfg: &UNetConfig, latent_res: usize, frames: usize) -> Gr
             let path = format!("up.{level}.block{b}");
             // Skip connection concat from the down path.
             g.push(
-                format!("{path}.skip_concat"),
+                format_args!("{path}.skip_concat"),
                 Op::Memcpy {
                     bytes: (frames * c * res * res) as u64 * ELEM_BYTES,
                     amplification: 1.0,
@@ -294,12 +294,12 @@ pub fn unet_step_graph(cfg: &UNetConfig, latent_res: usize, frames: usize) -> Gr
         }
         if level > 0 {
             g.push(
-                format!("up.{level}.upsample"),
+                format_args!("up.{level}.upsample"),
                 Op::Upsample { batch: frames, c, h: res, w: res, factor: 2 },
             );
             res *= 2;
             g.push(
-                format!("up.{level}.upsample_conv"),
+                format_args!("up.{level}.upsample_conv"),
                 Op::Conv2d { batch: frames, c_in: c, c_out: c, h: res, w: res, kernel: 3, stride: 1 },
             );
         }

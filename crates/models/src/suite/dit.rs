@@ -83,38 +83,38 @@ pub fn dit_step_graph(cfg: &DitConfig) -> Graph {
     for i in 0..t.layers {
         // adaLN-Zero conditioning: timestep/class embedding modulates the
         // normalized activations (scale & shift) — pure elementwise work.
-        g.push(format!("layer{i}.adaln.norm"), Op::LayerNorm { rows: tokens, cols: d });
+        g.push(format_args!("layer{i}.adaln.norm"), Op::LayerNorm { rows: tokens, cols: d });
         g.push(
-            format!("layer{i}.adaln.modulate"),
+            format_args!("layer{i}.adaln.modulate"),
             Op::Elementwise { elems: tokens * d, inputs: 2 },
         );
         for proj in ["q_proj", "k_proj", "v_proj"] {
             g.push(
-                format!("layer{i}.attn.{proj}"),
+                format_args!("layer{i}.attn.{proj}"),
                 Op::Linear { tokens, in_features: d, out_features: d },
             );
         }
         g.push(
-            format!("layer{i}.attn.attention"),
+            format_args!("layer{i}.attn.attention"),
             Op::Attention { shape, kind: AttnKind::SpatialSelf },
         );
         g.push(
-            format!("layer{i}.attn.out_proj"),
+            format_args!("layer{i}.attn.out_proj"),
             Op::Linear { tokens, in_features: d, out_features: d },
         );
-        g.push(format!("layer{i}.attn.residual"), Op::Elementwise { elems: tokens * d, inputs: 2 });
-        g.push(format!("layer{i}.ffn.norm"), Op::LayerNorm { rows: tokens, cols: d });
+        g.push(format_args!("layer{i}.attn.residual"), Op::Elementwise { elems: tokens * d, inputs: 2 });
+        g.push(format_args!("layer{i}.ffn.norm"), Op::LayerNorm { rows: tokens, cols: d });
         g.push(
-            format!("layer{i}.ffn.modulate"),
+            format_args!("layer{i}.ffn.modulate"),
             Op::Elementwise { elems: tokens * d, inputs: 2 },
         );
-        g.push(format!("layer{i}.ffn.fc1"), Op::Linear { tokens, in_features: d, out_features: t.d_ff });
+        g.push(format_args!("layer{i}.ffn.fc1"), Op::Linear { tokens, in_features: d, out_features: t.d_ff });
         g.push(
-            format!("layer{i}.ffn.act"),
+            format_args!("layer{i}.ffn.act"),
             Op::Activation { elems: tokens * t.d_ff, kind: ActivationKind::Gelu },
         );
-        g.push(format!("layer{i}.ffn.fc2"), Op::Linear { tokens, in_features: t.d_ff, out_features: d });
-        g.push(format!("layer{i}.ffn.residual"), Op::Elementwise { elems: tokens * d, inputs: 2 });
+        g.push(format_args!("layer{i}.ffn.fc2"), Op::Linear { tokens, in_features: t.d_ff, out_features: d });
+        g.push(format_args!("layer{i}.ffn.residual"), Op::Elementwise { elems: tokens * d, inputs: 2 });
     }
     g.push("final_norm", Op::LayerNorm { rows: tokens, cols: d });
     g.push("unpatchify", Op::Linear { tokens, in_features: d, out_features: patch_in });

@@ -40,7 +40,7 @@ fn sd_unet_profile_records_nonzero_l1_hit_rate() {
     assert!(counter(&registry, "gpu_kernel_launches_total") > 0);
     assert!(counter(&registry, "gpu_hbm_bytes_total") > 0);
     assert!(counter(&registry, "gpu_flops_total") > 0);
-    // Every op opened a span carrying its attribution.
+    // Every op recorded a span carrying its attribution.
     assert_eq!(registry.finished_spans().len(), stage.graph.len());
 }
 
