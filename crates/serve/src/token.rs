@@ -228,18 +228,11 @@ impl TokenScenarioCfg {
         Ok(())
     }
 
-    /// KV bytes the smallest request this scenario can draw pins once
-    /// decoded: the shortest prompt (when the model keeps prompt KV)
-    /// plus the shortest output. The drop-at-door rule refuses any
-    /// request whose footprint exceeds the per-GPU budget.
-    #[must_use]
-    pub fn min_request_kv_bytes(&self, curve: &TokenServiceCurve) -> u64 {
-        let output = curve.fixed_output_tokens.unwrap_or(self.output.min);
-        curve.request_kv_bytes(self.prompt.min as u64, output as u64)
-    }
-
-    /// Checks that a per-GPU KV budget fits at least the smallest
-    /// request ([`TokenScenarioCfg::min_request_kv_bytes`]).
+    /// Checks that a per-GPU KV budget fits the smallest request this
+    /// scenario can draw: the shortest prompt (when the model keeps
+    /// prompt KV) plus the shortest output, sized by
+    /// [`TokenServiceCurve::request_kv_bytes`] as the drop-at-door rule
+    /// sizes every arrival.
     ///
     /// # Errors
     ///
@@ -250,7 +243,8 @@ impl TokenScenarioCfg {
         curve: &TokenServiceCurve,
         kv_budget_bytes: u64,
     ) -> Result<(), String> {
-        let floor = self.min_request_kv_bytes(curve);
+        let output = curve.fixed_output_tokens.unwrap_or(self.output.min);
+        let floor = curve.request_kv_bytes(self.prompt.min as u64, output as u64);
         if kv_budget_bytes < floor {
             return Err(format!(
                 "KV budget of {kv_budget_bytes} B per GPU is below the smallest request's \
@@ -1232,7 +1226,6 @@ pub(crate) mod tests {
         let curve = toy_curve();
         // Prompt min 16 + output min 4 tokens at 512 KiB each.
         let floor = 20 * 512 * 1024;
-        assert_eq!(cfg.min_request_kv_bytes(&curve), floor);
         assert_eq!(cfg.validate_kv_budget(&curve, floor), Ok(()));
         let err = cfg.validate_kv_budget(&curve, floor - 1).unwrap_err();
         assert!(err.contains("below the smallest request's KV footprint"), "{err}");
@@ -1242,7 +1235,9 @@ pub(crate) mod tests {
             fixed_output_tokens: Some(256),
             ..toy_curve()
         };
-        assert_eq!(cfg.min_request_kv_bytes(&grid), 256 * 512 * 1024);
+        let grid_floor = 256 * 512 * 1024;
+        assert_eq!(cfg.validate_kv_budget(&grid, grid_floor), Ok(()));
+        assert!(cfg.validate_kv_budget(&grid, grid_floor - 1).is_err());
         // The floor is the door rule's own threshold: the smallest
         // request fits a budget of exactly the floor and is dropped
         // below it.
