@@ -10,8 +10,6 @@
 //! repro --metrics m.txt …      # Prometheus dump of telemetry counters
 //! repro --trace-out t.json …   # Perfetto trace of one SD UNet step
 //! repro --manifest run.json …  # run manifest (device, ids, counters)
-//! repro bench-snapshot         # time each experiment → BENCH_<date>.json
-//! repro bench-check old new    # diff two snapshots; exit 1 on regression
 //! repro serve --gpus 4 --mix sd:8,parti:2 --scheduler dynamic --slo-ms 2000
 //!                              # serving-cluster DES (see `serve` below)
 //! repro token --model llama --gpus 2 --scheduler continuous --util 0.8
@@ -74,8 +72,8 @@ use std::time::Instant;
 
 use mmg_attn::AttnImpl;
 use mmg_core::{
-    global_memo, run_experiment_value_with, run_experiment_with, run_manifest, run_suite,
-    run_suite_with, ExecContext, ExperimentId,
+    global_memo, run_experiment_value_with, run_manifest, run_suite, run_suite_with, ExecContext,
+    ExperimentId,
 };
 use mmg_gpu::DeviceSpec;
 use mmg_models::{suite, ModelId};
@@ -84,7 +82,7 @@ use mmg_profiler::Profiler;
 use mmg_serve::FlightRecorder;
 use mmg_telemetry::Registry;
 use serde_json::Value;
-use Kind::{Count, Device, NonNegative, Positive, Seed, Switch, Text};
+use Kind::{Count, Device, Positive, Seed, Switch, Text};
 
 fn device_by_name(name: &str) -> Option<DeviceSpec> {
     match name.to_lowercase().as_str() {
@@ -109,8 +107,6 @@ enum Kind {
     Seed,
     /// A finite `f64` above 0.
     Positive,
-    /// A finite `f64` of at least 0.
-    NonNegative,
     /// A simulated device name, resolved by [`device_by_name`].
     Device,
     /// Any text; the entry point checks it.
@@ -136,9 +132,6 @@ impl Kind {
             Count => (v.parse().ok().filter(|&n| n > 0).map(Val::Count), "a positive integer"),
             Seed => (v.parse().ok().map(Val::Seed), "a non-negative integer"),
             Positive => (num.filter(|&x| x > 0.0).map(Val::Num), "a positive finite number"),
-            NonNegative => {
-                (num.filter(|&x| x >= 0.0).map(Val::Num), "a non-negative finite number")
-            }
             Device => {
                 let device = device_by_name(v).map(Val::Device);
                 return device.ok_or_else(|| format!("unknown device '{v}'"));
@@ -161,7 +154,7 @@ struct Cmd {
 /// The experiment suite (every invocation no subcommand claims).
 const SUITE: Cmd = Cmd {
     name: "repro",
-    operands: "<bench-snapshot | all | <experiment>>…",
+    operands: "<all | <experiment>>…",
     flags: &[
         ("--device", Device, "name"),
         ("--jobs", Count, "n"),
@@ -170,7 +163,6 @@ const SUITE: Cmd = Cmd {
         ("--metrics", Text, "path"),
         ("--trace-out", Text, "path"),
         ("--manifest", Text, "path"),
-        ("--out", Text, "path"),
         ("--replications", Count, "n"),
         ("--sweep-seed", Seed, "n"),
     ],
@@ -264,14 +256,8 @@ const TOKEN: Cmd = Cmd {
     ],
 };
 
-const BENCH_CHECK: Cmd = Cmd {
-    name: "bench-check",
-    operands: "<old.json> <new.json>",
-    flags: &[("--threshold", NonNegative, "frac"), ("--min-wall-s", NonNegative, "s")],
-};
-
 /// Every entry point, in usage order.
-const COMMANDS: [&Cmd; 6] = [&SUITE, &OPTIMIZE, &SERVE, &FLEET, &TOKEN, &BENCH_CHECK];
+const COMMANDS: [&Cmd; 5] = [&SUITE, &OPTIMIZE, &SERVE, &FLEET, &TOKEN];
 
 /// `cmd`'s usage line.
 fn usage_line(cmd: &Cmd) -> String {
@@ -391,209 +377,6 @@ fn unet_step_trace(spec: &DeviceSpec) -> Result<String, String> {
 
 fn write_file(path: &str, contents: &str, what: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {what} to '{path}': {e}"))
-}
-
-/// Days-since-epoch → proleptic Gregorian `(year, month, day)`
-/// (Howard Hinnant's `civil_from_days`), so the bench snapshot can stamp
-/// its filename without a calendar dependency.
-fn civil_from_days(days: i64) -> (i64, u32, u32) {
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-fn today_stamp() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days(secs.div_euclid(86_400));
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Times every experiment serially (sharing the process memo, so later
-/// experiments see the warm entries earlier ones created — the shipped
-/// behaviour) and writes `{experiment → wall seconds}` plus memo
-/// statistics to `path` (default `BENCH_<date>.json`).
-fn bench_snapshot(spec: &DeviceSpec, path: Option<&str>) -> Result<String, String> {
-    let memo = global_memo();
-    let ctx = ExecContext::isolated(spec.clone(), memo.clone());
-    let started = Instant::now();
-    let mut entries = Vec::new();
-    for &id in &ExperimentId::ALL {
-        let t0 = Instant::now();
-        let _ = run_experiment_with(id, &ctx);
-        entries.push((id.to_string(), Value::from(t0.elapsed().as_secs_f64())));
-    }
-    // Serving fast-path figure: one streaming (constant-memory) run of
-    // the cluster DES at ~0.8 utilization, sized to ~2M arrivals, so the
-    // snapshot tracks simulated-requests-per-second alongside the
-    // experiment timings.
-    let serve = {
-        use mmg_serve::{
-            simulate, ArrivalProcess, RequestMix, ScenarioCfg, SchedulerKind, ServiceProfile,
-            SloSpec,
-        };
-        let profiler = ctx.profiler(AttnImpl::Flash);
-        let mix = RequestMix::parse("sd:8,parti:2")?;
-        let models: Vec<ModelId> = mix.models().collect();
-        let profile = ServiceProfile::from_profiler(&profiler, &models, &[1, 2, 4, 8, 16]);
-        let rate = 0.8 * 4.0 / profile.mean_base_s(&mix);
-        let duration_s = 2_000_000.0 / rate;
-        let mut cfg = ScenarioCfg::new(
-            4,
-            mix,
-            ArrivalProcess::poisson(rate),
-            SchedulerKind::Dynamic { max_batch: 16 },
-            SloSpec::ServiceMultiple(4.0),
-            duration_s,
-            42,
-        );
-        cfg.full_records = false;
-        let t0 = Instant::now();
-        let result = simulate(&cfg, &profile, &ctx.registry);
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("simulated_requests".to_string(), Value::from(result.arrivals)),
-            (
-                "requests_per_sec".to_string(),
-                Value::from(result.arrivals as f64 / wall_s.max(1e-9)),
-            ),
-        ])
-    };
-    // Fleet fast-path figure: the multi-cluster DES on a 128-GPU
-    // heterogeneous fleet (8 clusters cycling the four SKUs), Poisson
-    // arrivals at ~0.8 offered utilization, FIFO + round-robin so every
-    // cluster takes the O(1)-per-request fast lane. Sized to >100M
-    // aggregate arrivals — the committed throughput headline.
-    let fleet = {
-        let t0 = Instant::now();
-        let result = run_fleet(
-            &FleetRunCfg {
-                clusters: 8,
-                gpus_per_cluster: 16,
-                requests: Some(100_000_000),
-                ..FleetRunCfg::default()
-            },
-            &ctx.registry,
-            &memo,
-            1,
-        )?;
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("simulated_requests".to_string(), Value::from(result.result.arrivals())),
-            (
-                "requests_per_sec".to_string(),
-                Value::from(result.result.arrivals() as f64 / wall_s.max(1e-9)),
-            ),
-        ])
-    };
-    // Token fast-path figure: one run of the token-level (iteration
-    // granularity) serving DES — continuous batching on 4 GPUs at ~0.8
-    // utilization, sized to >2M decoded tokens — so the snapshot tracks
-    // simulated-tokens-per-second alongside the request-level figures.
-    let token = {
-        use mmg_serve::{
-            simulate_token, ArrivalProcess, KvAdmission, KvLedger, LengthDist, PhasePriority,
-            TokenBatching, TokenScenarioCfg, TokenServiceCurve, TokenSlo,
-        };
-        let profiler = ctx.profiler(AttnImpl::Flash);
-        let curve = TokenServiceCurve::from_profiler(&profiler, ModelId::Llama2);
-        let gpus = 4usize;
-        let cap = 32usize;
-        let prompt = LengthDist::new(512.0, 0.3, 16, 4096);
-        let output = LengthDist::new(128.0, 0.3, 4, 1024);
-        let slo = TokenSlo::from_curve(&curve, prompt.mean(), output.mean(), cap);
-        let rate = 0.8 * gpus as f64 / curve.request_gpu_s(prompt.mean(), output.mean(), cap);
-        let duration_s = 2_000_000.0 / (rate * output.mean());
-        let cfg = TokenScenarioCfg {
-            gpus,
-            model: ModelId::Llama2,
-            arrival: ArrivalProcess::poisson(rate),
-            batching: TokenBatching::Continuous { max_batch: cap },
-            priority: PhasePriority::Decode,
-            admission: KvAdmission::Prompt,
-            chunk_tokens: 512,
-            prompt,
-            output,
-            slo,
-            duration_s,
-            max_requests: None,
-            seed: 42,
-        };
-        let budget = KvLedger::default_budget(spec, curve.weight_bytes);
-        let t0 = Instant::now();
-        let result = simulate_token(&cfg, &curve, budget, &ctx.registry);
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("simulated_tokens".to_string(), Value::from(result.stats.decoded_tokens)),
-            (
-                "tokens_per_sec".to_string(),
-                Value::from(result.stats.decoded_tokens as f64 / wall_s.max(1e-9)),
-            ),
-        ])
-    };
-    // Optimization-pass figure: the all-passes geomean speedup across
-    // model families, plus the wall time of re-running the experiment
-    // against the now-warm memo. `speedup_all_passes` is gated by
-    // bench-check the way the throughput figures are: a drop means a
-    // pass stopped firing.
-    let optimize_fig = {
-        let t0 = Instant::now();
-        let r = mmg_core::experiments::optimize::run_ctx(&ctx);
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("speedup_all_passes".to_string(), Value::from(r.speedup_all_passes)),
-        ])
-    };
-    // Energy figure: the best on-time-requests-per-Wh cell of the
-    // power-capped batching frontier, re-run against the warm memo.
-    // Gated by bench-check like the throughput figures: a drop means
-    // the power model or the energy-optimal batch size shifted, not
-    // runner jitter.
-    let energy_fig = {
-        let t0 = Instant::now();
-        let r = mmg_core::experiments::energy::run_ctx(&ctx);
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("best_good_per_wh".to_string(), Value::from(r.best_good_per_wh)),
-        ])
-    };
-    let snapshot = Value::Object(vec![
-        ("date".to_string(), Value::from(today_stamp())),
-        ("device".to_string(), Value::from(spec.name.clone())),
-        ("experiments".to_string(), Value::Object(entries)),
-        ("serve".to_string(), serve),
-        ("fleet".to_string(), fleet),
-        ("token".to_string(), token),
-        ("optimize".to_string(), optimize_fig),
-        ("energy".to_string(), energy_fig),
-        ("total_s".to_string(), Value::from(started.elapsed().as_secs_f64())),
-        (
-            "memo".to_string(),
-            Value::Object(vec![
-                ("hits".to_string(), Value::from(memo.hits())),
-                ("misses".to_string(), Value::from(memo.misses())),
-                ("entries".to_string(), Value::from(memo.len() as u64)),
-            ]),
-        ),
-    ]);
-    let path = path.map_or_else(|| format!("BENCH_{}.json", today_stamp()), str::to_string);
-    let body = serde_json::to_string_pretty(&snapshot).expect("snapshots always serialize");
-    write_file(&path, &body, "bench snapshot")?;
-    Ok(path)
 }
 
 /// Writes `registry` to `path`: the JSON snapshot for a `.json` path,
@@ -865,73 +648,17 @@ fn token_main(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parameters for one multi-cluster fleet run — shared by the `fleet`
-/// subcommand and the bench-snapshot fleet figure.
-struct FleetRunCfg {
-    /// Cluster count; SKUs cycle a100 → h100 → l4 → h200.
-    clusters: usize,
-    /// Initially provisioned GPUs per cluster.
-    gpus_per_cluster: usize,
-    /// Arrival family (`poisson` | `diurnal`; bursty is not splittable).
-    arrival_name: String,
-    /// Offered fraction of the fleet's aggregate batch-1 capacity.
-    utilization: f64,
-    /// Explicit fleet-wide rate, requests/s (overrides `utilization`).
-    rate: Option<f64>,
-    /// Autoscaler policy name (`fixed` | `reactive` | `reactive+spot`).
-    policy_name: String,
-    /// Expected-arrival target; sizes the horizon as `requests / rate`
-    /// (with 0.5% headroom so the realized Poisson count reaches it).
-    requests: Option<u64>,
-    /// Explicit horizon, seconds (used when `requests` is unset).
-    duration_s: f64,
-    /// Evaluation windows over the horizon.
-    windows: usize,
-    /// Per-GPU scheduler (fifo takes the O(1) fast lane).
-    scheduler_name: String,
-    /// Batch cap for batching schedulers.
-    batch: usize,
-    /// Fleet seed.
-    seed: u64,
-}
-
-impl Default for FleetRunCfg {
-    fn default() -> Self {
-        FleetRunCfg {
-            clusters: 4,
-            gpus_per_cluster: 16,
-            arrival_name: "poisson".to_string(),
-            utilization: 0.8,
-            rate: None,
-            policy_name: "fixed".to_string(),
-            requests: None,
-            duration_s: 600.0,
-            windows: 12,
-            scheduler_name: "fifo".to_string(),
-            batch: 16,
-            seed: 42,
-        }
-    }
-}
-
-/// A completed fleet run: the resolved scenario and its merged result.
-struct FleetRun {
-    cfg: mmg_serve::FleetCfg,
-    result: mmg_serve::FleetResult,
-}
-
-/// Builds the heterogeneous fleet (SKUs cycling, capacity-proportional
-/// region weights, quarter-period diurnal phase stagger), profiles each
-/// SKU once, and shards the simulation by cluster over the
-/// [`mmg_core::run_cells_with`] worker pool. Results and telemetry
-/// merge in cluster order, so stdout and the metrics snapshot are
-/// byte-identical for every `jobs` value.
+/// Builds the heterogeneous fleet that `fleet`'s flags describe (SKUs
+/// cycling a100 → h100 → l4 → h200, capacity-proportional region
+/// weights, quarter-period diurnal phase stagger), profiles each SKU
+/// once, and shards the simulation by cluster over the
+/// [`mmg_core::run_cells_with`] worker pool. Results and telemetry merge
+/// in cluster order, so stdout and the metrics snapshot are
+/// byte-identical for every `--jobs` value.
 fn run_fleet(
-    rc: &FleetRunCfg,
-    registry: &mmg_telemetry::Registry,
-    memo: &std::sync::Arc<mmg_profiler::CostMemo>,
-    jobs: usize,
-) -> Result<FleetRun, String> {
+    f: &Flags<'_>,
+    registry: &Registry,
+) -> Result<(mmg_serve::FleetCfg, mmg_serve::FleetResult), String> {
     use mmg_core::experiments::fleet_sweep::{device_for_sku, sku_price_per_gpu_hr, SKUS};
     use mmg_core::experiments::serve_common::profile_mix;
     use mmg_serve::{
@@ -939,24 +666,32 @@ fn run_fleet(
         SchedulerKind, SloSpec,
     };
 
-    let scheduler = SchedulerKind::parse(&rc.scheduler_name, rc.batch)?;
+    let n_clusters = f.count("--clusters").unwrap_or(4);
+    let gpus_per_cluster = f.count("--gpus").unwrap_or(16);
+    let windows = f.count("--windows").unwrap_or(12);
+    let scheduler = SchedulerKind::parse(
+        f.text("--scheduler").unwrap_or("fifo"),
+        f.count("--batch").unwrap_or(16),
+    )?;
+    let policy_name = f.text("--policy").unwrap_or("fixed");
     let policy = mmg_core::experiments::fleet_sweep::policies()
         .into_iter()
-        .find(|p| p.name() == rc.policy_name)
+        .find(|p| p.name() == policy_name)
         .ok_or_else(|| {
-            format!("unknown policy '{}'; expected fixed | reactive | reactive+spot", rc.policy_name)
+            format!("unknown policy '{policy_name}'; expected fixed | reactive | reactive+spot")
         })?;
 
     // Profile each deployed SKU once, in cycle order, before any cell
     // runs — merge order into `registry` is then independent of `jobs`.
+    let memo = global_memo();
     let mix_str = "sd:8,parti:2";
-    let n_skus = rc.clusters.min(SKUS.len());
+    let n_skus = n_clusters.min(SKUS.len());
     let profiled: Vec<_> = SKUS[..n_skus]
         .iter()
         .map(|sku| {
             profile_mix(
                 &device_for_sku(sku),
-                memo,
+                &memo,
                 registry,
                 mix_str,
                 scheduler.batch_cap(),
@@ -967,36 +702,38 @@ fn run_fleet(
 
     // Capacity-proportional weights: every cluster is offered the same
     // relative load despite the SKU service-time spread.
-    let mut clusters = Vec::with_capacity(rc.clusters);
+    let mut clusters = Vec::with_capacity(n_clusters);
     let mut total_capacity = 0.0;
-    for i in 0..rc.clusters {
+    for i in 0..n_clusters {
         let sku_idx = i % n_skus;
         let sku = SKUS[sku_idx];
-        let capacity = rc.gpus_per_cluster as f64 / profiled[sku_idx].mean_base_s;
+        let capacity = gpus_per_cluster as f64 / profiled[sku_idx].mean_base_s;
         total_capacity += capacity;
         clusters.push(ClusterCfg {
             name: format!("{sku}-{i}"),
             sku: sku.to_string(),
-            gpus: rc.gpus_per_cluster,
+            gpus: gpus_per_cluster,
             price_per_gpu_hr: sku_price_per_gpu_hr(sku),
             weight: capacity,
             phase_s: 0.0, // set below once the arrival period is known
         });
     }
-    let rate = match rc.rate {
+    let rate = match f.num("--rate") {
         Some(r) => r,
-        None => rc.utilization * total_capacity,
+        None => f.num("--util").unwrap_or(0.8) * total_capacity,
     };
-    let arrival = ArrivalProcess::parse(&rc.arrival_name, rate)?;
+    let arrival = ArrivalProcess::parse(f.text("--arrival").unwrap_or("poisson"), rate)?;
     if let ArrivalProcess::Diurnal { period_s, .. } = arrival {
         // Stagger regional peaks evenly across one diurnal period.
         for (i, c) in clusters.iter_mut().enumerate() {
-            c.phase_s = period_s * i as f64 / rc.clusters as f64;
+            c.phase_s = period_s * i as f64 / n_clusters as f64;
         }
     }
-    let duration_s = match rc.requests {
+    // `--requests` sizes the horizon as `requests / rate`, with 0.5%
+    // headroom so the realized Poisson count reaches it.
+    let duration_s = match f.count("--requests") {
         Some(n) => n as f64 / rate * 1.005,
-        None => rc.duration_s,
+        None => f.num("--duration-s").unwrap_or(600.0),
     };
 
     let cfg = FleetCfg {
@@ -1006,10 +743,10 @@ fn run_fleet(
         scheduler,
         router: RouterKind::RoundRobin,
         slo: SloSpec::ServiceMultiple(4.0),
-        window_s: duration_s / rc.windows as f64,
-        windows: rc.windows,
+        window_s: duration_s / windows as f64,
+        windows,
         autoscaler: policy,
-        seed: rc.seed,
+        seed: f.seed("--seed").unwrap_or(42),
     };
     cfg.validate()?;
 
@@ -1017,12 +754,12 @@ fn run_fleet(
     let results = mmg_core::run_cells_with(
         cfg.clusters.len(),
         &spec,
-        jobs,
-        memo,
+        f.count("--jobs").unwrap_or(1),
+        &memo,
         registry,
         |i, cell_ctx| run_cluster(&cfg, i, &profiled[i % n_skus].profile, &cell_ctx.registry),
     );
-    Ok(FleetRun { result: FleetResult::from_clusters(results), cfg })
+    Ok((cfg, FleetResult::from_clusters(results)))
 }
 
 /// Runs one multi-cluster fleet scenario, sharded by cluster across the
@@ -1030,35 +767,19 @@ fn run_fleet(
 /// for every `--jobs` value; the perf line goes to stderr.
 fn fleet_main(args: &[String]) -> Result<(), String> {
     let f = parse(&FLEET, args)?;
-    let d = FleetRunCfg::default();
-    let rc = FleetRunCfg {
-        clusters: f.count("--clusters").unwrap_or(d.clusters),
-        gpus_per_cluster: f.count("--gpus").unwrap_or(d.gpus_per_cluster),
-        arrival_name: f.text("--arrival").map_or(d.arrival_name, str::to_string),
-        utilization: f.num("--util").unwrap_or(d.utilization),
-        rate: f.num("--rate").or(d.rate),
-        policy_name: f.text("--policy").map_or(d.policy_name, str::to_string),
-        requests: f.count("--requests").map(|n| n as u64).or(d.requests),
-        duration_s: f.num("--duration-s").unwrap_or(d.duration_s),
-        windows: f.count("--windows").unwrap_or(d.windows),
-        scheduler_name: f.text("--scheduler").map_or(d.scheduler_name, str::to_string),
-        batch: f.count("--batch").unwrap_or(d.batch),
-        seed: f.seed("--seed").unwrap_or(d.seed),
-    };
     let registry = Registry::new();
-    let memo = global_memo();
     let sim_started = Instant::now();
-    let run = run_fleet(&rc, &registry, &memo, f.count("--jobs").unwrap_or(1))?;
+    let (cfg, result) = run_fleet(&f, &registry)?;
     let sim_wall_s = sim_started.elapsed().as_secs_f64();
 
-    print!("{}", mmg_serve::FleetReport::new(&run.cfg, &run.result).render());
+    print!("{}", mmg_serve::FleetReport::new(&cfg, &result).render());
     // Perf to stderr: stdout must stay byte-identical across machines
     // and job counts.
     eprintln!(
         "fleet: {} arrivals across {} clusters simulated in {sim_wall_s:.3}s wall ({:.0} aggregate simulated req/s)",
-        run.result.arrivals(),
-        run.cfg.clusters.len(),
-        run.result.arrivals() as f64 / sim_wall_s.max(1e-9),
+        result.arrivals(),
+        cfg.clusters.len(),
+        result.arrivals() as f64 / sim_wall_s.max(1e-9),
     );
     if let Some(path) = f.text("--metrics-out") {
         write_metrics(path, &registry)?;
@@ -1066,31 +787,8 @@ fn fleet_main(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `repro bench-check <old> <new>` — compare two `bench-snapshot`
-/// outputs. Returns whether any figure regressed.
-fn bench_check_main(args: &[String]) -> Result<bool, String> {
-    use mmg_core::benchcheck;
-
-    let f = parse(&BENCH_CHECK, args)?;
-    let [old_path, new_path] = f.operands[..] else {
-        return Err(format!("usage: {}", usage_line(&BENCH_CHECK)));
-    };
-    let read = |path: &str| -> Result<serde_json::Value, String> {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| format!("failed to read snapshot {path}: {e}"))?;
-        serde_json::from_str(&body).map_err(|e| format!("snapshot {path} is not valid JSON: {e}"))
-    };
-    let old = read(old_path)?;
-    let new = read(new_path)?;
-    let threshold = f.num("--threshold").unwrap_or(benchcheck::DEFAULT_THRESHOLD);
-    let min_wall_s = f.num("--min-wall-s").unwrap_or(benchcheck::DEFAULT_MIN_WALL_S);
-    let check = benchcheck::compare(&old, &new, threshold, min_wall_s);
-    print!("{}", benchcheck::render(&check));
-    Ok(check.regressed())
-}
-
-/// The experiment suite: runs the named targets (or the bench snapshot,
-/// or the replicated serving sweep) and ends with the run manifest.
+/// The experiment suite: runs the named targets (or the replicated
+/// serving sweep) and ends with the run manifest.
 fn suite_main(args: &[String]) -> Result<(), String> {
     use mmg_core::experiments::serve_sweep;
 
@@ -1103,19 +801,12 @@ fn suite_main(args: &[String]) -> Result<(), String> {
     }
     let spec = f.device().unwrap_or_else(DeviceSpec::a100_80gb);
     let manifest = f.text("--manifest");
-    let mut bench = false;
     let mut targets: Vec<ExperimentId> = Vec::new();
     for &operand in &f.operands {
         match operand {
-            "bench-snapshot" => bench = true,
             "all" => targets.extend(ExperimentId::ALL),
             other => targets.push(other.parse().map_err(|e| format!("{e}"))?),
         }
-    }
-    if bench {
-        let path = bench_snapshot(&spec, f.text("--out"))?;
-        eprintln!("bench snapshot written to {path}");
-        return Ok(());
     }
     // Repeated targets (e.g. `repro fig6 all`) run once, first-mention order.
     let mut seen = std::collections::HashSet::new();
@@ -1177,18 +868,15 @@ fn main() -> ExitCode {
     // a bare `repro optimize` (with --jobs/--json/...) is the suite's
     // full grid.
     let pass_flag = |a: &String| OPTIMIZE.flags.iter().any(|&(f, ..)| f == a && f != "--device");
-    // Ok(false): the command ran and reported a failure (a regression).
     let outcome = match args.first().map(String::as_str) {
-        Some("optimize") if rest.iter().any(pass_flag) => optimize_main(rest).map(|()| true),
-        Some("serve") => serve_main(rest).map(|()| true),
-        Some("token") => token_main(rest).map(|()| true),
-        Some("fleet") => fleet_main(rest).map(|()| true),
-        Some("bench-check") => bench_check_main(rest).map(|regressed| !regressed),
-        _ => suite_main(&args).map(|()| true),
+        Some("optimize") if rest.iter().any(pass_flag) => optimize_main(rest),
+        Some("serve") => serve_main(rest),
+        Some("token") => token_main(rest),
+        Some("fleet") => fleet_main(rest),
+        _ => suite_main(&args),
     };
     match outcome {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
             ExitCode::FAILURE
@@ -1240,11 +928,10 @@ mod tests {
     #[test]
     fn each_kind_refuses_its_boundary_values() {
         // (table, flag, refused values, message; empty for the device kind)
-        let cases: [(&'static Cmd, &str, &[&str], &str); 5] = [
+        let cases: [(&'static Cmd, &str, &[&str], &str); 4] = [
             (&SERVE, "--gpus", &["0", "-1", "inf", "NaN", "1.5"], "a positive integer"),
             (&SERVE, "--seed", &["-1", "inf", "NaN", "1e3"], "a non-negative integer"),
             (&SERVE, "--rate", &["0", "-1", "inf", "-inf", "NaN"], "a positive finite number"),
-            (&BENCH_CHECK, "--threshold", &["-1", "-1e-9", "inf"], "a non-negative finite number"),
             (&SERVE, "--device", &["0", "-1", "inf", "NaN"], ""),
         ];
         for (cmd, flag, bad, wants) in cases {
@@ -1265,8 +952,6 @@ mod tests {
         assert_eq!(ok.num("--rate"), Some(1e-9));
         assert_eq!(ok.device().map(|d| d.name), Some(DeviceSpec::h100_80gb().name));
         assert_eq!(ok.num("--slo-ms"), None);
-        let ok = run(&BENCH_CHECK, &["--threshold", "0"]).expect("zero is non-negative");
-        assert_eq!(ok.num("--threshold"), Some(0.0));
         // Text takes the next argument whatever it looks like; a switch
         // takes none, so what follows it is parsed as a flag.
         let ok = run(&SERVE, &["--mix", "-1", "--attrib"]).expect("text and switch");
@@ -1293,9 +978,10 @@ mod tests {
         }
         let f = run(&SUITE, &["fig4", "--json", "all"]).expect("suite targets are operands");
         assert_eq!(f.operands, ["fig4", "all"]);
+        let names: Vec<&str> = SUITE.flags.iter().map(|&(flag, ..)| flag).collect();
         assert_eq!(
-            refused(&BENCH_CHECK, &["old.json", "--bogus"]),
-            "unknown bench-check flag '--bogus'; expected --threshold | --min-wall-s"
+            refused(&SUITE, &["fig4", "--bogus"]),
+            format!("unknown repro flag '--bogus'; expected {}", names.join(" | "))
         );
     }
 

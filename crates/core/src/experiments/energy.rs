@@ -130,7 +130,7 @@ pub struct EnergyResult {
     /// Frontier cells, [`BATCH_CAPS`] order (part 2).
     pub frontier: Vec<FrontierCell>,
     /// Best on-time-requests-per-Wh across cells *within the power
-    /// cap* — the bench-snapshot headline this experiment is gated on.
+    /// cap* — this experiment's headline.
     pub best_good_per_wh: f64,
 }
 

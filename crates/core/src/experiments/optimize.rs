@@ -91,8 +91,8 @@ pub struct OptResult {
     pub launches_elided: u64,
     /// HBM round-trip traffic the fusion pass removed, GiB.
     pub hbm_gib_saved: f64,
-    /// Geometric-mean all-passes speedup across families — the
-    /// bench-snapshot headline this experiment is gated on.
+    /// Geometric-mean all-passes speedup across families — this
+    /// experiment's headline.
     pub speedup_all_passes: f64,
 }
 

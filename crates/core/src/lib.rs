@@ -36,7 +36,6 @@
 
 #![deny(missing_docs)]
 
-pub mod benchcheck;
 pub mod engine;
 pub mod experiments;
 mod runner;

@@ -1,9 +1,8 @@
 //! Golden-file pins of `repro`'s output: one invocation per subcommand
-//! flag parser (serve, token, fleet, optimize, bench-check), each
-//! compared byte for byte against a file under `tests/golden/`. The
-//! token run also pins its `--metrics-out` Prometheus dump, a serve run
-//! the digest of its JSON span stream, and the bench-check run its exit
-//! status.
+//! flag parser (serve, token, fleet, optimize), each compared byte for
+//! byte against a file under `tests/golden/`. The token run also pins
+//! its `--metrics-out` Prometheus dump, and a serve run the digest of
+//! its JSON span stream.
 //!
 //! A change that intentionally alters one of these outputs regenerates
 //! the goldens with:
@@ -15,37 +14,25 @@
 //! and the diff is reviewed like any other report change.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::Command;
 
 fn golden_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
-/// Runs `repro` from the workspace root, where the committed bench
-/// snapshots live.
-fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-        .output()
-        .expect("repro binary runs")
-}
-
-fn stdout_of(args: &[&str], out: &Output) -> String {
-    String::from_utf8(out.stdout.clone())
-        .unwrap_or_else(|_| panic!("repro {args:?} stdout is not UTF-8"))
-}
-
-/// Runs `repro` and requires a zero exit status.
+/// Runs `repro`, requires a zero exit status and returns its stdout.
 fn repro_ok(args: &[&str]) -> String {
-    let out = repro(args);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro binary runs");
     assert!(
         out.status.success(),
         "repro {args:?} exited with {:?}: {}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    stdout_of(args, &out)
+    String::from_utf8(out.stdout).unwrap_or_else(|_| panic!("repro {args:?} stdout is not UTF-8"))
 }
 
 fn check_golden(name: &str, got: &str) {
@@ -169,19 +156,4 @@ fn optimize_single_config_matches_golden() {
         "4",
     ]);
     check_golden("optimize_single.txt", &got);
-}
-
-/// The two committed snapshots differ by more than the default
-/// threshold, so the comparison reports regressions and exits 1.
-#[test]
-fn bench_check_report_and_exit_status_match_golden() {
-    let args = ["bench-check", "BENCH_2026-08-06.json", "BENCH_2026-08-08.json"];
-    let out = repro(&args);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "bench-check exit status; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    check_golden("bench_check.txt", &stdout_of(&args, &out));
 }

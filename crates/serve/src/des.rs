@@ -9,20 +9,18 @@
 //! 2. Time is `f64` seconds compared with [`f64::total_cmp`], so the
 //!    ordering is total even in the presence of rounding.
 //!
-//! Two interchangeable implementations share that contract:
+//! Two implementations share that contract:
 //!
 //! - [`CalendarEventQueue`] — a Brown-style calendar queue with O(1)
 //!   amortized `schedule`/`pop`. Events hash into `floor(t / width)`
 //!   buckets; the pop cursor walks bucket "days", resizing the calendar
 //!   (bucket count and width) as the population doubles or collapses.
-//!   This is the default: the serving fast path pushes tens of millions
-//!   of events through it.
+//!   [`EventQueue`] aliases it: the serving fast path pushes tens of
+//!   millions of events through it.
 //! - [`HeapEventQueue`] — the original `BinaryHeap` kernel, kept as the
-//!   property-test oracle and selectable with the `heap-queue` cargo
-//!   feature.
+//!   property-test oracle.
 //!
-//! [`EventQueue`] aliases whichever implementation the feature set
-//! picks; both expose the identical API and — by property test
+//! Both expose the identical API and — by property test
 //! (`tests/proptest_queue.rs`) — the identical event-for-event pop
 //! sequence.
 
@@ -67,15 +65,8 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The queue implementation used by the simulator: the calendar queue by
-/// default, or the binary heap when the `heap-queue` feature is on.
-#[cfg(not(feature = "heap-queue"))]
+/// The queue implementation used by the simulator.
 pub type EventQueue<E> = CalendarEventQueue<E>;
-
-/// The queue implementation used by the simulator: the calendar queue by
-/// default, or the binary heap when the `heap-queue` feature is on.
-#[cfg(feature = "heap-queue")]
-pub type EventQueue<E> = HeapEventQueue<E>;
 
 // ---------------------------------------------------------------------------
 // Binary-heap kernel (the oracle)
