@@ -27,9 +27,10 @@
 //! a mixed request stream, and a chosen router/scheduler — and prints
 //! the per-model latency/SLO report. `--rate` defaults to 0.8
 //! utilization, `--slo-ms` to 4x each model's own service time, and
-//! `--requests` caps arrivals. `--metrics-out` dumps the registry (the
-//! JSON snapshot for a `.json` path, else the Prometheus text of the
-//! `serve_*` series) and `--trace-out` the Perfetto flight-recorder
+//! `--requests` caps arrivals. `--metrics-out` dumps the registry (for
+//! a `.json` path the JSON snapshot, the only dump for which profiled
+//! ops are captured as spans; else the Prometheus text of the `serve_*`
+//! series) and `--trace-out` the Perfetto flight-recorder
 //! trace (per-GPU batch lanes, scheduler instants, counter tracks). One
 //! seed fixes the whole sample path, so stdout — and the flight trace —
 //! is byte-identical across runs, machines, and job counts.
@@ -379,10 +380,25 @@ fn write_file(path: &str, contents: &str, what: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {what} to '{path}': {e}"))
 }
 
+/// Whether a `--metrics-out` path gets the JSON snapshot, the only
+/// dump that carries spans; any other path gets Prometheus text.
+fn is_json(path: &str) -> bool {
+    path.ends_with(".json")
+}
+
+/// Turns span capture on in `registry` when `--metrics-out` asks for the
+/// JSON snapshot. Spans are recorded as ops are profiled, so this runs
+/// before any profiling.
+fn capture_spans_for(metrics_out: Option<&str>, registry: &Registry) {
+    if metrics_out.is_some_and(is_json) {
+        registry.set_span_capture(true);
+    }
+}
+
 /// Writes `registry` to `path`: the JSON snapshot for a `.json` path,
 /// the Prometheus text exposition otherwise.
 fn write_metrics(path: &str, registry: &Registry) -> Result<(), String> {
-    let body = if path.ends_with(".json") {
+    let body = if is_json(path) {
         let mut s = serde_json::to_string_pretty(&registry.snapshot_json())
             .expect("registry snapshots always serialize");
         s.push('\n');
@@ -457,6 +473,7 @@ fn serve_main(args: &[String]) -> Result<(), String> {
     // Service curves come from the real profiler (shared memo + global
     // registry), at power-of-two batch sizes up to the scheduler's cap.
     let ctx = ExecContext::shared(spec.clone());
+    capture_spans_for(f.text("--metrics-out"), &ctx.registry);
     let profiler = ctx.profiler(AttnImpl::Flash);
     let models: Vec<ModelId> = mix.models().collect();
     let cap = scheduler.batch_cap();
@@ -570,6 +587,7 @@ fn token_main(args: &[String]) -> Result<(), String> {
     // The per-step decode and cumulative prefill costs come from the
     // real profiler (shared memo + global registry).
     let ctx = ExecContext::shared(spec.clone());
+    capture_spans_for(f.text("--metrics-out"), &ctx.registry);
     let profiler = ctx.profiler(AttnImpl::Flash);
     let curve = TokenServiceCurve::from_profiler(&profiler, model);
     let kv_budget_bytes = match kv_budget_gib {
@@ -768,6 +786,7 @@ fn run_fleet(
 fn fleet_main(args: &[String]) -> Result<(), String> {
     let f = parse(&FLEET, args)?;
     let registry = Registry::new();
+    capture_spans_for(f.text("--metrics-out"), &registry);
     let sim_started = Instant::now();
     let (cfg, result) = run_fleet(&f, &registry)?;
     let sim_wall_s = sim_started.elapsed().as_secs_f64();

@@ -38,12 +38,13 @@ pub struct ProfiledMix {
     pub pod_factors: Vec<(ModelId, f64)>,
 }
 
-/// Profiles `mix_str`'s models once on an isolated registry (batch
-/// sizes: powers of two up to `max_batch`) and merges the profiling
-/// telemetry into `target` *before* returning — ahead of any cell
-/// telemetry, exactly as a serial run would record it. When
-/// `with_pods` is set, Section V pod factors are computed from the same
-/// profiler and attached to the profile.
+/// Profiles `mix_str`'s models once on an isolated registry (a
+/// [`Registry::child`] of `target`; batch sizes: powers of two up to
+/// `max_batch`) and merges the profiling telemetry into `target`
+/// *before* returning — ahead of any cell telemetry, exactly as a
+/// serial run would record it. When `with_pods` is set, Section V pod
+/// factors are computed from the same profiler and attached to the
+/// profile.
 ///
 /// # Panics
 ///
@@ -94,7 +95,7 @@ fn profile_mix_impl(
     with_pods: bool,
     opt: Option<(mmg_graph::OptConfig, Option<usize>)>,
 ) -> ProfiledMix {
-    let ctx = ExecContext::isolated(spec.clone(), Arc::clone(memo));
+    let ctx = ExecContext::merging_into(spec.clone(), Arc::clone(memo), target);
     let profiler = match opt {
         Some((cfg, _)) => ctx.profiler_opt(AttnImpl::Flash, cfg),
         None => ctx.profiler(AttnImpl::Flash),

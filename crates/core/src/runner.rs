@@ -101,6 +101,47 @@ impl ExperimentId {
         ExperimentId::TokenSweep,
         ExperimentId::Energy,
     ];
+
+    /// All experiments, heaviest first by host time (`core.exp.<id>_s`
+    /// of a traced `mmgbench` suite-cold run): the order in which the
+    /// worker pool starts them, so that no long experiment starts last
+    /// and leaves the other workers idle.
+    pub const HEAVIEST_FIRST: [ExperimentId; 26] = [
+        ExperimentId::FleetSweep,
+        ExperimentId::Optimize,
+        ExperimentId::TokenSweep,
+        ExperimentId::FlashDec,
+        ExperimentId::Energy,
+        ExperimentId::ServeSweep,
+        ExperimentId::Table2,
+        ExperimentId::Fig6,
+        ExperimentId::ServeAttrib,
+        ExperimentId::ServeTimeline,
+        ExperimentId::Fig7,
+        ExperimentId::Ablations,
+        ExperimentId::Fig12,
+        ExperimentId::Fig9,
+        ExperimentId::Table1,
+        ExperimentId::Pods,
+        ExperimentId::Fig8,
+        ExperimentId::Fig5,
+        ExperimentId::Batch,
+        ExperimentId::Table3,
+        ExperimentId::Fig11,
+        ExperimentId::SecV,
+        ExperimentId::Fig1,
+        ExperimentId::Fig13,
+        ExperimentId::Fig4,
+        ExperimentId::Tp,
+    ];
+
+    /// This experiment's position in [`ExperimentId::HEAVIEST_FIRST`].
+    pub(crate) fn claim_rank(self) -> usize {
+        ExperimentId::HEAVIEST_FIRST
+            .iter()
+            .position(|&e| e == self)
+            .expect("HEAVIEST_FIRST lists every experiment")
+    }
 }
 
 impl fmt::Display for ExperimentId {
@@ -331,6 +372,13 @@ mod tests {
             assert_eq!(e.to_string().parse::<ExperimentId>().unwrap(), e);
         }
         assert!("fig99".parse::<ExperimentId>().is_err());
+    }
+
+    #[test]
+    fn claim_order_lists_every_experiment_once() {
+        let mut ranks: Vec<usize> = ExperimentId::ALL.iter().map(|e| e.claim_rank()).collect();
+        ranks.sort_unstable();
+        assert_eq!(ranks, (0..ExperimentId::ALL.len()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -235,8 +235,8 @@ impl Profiler {
                     continue;
                 }
             }
-            let started = Instant::now();
-            let snap = self.registry.counters_snapshot();
+            let started = self.registry.span_capture().then(Instant::now);
+            let mark = self.registry.counters_mark();
             let mut kernels = lower_on(
                 &node.op,
                 self.attn,
@@ -296,8 +296,10 @@ impl Profiler {
                     ),
                 );
             }
-            let counters = Arc::new(snap.delta_since(&self.registry));
-            self.registry.record_span(Arc::clone(&node.path), started, Arc::clone(&counters));
+            let counters = Arc::new(mark.delta_since(&self.registry));
+            if let Some(started) = started {
+                self.registry.record_span(Arc::clone(&node.path), started, Arc::clone(&counters));
+            }
             let event = OpEvent {
                 index,
                 path: Arc::clone(&node.path),
@@ -337,9 +339,9 @@ impl Profiler {
 
     /// Memo-hit fast path: reproduces every externally observable effect
     /// of executing `op` — counters, the kernel-time histogram, a span
-    /// record with the op's counter attribution, and the [`OpEvent`] —
-    /// from the stored entry, without lowering, roofline evaluation, or
-    /// cache simulation.
+    /// record with the op's counter attribution while the registry
+    /// captures spans, and the [`OpEvent`] — from the stored entry,
+    /// without lowering, roofline evaluation, or cache simulation.
     fn replay_op(
         &self,
         index: usize,
@@ -348,7 +350,7 @@ impl Profiler {
         entry: &Arc<OpCostEntry>,
         attention: Option<AttnCallInfo>,
     ) -> OpEvent {
-        let started = Instant::now();
+        let started = self.registry.span_capture().then(Instant::now);
         self.apply_replay_deltas(entry);
         for k in entry.records.iter() {
             self.kernel_time_us.observe(k.time_s * 1e6);
@@ -356,7 +358,9 @@ impl Profiler {
         if let Some(last) = entry.records.last() {
             self.power_w.set(last.draw_w);
         }
-        self.registry.record_span(Arc::clone(path), started, Arc::clone(&entry.visible));
+        if let Some(started) = started {
+            self.registry.record_span(Arc::clone(path), started, Arc::clone(&entry.visible));
+        }
         OpEvent {
             index,
             path: Arc::clone(path),
@@ -492,6 +496,7 @@ mod tests {
     #[test]
     fn op_events_carry_counter_deltas() {
         let registry = mmg_telemetry::Registry::new();
+        registry.set_span_capture(true);
         let t = Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Flash, &registry)
             .profile(&attn_graph());
         for ev in t.events() {

@@ -93,13 +93,26 @@ fn opt_from_seed(seed: u64) -> OptConfig {
     }
 }
 
+/// Profiles `g` on a fresh registry with span capture on, so the span
+/// comparison below has spans to compare.
 fn profile(
     g: &Graph,
     attn: AttnImpl,
     opt: OptConfig,
     memo: Option<Arc<CostMemo>>,
 ) -> (Timeline, Registry) {
+    profile_capturing(g, attn, opt, memo, true)
+}
+
+fn profile_capturing(
+    g: &Graph,
+    attn: AttnImpl,
+    opt: OptConfig,
+    memo: Option<Arc<CostMemo>>,
+    capture: bool,
+) -> (Timeline, Registry) {
     let registry = Registry::new();
+    registry.set_span_capture(capture);
     let mut p = Profiler::with_registry(DeviceSpec::a100_80gb(), attn, &registry)
         .with_cache_sim(4096)
         .with_opt_config(opt);
@@ -132,6 +145,7 @@ fn assert_identical(
     // Span attribution (durations are wall time and legitimately differ).
     let cold_s = cold_r.finished_spans();
     let memo_s = memo_r.finished_spans();
+    assert!(!cold_s.is_empty(), "{label}: no spans captured");
     assert_eq!(cold_s.len(), memo_s.len(), "{label}: span count");
     for (a, b) in cold_s.iter().zip(&memo_s) {
         assert_eq!(a.path, b.path, "{label}: span path");
@@ -171,6 +185,40 @@ proptest! {
             "warm run must be all hits"
         );
         assert_identical("warm", &cold, &warm);
+    }
+
+    /// Span capture changes nothing but the spans: with it off, the
+    /// memo-less and memoized profiles give the same events and registry
+    /// and keep no spans; with it on, cold and replayed ops alike leave
+    /// exactly one span each, carrying the event's path and deltas.
+    #[test]
+    fn span_capture_only_adds_one_span_per_event(
+        seeds in proptest::collection::vec(0u64..u64::MAX, 1..5),
+        flash in 0usize..2,
+        opt_seed in 0u64..48,
+    ) {
+        let attn = if flash == 1 { AttnImpl::Flash } else { AttnImpl::Baseline };
+        let opt = opt_from_seed(opt_seed);
+        let g = graph_of(&seeds);
+        let memo = Arc::new(CostMemo::new());
+        let (cold_t, cold_r) = profile_capturing(&g, attn, opt, None, false);
+        let (memo_t, memo_r) = profile_capturing(&g, attn, opt, Some(Arc::clone(&memo)), false);
+        prop_assert!(memo.hits() > 0, "the memoized run must replay");
+        prop_assert_eq!(cold_t.events(), memo_t.events());
+        prop_assert_eq!(cold_r.render_prometheus(), memo_r.render_prometheus());
+        prop_assert!(cold_r.finished_spans().is_empty(), "memo-less run kept spans");
+        prop_assert!(memo_r.finished_spans().is_empty(), "memoized run kept spans");
+
+        for memo in [None, Some(memo)] {
+            let (t, r) = profile_capturing(&g, attn, opt, memo, true);
+            prop_assert_eq!(t.events(), cold_t.events());
+            let spans = r.finished_spans();
+            prop_assert_eq!(spans.len(), t.events().len());
+            for (span, event) in spans.iter().zip(t.events()) {
+                prop_assert_eq!(&span.path, &event.path);
+                prop_assert_eq!(&span.counter_deltas, &event.counters);
+            }
+        }
     }
 
     /// Energy conservation, bit for bit: every op's joules are exactly

@@ -3,8 +3,10 @@
 //! A counting global allocator watches a fully warm pass over Llama2's
 //! stage graphs: every op is a memo hit whose counter handles are
 //! already resolved, so the pass may allocate per graph (the event
-//! vector) and when the registry's span list grows, but not per op. The
-//! file holds a single test so no other test thread shares the counter.
+//! vector) and, with span capture on, when the registry's span list
+//! grows, but not per op. The bound holds with capture off (the
+//! default) and on (JSON metrics runs). The file holds a single test so
+//! no other test thread shares the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,8 +50,15 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn warm_replay_allocates_less_than_once_per_four_ops() {
+    for capture in [false, true] {
+        warm_replay_allocations(capture);
+    }
+}
+
+fn warm_replay_allocations(capture: bool) {
     let pipeline = suite::build(ModelId::Llama2);
     let registry = Registry::new();
+    registry.set_span_capture(capture);
     let memo = Arc::new(CostMemo::new());
     let profiler = Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Flash, &registry)
         .with_memo(Arc::clone(&memo));
@@ -67,6 +76,6 @@ fn warm_replay_allocates_less_than_once_per_four_ops() {
     let per_op = allocs as f64 / ops as f64;
     assert!(
         per_op < 0.25,
-        "{allocs} allocations over {ops} replayed ops ({per_op:.2} per op)"
+        "span capture {capture}: {allocs} allocations over {ops} replayed ops ({per_op:.2} per op)"
     );
 }

@@ -9,14 +9,17 @@
 //! - **Spans** ([`Registry::record_span`]) record one finished scope
 //!   with its wall time and the *delta of every counter* over the scope,
 //!   so a trace row can say "this UNet block moved 3.1 MB through HBM and
-//!   hit L1 12 000 times".
+//!   hit L1 12 000 times". Span capture is off until
+//!   [`Registry::set_span_capture`] turns it on, so runs whose outputs
+//!   never read spans do not hold them.
 //! - **Exporters**: [`Registry::render_prometheus`] emits Prometheus
 //!   text exposition; [`Registry::snapshot_json`] emits a JSON snapshot
 //!   (counters, gauges, histogram quantiles, finished spans).
 //!
 //! A process-wide registry is available via [`global`]; experiment code
 //! that needs isolation (tests, parallel sweeps) creates its own
-//! [`Registry::new`] and uses the same handle API.
+//! [`Registry::new`], or a [`Registry::child`] of the registry it will
+//! be merged into, and uses the same handle API.
 
 #![deny(missing_docs)]
 
@@ -32,7 +35,7 @@ pub use sketch::QuantileSketch;
 pub use timeseries::{WindowValue, WindowedSeries};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -292,16 +295,37 @@ impl CounterSnapshot {
     /// zero; zero deltas are omitted.
     #[must_use]
     pub fn delta_since(&self, registry: &Registry) -> Vec<(String, u64)> {
-        let now = registry.counters_snapshot();
         let before: BTreeMap<&str, u64> =
             self.values.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        now.values
-            .into_iter()
-            .filter_map(|(name, after)| {
-                let delta = after - before.get(name.as_str()).copied().unwrap_or(0);
-                (delta > 0).then_some((name, delta))
-            })
-            .collect()
+        registry.deltas_since(|key, _| before.get(full_name(key).as_str()).copied().unwrap_or(0))
+    }
+}
+
+/// Name-free point-in-time view of every counter in a registry: each
+/// counter's cell and value, in name order. Taking one formats no
+/// names, and [`CounterMark::delta_since`] formats only the names of
+/// counters that moved, so per-op attribution on a registry with many
+/// counters takes this form rather than a [`CounterSnapshot`].
+#[derive(Debug, Clone)]
+pub struct CounterMark {
+    cells: Vec<(Arc<AtomicU64>, u64)>,
+}
+
+impl CounterMark {
+    /// Counter increments between this mark and the registry's current
+    /// state, exactly as [`CounterSnapshot::delta_since`] reports them.
+    #[must_use]
+    pub fn delta_since(&self, registry: &Registry) -> Vec<(String, u64)> {
+        // A registry never drops a counter, so the marked cells still
+        // appear in name order; any other cell was created since.
+        let mut marked = self.cells.iter().peekable();
+        registry.deltas_since(|_, cell| match marked.peek() {
+            Some((c, value)) if Arc::ptr_eq(c, cell) => {
+                marked.next();
+                *value
+            }
+            _ => 0,
+        })
     }
 }
 
@@ -315,6 +339,8 @@ struct Inner {
     gauges: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<Key, Arc<HistogramInner>>>,
     spans: Mutex<Vec<SpanRecord>>,
+    /// Whether [`Registry::record_span`] keeps spans.
+    capture_spans: AtomicBool,
     /// Metric family name → help text, rendered as `# HELP` lines.
     help: Mutex<BTreeMap<String, String>>,
     epoch: Instant,
@@ -333,19 +359,47 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry.
+    /// An empty registry, with span capture off and its epoch now.
     #[must_use]
     pub fn new() -> Self {
+        Registry::with_epoch(Instant::now(), false)
+    }
+
+    fn with_epoch(epoch: Instant, capture_spans: bool) -> Self {
         Registry {
             inner: Arc::new(Inner {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 spans: Mutex::new(Vec::new()),
+                capture_spans: AtomicBool::new(capture_spans),
                 help: Mutex::new(BTreeMap::new()),
-                epoch: Instant::now(),
+                epoch,
             }),
         }
+    }
+
+    /// An empty registry to be merged into this one with
+    /// [`Registry::merge_from`]: it shares this registry's epoch, so the
+    /// merged spans keep one time base, and takes this registry's
+    /// span-capture switch as it is now.
+    #[must_use]
+    pub fn child(&self) -> Registry {
+        Registry::with_epoch(self.inner.epoch, self.span_capture())
+    }
+
+    /// Turns span capture on or off. While it is off (the default),
+    /// [`Registry::record_span`] keeps nothing; turn it on only when an
+    /// output reads spans, such as [`Registry::snapshot_json`].
+    pub fn set_span_capture(&self, on: bool) {
+        self.inner.capture_spans.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether [`Registry::record_span`] keeps spans. Callers check it
+    /// before reading the clock for a span.
+    #[must_use]
+    pub fn span_capture(&self) -> bool {
+        self.inner.capture_spans.load(Ordering::Relaxed)
     }
 
     /// Gets or creates the unlabelled counter `name`.
@@ -426,13 +480,17 @@ impl Registry {
     /// `counter_deltas` (as [`CounterSnapshot::delta_since`] reports
     /// them) verbatim. `start_us` counts from this registry's epoch and
     /// `dur_us` is the time since `started`, so a span costs one clock
-    /// read here on top of the caller's `Instant::now()`.
+    /// read here on top of the caller's `Instant::now()`. Does nothing
+    /// while span capture is off.
     pub fn record_span(
         &self,
         path: Arc<str>,
         started: Instant,
         counter_deltas: Arc<Vec<(String, u64)>>,
     ) {
+        if !self.span_capture() {
+            return;
+        }
         let record = SpanRecord {
             path,
             start_us: started.saturating_duration_since(self.inner.epoch).as_secs_f64() * 1e6,
@@ -478,7 +536,9 @@ impl Registry {
     ///
     /// The worker-pool experiment engine runs each experiment on its own
     /// registry and merges them at join in experiment order, so totals
-    /// are byte-identical to a serial run.
+    /// are byte-identical to a serial run. A registry built only to be
+    /// merged should be a [`Registry::child`] of this one, so its spans
+    /// count from this registry's epoch.
     ///
     /// # Panics
     ///
@@ -557,7 +617,35 @@ impl Registry {
         }
     }
 
-    /// All spans finished so far, in completion order.
+    /// Point-in-time values of every counter, without their names: the
+    /// cheap form of [`Registry::counters_snapshot`] for attribution.
+    #[must_use]
+    pub fn counters_mark(&self) -> CounterMark {
+        let map = self.inner.counters.lock().expect("counter registry poisoned");
+        CounterMark {
+            cells: map.values().map(|v| (Arc::clone(v), v.load(Ordering::Relaxed))).collect(),
+        }
+    }
+
+    /// The delta rule of both snapshot forms: every counter, in name
+    /// order, whose current value exceeds `before`'s reading of it, as
+    /// `(full name, increment)`. Only those counters' names are
+    /// formatted.
+    fn deltas_since(
+        &self,
+        mut before: impl FnMut(&Key, &Arc<AtomicU64>) -> u64,
+    ) -> Vec<(String, u64)> {
+        let map = self.inner.counters.lock().expect("counter registry poisoned");
+        map.iter()
+            .filter_map(|(key, cell)| {
+                let delta = cell.load(Ordering::Relaxed) - before(key, cell);
+                (delta > 0).then(|| (full_name(key), delta))
+            })
+            .collect()
+    }
+
+    /// All spans finished so far while span capture was on, in
+    /// completion order.
     #[must_use]
     pub fn finished_spans(&self) -> Vec<SpanRecord> {
         self.inner.spans.lock().expect("span registry poisoned").clone()
@@ -669,7 +757,8 @@ impl Registry {
     }
 
     /// JSON snapshot: counter/gauge values, histogram summaries
-    /// (count/sum/mean/p50/p95/p99), and finished spans.
+    /// (count/sum/mean/p50/p95/p99), and finished spans (none unless
+    /// span capture was on while they ran).
     #[must_use]
     pub fn snapshot_json(&self) -> Value {
         let counters: Vec<(String, Value)> = {
@@ -746,6 +835,7 @@ fn fmt_f64(v: f64) -> String {
 
 /// The process-wide registry. All default instrumentation in the
 /// workspace records here; [`Registry::reset`] gives tests isolation.
+/// Like every [`Registry::new`], it starts with span capture off.
 #[must_use]
 pub fn global() -> Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -1028,6 +1118,7 @@ mod tests {
     #[test]
     fn record_span_appends_verbatim() {
         let r = Registry::new();
+        r.set_span_capture(true);
         let deltas = Arc::new(vec![("k".to_string(), 7)]);
         let started = Instant::now();
         let before_us = started.duration_since(r.inner.epoch).as_secs_f64() * 1e6;
@@ -1045,6 +1136,7 @@ mod tests {
     fn merge_from_adds_counters_and_appends_spans() {
         let a = Registry::new();
         let b = Registry::new();
+        b.set_span_capture(true);
         a.counter("shared_total").add(5);
         b.counter("shared_total").add(7);
         b.counter("only_b_total").add(1);
@@ -1057,6 +1149,61 @@ mod tests {
         assert_eq!(a.finished_spans().len(), 1);
         // b is untouched.
         assert_eq!(b.counter("shared_total").get(), 7);
+    }
+
+    #[test]
+    fn span_capture_is_off_until_turned_on() {
+        let r = Registry::new();
+        assert!(!r.span_capture());
+        r.record_span("dropped".into(), Instant::now(), Arc::new(vec![]));
+        assert!(r.finished_spans().is_empty());
+        r.set_span_capture(true);
+        r.record_span("kept".into(), Instant::now(), Arc::new(vec![]));
+        assert_eq!(r.finished_spans().len(), 1);
+    }
+
+    #[test]
+    fn child_shares_epoch_and_takes_capture_switch() {
+        let parent = Registry::new();
+        parent.counter("parent_only_total").inc();
+        assert!(!parent.child().span_capture());
+        parent.set_span_capture(true);
+        let child = parent.child();
+        assert!(child.span_capture());
+        assert_eq!(child.inner.epoch, parent.inner.epoch);
+        assert!(child.counters_snapshot().values().is_empty(), "a child starts empty");
+        // A span the child records counts from the parent's epoch.
+        let started = Instant::now();
+        child.record_span("cell".into(), started, Arc::new(vec![]));
+        parent.merge_from(&child);
+        let expect_us = started.duration_since(parent.inner.epoch).as_secs_f64() * 1e6;
+        assert_eq!(parent.finished_spans()[0].start_us, expect_us);
+    }
+
+    #[test]
+    fn counter_mark_deltas_match_snapshot_deltas() {
+        let r = Registry::new();
+        let a = r.counter("a");
+        r.counter_with("b", &[("kind", "gemm")]).add(4);
+        let _idle = r.counter("idle");
+        let (snap, mark) = (r.counters_snapshot(), r.counters_mark());
+        a.add(2);
+        r.counter_with("b", &[("kind", "gemm")]).inc();
+        // Created after the mark, sorting between marked counters.
+        r.counter("aa_late").inc();
+        let want = vec![
+            ("a".to_string(), 2),
+            ("aa_late".to_string(), 1),
+            ("b{kind=\"gemm\"}".to_string(), 1),
+        ];
+        assert_eq!(snap.delta_since(&r), want);
+        assert_eq!(mark.delta_since(&r), want);
+        // Another registry's mark knows none of these cells, so every
+        // counter counts from zero, as from an empty snapshot.
+        assert_eq!(
+            Registry::new().counters_mark().delta_since(&r),
+            CounterSnapshot { values: vec![] }.delta_since(&r)
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@ fn l1_hit_rate(registry: &Registry) -> f64 {
 #[test]
 fn sd_unet_profile_records_nonzero_l1_hit_rate() {
     let registry = Registry::new();
+    registry.set_span_capture(true);
     let pipeline = suite::build(ModelId::StableDiffusion);
     let stage = pipeline
         .stages
