@@ -21,15 +21,34 @@
 //!   Batch id-vectors are pooled too, and arrivals are pre-generated in
 //!   batches, so the steady-state event loop does no per-request
 //!   allocation.
-//! - All telemetry handles are resolved **once per run** — the event
-//!   loop pays one atomic op per observation, never a registry lookup.
+//! - All telemetry handles are resolved **once per run**, so the event
+//!   loop never does a registry lookup.
 //! - Aggregates stream into [`ServeStats`]: exact running sums plus
 //!   bounded-memory [`QuantileSketch`]es (rank error documented in
 //!   [`mmg_telemetry::sketch`]). Retaining every [`RequestRecord`] is
 //!   opt-in via [`ScenarioCfg::full_records`] (the CLI's
 //!   `--full-records`), which preserves the exact-quantile path.
+//! - The loop keeps the exact counts and sums, the exemplars, the full
+//!   records, the counters, the burn-rate engine and the flight recorder.
+//!   Every per-completion **fold** (the cluster and per-model latency
+//!   sketches, the `serve_wait_s`/`serve_latency_s` histograms and, with
+//!   attribution on, the phase sketches and `serve_phase_s` histograms)
+//!   goes through one completion sink instead. The loop appends a small
+//!   record per completion to a batch and hands the sink a batch of
+//!   4,096 at a time. The sink absorbs batches on the loop's thread for
+//!   the first 2^16 completions, so the many short runs of the
+//!   experiment suite stay single-threaded. After that, on a host with at
+//!   least two CPUs, batches go over a bounded channel to a scoped helper
+//!   thread that owns the folds until the run ends, and buffers return
+//!   to the loop for reuse. Each sketch and histogram sees the same values
+//!   in the same order either way, so the results do not depend on where
+//!   the folds ran. A panic on either thread ends the run and propagates
+//!   out of `simulate*`.
 
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::thread::{Scope, ScopedJoinHandle};
 
 use mmg_models::ModelId;
 use mmg_telemetry::burnrate::{
@@ -56,6 +75,17 @@ pub const LATENCY_SKETCH_EPS: f64 = 0.001;
 /// How many arrival timestamps are pre-generated per refill of the
 /// arrival buffer.
 const ARRIVAL_BATCH: usize = 64;
+
+/// Completions the event loop collects before it hands them to the
+/// completion sink as one batch.
+const SINK_BATCH: usize = 4096;
+
+/// Completions the sink absorbs on the event loop's thread before it may
+/// move its folds to a helper thread.
+const INLINE_COMPLETIONS: u64 = 1 << 16;
+
+/// Batches that may wait in the channel to the helper thread.
+const SINK_QUEUE_DEPTH: usize = 4;
 
 /// Ratcheting-queue-depth detector defaults (see
 /// [`mmg_telemetry::burnrate::RatchetDetector`]): consecutive growing
@@ -295,20 +325,38 @@ impl ScenarioCfg {
     ///
     /// # Errors
     ///
-    /// Zero GPUs, a horizon or mean arrival rate that is not positive
-    /// and finite, or more expected arrivals than
-    /// [`crate::MAX_EXPECTED_ARRIVALS`].
+    /// Zero GPUs; a horizon that is not positive, or is infinite without
+    /// a request cap; a mean arrival rate that is not positive and
+    /// finite; a static batcher's wait that is not finite; a patience
+    /// ([`ScenarioCfg::abandon_after_s`]) that is negative or not finite;
+    /// or more expected arrivals than [`crate::MAX_EXPECTED_ARRIVALS`].
     pub fn validate(&self) -> Result<(), String> {
         if self.gpus == 0 {
             return Err("need at least one GPU".into());
         }
         // Spelled to reject NaN too, which fails every comparison.
-        if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
-            return Err(format!("duration must be positive and finite, got {}", self.duration_s));
+        let capped = self.max_requests.is_some() && self.duration_s == f64::INFINITY;
+        if !(capped || self.duration_s.is_finite() && self.duration_s > 0.0) {
+            return Err(format!(
+                "duration must be positive and finite (or infinite with a request cap), got {}",
+                self.duration_s
+            ));
         }
         let rate = self.arrival.mean_rate_rps();
         if !(rate.is_finite() && rate > 0.0) {
             return Err(format!("arrival rate must be positive and finite, got {rate}"));
+        }
+        if let SchedulerKind::Static { wait_s, .. } = self.scheduler {
+            if !wait_s.is_finite() {
+                return Err(format!("static batching wait must be finite, got {wait_s}"));
+            }
+        }
+        if let Some(patience_s) = self.abandon_after_s {
+            if !(patience_s.is_finite() && patience_s >= 0.0) {
+                return Err(format!(
+                    "abandonment patience must be non-negative and finite, got {patience_s}"
+                ));
+            }
         }
         check_expected_arrivals(
             rate,
@@ -452,19 +500,19 @@ impl PhaseStats {
         }
     }
 
-    fn observe(&mut self, queue_s: f64, hold_s: f64, execute_s: f64) {
-        self.queue.observe(queue_s);
-        self.hold.observe(hold_s);
-        self.execute.observe(execute_s);
+    /// Adds one completion's phases to the exact sums; its sketch inserts
+    /// go through the completion sink.
+    fn add_sums(&mut self, [queue_s, hold_s, execute_s]: [f64; 3]) {
         self.queue_sum_s += queue_s;
         self.hold_sum_s += hold_s;
         self.execute_sum_s += execute_s;
     }
 
-    fn flush(&mut self) {
-        self.queue.flush();
-        self.hold.flush();
-        self.execute.flush();
+    /// Installs the sink's phase sketches.
+    fn set_sketches(&mut self, [queue, hold, execute]: [QuantileSketch; 3]) {
+        self.queue = queue;
+        self.hold = hold;
+        self.execute = execute;
     }
 
     /// Pools another run's attribution into this one (sketch merges add
@@ -824,11 +872,6 @@ struct ModelInfo<'a> {
     slo_delta_s: f64,
     requests_c: Counter,
     slo_miss_c: Counter,
-    wait_h: Histogram,
-    latency_h: Histogram,
-    /// `serve_phase_s{model,phase}` histograms (queue, hold, execute),
-    /// resolved only when attribution is on.
-    phase_h: Option<[Histogram; 3]>,
 }
 
 /// Online health state driven by the event loop: the burn-rate engine
@@ -888,6 +931,249 @@ impl HealthMonitor {
     }
 }
 
+/// One completion as the sink folds it.
+#[derive(Debug)]
+struct Done {
+    wait_s: f64,
+    latency_s: f64,
+    mix_idx: u32,
+}
+
+/// Completions in completion order, as the loop hands them to the sink.
+#[derive(Debug, Default)]
+struct Batch {
+    done: Vec<Done>,
+    /// Queue, hold and execute seconds of each completion, when
+    /// attribution is on; empty otherwise.
+    phases: Vec<[f64; 3]>,
+}
+
+impl Batch {
+    fn with_capacity(cap: usize, attrib: bool) -> Self {
+        Batch {
+            done: Vec::with_capacity(cap),
+            phases: Vec::with_capacity(if attrib { cap } else { 0 }),
+        }
+    }
+
+    /// An empty batch with this one's capacity.
+    fn empty_like(&self) -> Self {
+        Batch {
+            done: Vec::with_capacity(self.done.capacity()),
+            phases: Vec::with_capacity(self.phases.capacity()),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.done.clear();
+        self.phases.clear();
+    }
+}
+
+/// One model's fold targets.
+struct ModelFolds {
+    latency: QuantileSketch,
+    wait_h: Histogram,
+    latency_h: Histogram,
+    /// Phase sketches and `serve_phase_s{model,phase}` histograms (queue,
+    /// hold, execute), when attribution is on.
+    phases: Option<([QuantileSketch; 3], [Histogram; 3])>,
+}
+
+/// Everything a run folds completions into. Its histograms are the
+/// run's registry handles, which nothing else observes during the run,
+/// so whichever thread holds the folds is their lone writer.
+struct Folds {
+    latency: QuantileSketch,
+    /// Cluster-wide phase sketches, when attribution is on.
+    phases: Option<[QuantileSketch; 3]>,
+    /// By mix index.
+    per_model: Vec<ModelFolds>,
+}
+
+impl Folds {
+    fn new(cfg: &ScenarioCfg, registry: &Registry) -> Self {
+        let sketch = || QuantileSketch::new(LATENCY_SKETCH_EPS);
+        let per_model = cfg
+            .mix
+            .entries()
+            .iter()
+            .map(|(model, _)| {
+                let m = model_short_name(*model);
+                let hist = |name: &str, labels: &[(&str, &str)]| {
+                    registry.histogram_with(name, labels, &latency_buckets_s())
+                };
+                ModelFolds {
+                    latency: sketch(),
+                    wait_h: hist("serve_wait_s", &[("model", m)]),
+                    latency_h: hist("serve_latency_s", &[("model", m)]),
+                    phases: cfg.attrib.then(|| {
+                        let hists = ["queue", "hold", "execute"]
+                            .map(|phase| hist("serve_phase_s", &[("model", m), ("phase", phase)]));
+                        ([sketch(), sketch(), sketch()], hists)
+                    }),
+                }
+            })
+            .collect();
+        Folds {
+            latency: sketch(),
+            phases: cfg.attrib.then(|| [sketch(), sketch(), sketch()]),
+            per_model,
+        }
+    }
+
+    /// Folds a batch in. Each sketch and histogram sees its values in
+    /// completion order, as if they were observed one completion at a
+    /// time.
+    fn absorb(&mut self, batch: &Batch) {
+        for d in &batch.done {
+            let m = &mut self.per_model[d.mix_idx as usize];
+            m.wait_h.observe(d.wait_s);
+            m.latency_h.observe(d.latency_s);
+            m.latency.observe(d.latency_s);
+            self.latency.observe(d.latency_s);
+        }
+        if let Some(cluster) = self.phases.as_mut() {
+            for (d, ph) in batch.done.iter().zip(&batch.phases) {
+                let (sketches, hists) = self.per_model[d.mix_idx as usize]
+                    .phases
+                    .as_mut()
+                    .expect("attribution folds every model's phases");
+                for i in 0..3 {
+                    hists[i].observe(ph[i]);
+                    sketches[i].observe(ph[i]);
+                    cluster[i].observe(ph[i]);
+                }
+            }
+        }
+    }
+
+    /// Moves the flushed sketches into the run's stats.
+    fn into_stats(self, stats: &mut ServeStats) {
+        let flushed = |mut s: QuantileSketch| {
+            s.flush();
+            s
+        };
+        stats.latency_sketch = flushed(self.latency);
+        if let (Some(ph), Some(sketches)) = (stats.phases.as_mut(), self.phases) {
+            ph.set_sketches(sketches.map(flushed));
+        }
+        for (ms, mf) in stats.per_model.iter_mut().zip(self.per_model) {
+            ms.latency_sketch = flushed(mf.latency);
+            if let (Some(ph), Some((sketches, _))) = (ms.phases.as_mut(), mf.phases) {
+                ph.set_sketches(sketches.map(flushed));
+            }
+        }
+    }
+}
+
+/// The helper thread's side of the sink: folds batches until the loop
+/// hangs up, handing each emptied buffer back for reuse.
+fn fold_batches(mut folds: Folds, batches: Receiver<Batch>, spent: Sender<Batch>) -> Folds {
+    for mut batch in batches {
+        folds.absorb(&batch);
+        batch.clear();
+        // The loop stops taking buffers back once it has finished.
+        let _ = spent.send(batch);
+    }
+    folds
+}
+
+/// The helper thread and its two channels.
+struct Helper<'scope> {
+    batches: SyncSender<Batch>,
+    spent: Receiver<Batch>,
+    thread: ScopedJoinHandle<'scope, Folds>,
+}
+
+/// Where the event loop's completion batches are folded: inline until
+/// the run has completed `inline_limit` requests, then on a helper
+/// thread (see the module docs). Dropping the sink, as a panic on the
+/// loop's thread does, hangs up on the helper, which then ends.
+struct CompletionSink<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    /// The folds, while they are absorbed inline.
+    folds: Option<Folds>,
+    /// The helper thread, once it owns the folds.
+    helper: Option<Helper<'scope>>,
+    /// Completions handed to the sink so far.
+    seen: u64,
+    inline_limit: u64,
+    /// Whether the hand-off still depends on the host's CPU count.
+    check_cpus: bool,
+}
+
+impl<'scope, 'env> CompletionSink<'scope, 'env> {
+    /// A sink that hands off after `inline_limit` completions on any
+    /// host, or by the default rule when `None`.
+    fn new(scope: &'scope Scope<'scope, 'env>, folds: Folds, inline_limit: Option<u64>) -> Self {
+        CompletionSink {
+            scope,
+            folds: Some(folds),
+            helper: None,
+            seen: 0,
+            inline_limit: inline_limit.unwrap_or(INLINE_COMPLETIONS),
+            check_cpus: inline_limit.is_none(),
+        }
+    }
+
+    /// Whether the next batch should start the helper thread.
+    fn hand_off_now(&mut self) -> bool {
+        if self.seen < self.inline_limit {
+            return false;
+        }
+        if std::mem::take(&mut self.check_cpus)
+            && std::thread::available_parallelism().map_or(1, NonZeroUsize::get) < 2
+        {
+            self.inline_limit = u64::MAX;
+            return false;
+        }
+        true
+    }
+
+    /// Takes the loop's full batch, leaving it an empty one to refill.
+    fn absorb(&mut self, batch: &mut Batch) {
+        if self.helper.is_none() && self.hand_off_now() {
+            let folds = self.folds.take().expect("inline folds until the hand-off");
+            let (batches, to_fold) = sync_channel(SINK_QUEUE_DEPTH);
+            let (give_back, spent) = channel();
+            let thread = self.scope.spawn(move || fold_batches(folds, to_fold, give_back));
+            self.helper = Some(Helper { batches, spent, thread });
+        }
+        self.seen += batch.done.len() as u64;
+        if let Some(folds) = self.folds.as_mut() {
+            folds.absorb(batch);
+            batch.clear();
+            return;
+        }
+        let helper = self.helper.as_mut().expect("the helper owns the folds");
+        let refill = helper.spent.try_recv().unwrap_or_else(|_| batch.empty_like());
+        if helper.batches.send(std::mem::replace(batch, refill)).is_err() {
+            // The helper hangs up early only by panicking: re-raise that here.
+            let thread = self.helper.take().expect("checked above").thread;
+            let panic = thread.join().err().expect("the helper stops early only by panicking");
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// Folds the last, partial batch and returns the folds, joining the
+    /// helper thread if one ran.
+    fn finish(mut self, batch: &mut Batch) -> Folds {
+        let Some(helper) = self.helper.take() else {
+            let mut folds = self.folds.take().expect("no helper, so the folds are inline");
+            folds.absorb(batch);
+            return folds;
+        };
+        let Helper { batches, thread, .. } = helper;
+        if !batch.done.is_empty() {
+            // A send fails only if the helper panicked; the join re-raises it.
+            let _ = batches.send(std::mem::take(batch));
+        }
+        drop(batches);
+        thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
 struct Sim<'a> {
     cfg: &'a ScenarioCfg,
     queue: EventQueue<Event>,
@@ -914,6 +1200,8 @@ struct Sim<'a> {
     abandoned_wait_s: f64,
     records: Vec<RequestRecord>,
     stats: ServeStats,
+    /// Completions not yet handed to the completion sink.
+    to_fold: Batch,
     batch_h: Histogram,
     drops_c: Counter,
     abandons_c: Counter,
@@ -1278,24 +1566,24 @@ impl<'a> Sim<'a> {
             let wait_s = batch.start_s - arrival_s;
             let latency_s = batch.finish_s - arrival_s;
             let on_time = batch.finish_s <= deadline_s;
-            let execute_s = conserving_execute_s(queue_s, hold_s, latency_s);
+            // Needed only by attribution, a retained exemplar or a record.
+            let execute_s = || conserving_execute_s(queue_s, hold_s, latency_s);
 
-            let info = &self.per_model[mix_idx];
-            info.wait_h.observe(wait_s);
-            info.latency_h.observe(latency_s);
             if !on_time {
-                info.slo_miss_c.inc();
-            }
-            if let Some(ph) = info.phase_h.as_ref() {
-                ph[0].observe(queue_s);
-                ph[1].observe(hold_s);
-                ph[2].observe(execute_s);
+                self.per_model[mix_idx].slo_miss_c.inc();
             }
             if let Some(hm) = self.health.as_mut() {
                 hm.engine.record(batch.finish_s, on_time);
             }
 
+            self.to_fold.done.push(Done { wait_s, latency_s, mix_idx: mix_idx as u32 });
             let ms = &mut self.stats.per_model[mix_idx];
+            if let Some(ph) = ms.phases.as_mut() {
+                let phases = [queue_s, hold_s, execute_s()];
+                ph.add_sums(phases);
+                self.stats.phases.as_mut().expect("attribution is on").add_sums(phases);
+                self.to_fold.phases.push(phases);
+            }
             if ms.first_done_seq == u64::MAX {
                 ms.first_done_seq = self.stats.completed;
             }
@@ -1304,19 +1592,11 @@ impl<'a> Sim<'a> {
             ms.wait_sum_s += wait_s;
             ms.latency_sum_s += latency_s;
             ms.batch_sum += size as u64;
-            ms.latency_sketch.observe(latency_s);
-            if let Some(ph) = ms.phases.as_mut() {
-                ph.observe(queue_s, hold_s, execute_s);
-            }
             self.stats.completed += 1;
             self.stats.on_time += u64::from(on_time);
             self.stats.wait_sum_s += wait_s;
             self.stats.latency_sum_s += latency_s;
             self.stats.batch_sum += size as u64;
-            self.stats.latency_sketch.observe(latency_s);
-            if let Some(ph) = self.stats.phases.as_mut() {
-                ph.observe(queue_s, hold_s, execute_s);
-            }
             self.stats.exemplars.observe(latency_s, arrival_id, || RequestRecord {
                 id: arrival_id,
                 model,
@@ -1329,7 +1609,7 @@ impl<'a> Sim<'a> {
                 depth_at_arrival,
                 queue_s,
                 hold_s,
-                execute_s,
+                execute_s: execute_s(),
             });
             if let Some(fl) = self.flight.as_mut() {
                 fl.on_complete(batch.finish_s, latency_s, on_time);
@@ -1348,7 +1628,7 @@ impl<'a> Sim<'a> {
                     depth_at_arrival,
                     queue_s,
                     hold_s,
-                    execute_s,
+                    execute_s: execute_s(),
                 });
             }
         }
@@ -1397,11 +1677,12 @@ impl<'a> Sim<'a> {
 ///
 /// # Panics
 ///
-/// Panics if the scenario has no GPUs or references a model the profile
-/// has no curve for.
+/// Panics with the message of [`ScenarioCfg::validate`] if the scenario
+/// fails it, or if the scenario references a model the profile has no
+/// curve for.
 #[must_use]
 pub fn simulate(cfg: &ScenarioCfg, profile: &ServiceProfile, registry: &Registry) -> SimResult {
-    let (result, _flight) = run(cfg, profile, registry, None, None);
+    let (result, _flight) = run(cfg, profile, registry, None, None, None);
     result
 }
 
@@ -1423,7 +1704,7 @@ pub fn simulate_stream(
     registry: &Registry,
     source: &mut dyn ArrivalSource,
 ) -> SimResult {
-    let (result, _flight) = run(cfg, profile, registry, None, Some(source));
+    let (result, _flight) = run(cfg, profile, registry, None, Some(source), None);
     result
 }
 
@@ -1444,20 +1725,25 @@ pub fn simulate_recorded(
     registry: &Registry,
     flight_cfg: FlightCfg,
 ) -> (SimResult, FlightRecorder) {
-    let (result, flight) =
-        run(cfg, profile, registry, Some(FlightRecorder::new(flight_cfg, cfg.gpus)), None);
+    let recorder = FlightRecorder::new(flight_cfg, cfg.gpus);
+    let (result, flight) = run(cfg, profile, registry, Some(recorder), None, None);
     (result, flight.expect("recorder threaded through the run"))
 }
 
+/// Runs a scenario. The completion sink moves to a helper thread after
+/// `inline_limit` completions on any host, or by the default rule (see
+/// the module docs) when it is `None`.
 fn run<'a>(
     cfg: &'a ScenarioCfg,
     profile: &'a ServiceProfile,
     registry: &Registry,
     flight: Option<FlightRecorder>,
     source: Option<&'a mut dyn ArrivalSource>,
+    inline_limit: Option<u64>,
 ) -> (SimResult, Option<FlightRecorder>) {
-    assert!(cfg.gpus >= 1, "need at least one GPU");
-    assert!(cfg.duration_s > 0.0, "duration must be positive");
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
     for model in cfg.mix.models() {
         assert!(profile.curve(model).is_some(), "no service curve for {model}");
     }
@@ -1480,22 +1766,10 @@ fn run<'a>(
                 slo_delta_s: cfg.slo.slo_s(curve),
                 requests_c: registry.counter_with("serve_requests_total", &labels),
                 slo_miss_c: registry.counter_with("serve_slo_miss_total", &labels),
-                wait_h: registry.histogram_with("serve_wait_s", &labels, &latency_buckets_s()),
-                latency_h: registry
-                    .histogram_with("serve_latency_s", &labels, &latency_buckets_s()),
-                phase_h: cfg.attrib.then(|| {
-                    let m = model_short_name(*model);
-                    ["queue", "hold", "execute"].map(|phase| {
-                        registry.histogram_with(
-                            "serve_phase_s",
-                            &[("model", m), ("phase", phase)],
-                            &latency_buckets_s(),
-                        )
-                    })
-                }),
             }
         })
         .collect();
+    let folds = Folds::new(cfg, registry);
 
     let mut sim = Sim {
         cfg,
@@ -1518,6 +1792,11 @@ fn run<'a>(
         abandoned_wait_s: 0.0,
         records: Vec::new(),
         stats: ServeStats::new(&cfg.mix, cfg.seed, cfg.exemplar_k, cfg.worst_n, cfg.attrib),
+        // A departure can push a whole launched batch past SINK_BATCH.
+        to_fold: Batch::with_capacity(
+            SINK_BATCH + cfg.scheduler.batch_cap().min(SINK_BATCH),
+            cfg.attrib,
+        ),
         batch_h: registry
             .histogram("serve_batch_size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
         drops_c: registry.counter("serve_drops_total"),
@@ -1543,44 +1822,54 @@ fn run<'a>(
         sim.queue.schedule(first, Event::Arrival);
     }
 
-    let mut any_events = false;
-    while let Some((t, event)) = sim.queue.pop() {
-        any_events = true;
-        // n(t) is constant between events; accumulate the occupancy
-        // integral before the state changes.
-        sim.area_requests_s += sim.in_system as f64 * (t - sim.last_event_s);
-        if let Some(fl) = sim.flight.as_mut() {
-            if t > sim.last_event_s {
-                fl.on_occupancy(sim.last_event_s, t, sim.in_system);
-            }
-        }
-        if let Some(hm) = sim.health.as_mut() {
-            if t > sim.last_event_s {
-                hm.on_span(sim.last_event_s, t, sim.in_system as f64);
-            }
-        }
-        sim.last_event_s = t;
-        if !sim.horizon_snapped && t >= cfg.duration_s {
-            sim.horizon_snapped = true;
-            sim.in_flight_at_horizon = sim.in_system;
-        }
-        match event {
-            Event::Arrival => {
-                sim.on_arrival();
-                let generated = sim.arrivals;
-                let more = cfg.max_requests.is_none_or(|cap| generated < cap);
-                if more {
-                    let next = sim.next_arrival();
-                    if next <= cfg.duration_s {
-                        sim.queue.schedule(next, Event::Arrival);
-                    }
+    let (any_events, folds) = std::thread::scope(|scope| {
+        let mut sink = CompletionSink::new(scope, folds, inline_limit);
+        let mut any_events = false;
+        while let Some((t, event)) = sim.queue.pop() {
+            any_events = true;
+            // n(t) is constant between events; accumulate the occupancy
+            // integral before the state changes.
+            sim.area_requests_s += sim.in_system as f64 * (t - sim.last_event_s);
+            if let Some(fl) = sim.flight.as_mut() {
+                if t > sim.last_event_s {
+                    fl.on_occupancy(sim.last_event_s, t, sim.in_system);
                 }
             }
-            Event::Depart { gpu } => sim.on_depart(gpu),
-            Event::Timeout { gpu } => sim.try_dispatch(gpu),
-            Event::Abandon { slot, gen } => sim.on_abandon(slot, gen),
+            if let Some(hm) = sim.health.as_mut() {
+                if t > sim.last_event_s {
+                    hm.on_span(sim.last_event_s, t, sim.in_system as f64);
+                }
+            }
+            sim.last_event_s = t;
+            if !sim.horizon_snapped && t >= cfg.duration_s {
+                sim.horizon_snapped = true;
+                sim.in_flight_at_horizon = sim.in_system;
+            }
+            match event {
+                Event::Arrival => {
+                    sim.on_arrival();
+                    let generated = sim.arrivals;
+                    let more = cfg.max_requests.is_none_or(|cap| generated < cap);
+                    if more {
+                        let next = sim.next_arrival();
+                        if next <= cfg.duration_s {
+                            sim.queue.schedule(next, Event::Arrival);
+                        }
+                    }
+                }
+                Event::Depart { gpu } => {
+                    sim.on_depart(gpu);
+                    if sim.to_fold.done.len() >= SINK_BATCH {
+                        sink.absorb(&mut sim.to_fold);
+                    }
+                }
+                Event::Timeout { gpu } => sim.try_dispatch(gpu),
+                Event::Abandon { slot, gen } => sim.on_abandon(slot, gen),
+            }
         }
-    }
+        (any_events, sink.finish(&mut sim.to_fold))
+    });
+    folds.into_stats(&mut sim.stats);
 
     // Gauges are instantaneous: setting them once after the loop leaves
     // the same final values as the per-event updates the slow path did.
@@ -1638,17 +1927,6 @@ fn run<'a>(
     });
 
     debug_assert_eq!(sim.in_system, 0, "drain left requests in the system");
-
-    sim.stats.latency_sketch.flush();
-    for ms in &mut sim.stats.per_model {
-        ms.latency_sketch.flush();
-        if let Some(ph) = ms.phases.as_mut() {
-            ph.flush();
-        }
-    }
-    if let Some(ph) = sim.stats.phases.as_mut() {
-        ph.flush();
-    }
 
     let health = sim.health.take().map(|mut hm| {
         hm.finish(end_s);
@@ -1781,6 +2059,40 @@ mod tests {
         assert!(err.starts_with("expected arrival count 2.000e14 exceeds"), "{err}");
         let capped = ScenarioCfg { max_requests: Some(1_000), ..flood };
         assert_eq!(capped.validate(), Ok(()));
+        // A request cap also bounds an endless horizon.
+        let endless = ScenarioCfg { duration_s: f64::INFINITY, ..capped };
+        assert_eq!(endless.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_refuses_a_static_wait_that_is_not_finite() {
+        let ok = scenario(SchedulerKind::Static { batch: 8, wait_s: 1.0 }, 2.0, 100.0);
+        assert_eq!(ok.validate(), Ok(()));
+        for wait_s in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
+            let cfg =
+                ScenarioCfg { scheduler: SchedulerKind::Static { batch: 8, wait_s }, ..ok.clone() };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("static batching wait must be finite"), "{wait_s}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_a_patience_that_is_negative_or_not_finite() {
+        let ok = ScenarioCfg { abandon_after_s: Some(0.0), ..scenario(SchedulerKind::Fifo, 2.0, 100.0) };
+        assert_eq!(ok.validate(), Ok(()));
+        for patience_s in [f64::NAN, f64::INFINITY, -1.0] {
+            let cfg = ScenarioCfg { abandon_after_s: Some(patience_s), ..ok.clone() };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("abandonment patience"), "{patience_s}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "abandonment patience must be non-negative and finite, got NaN")]
+    fn simulate_panics_with_the_validation_message() {
+        let cfg =
+            ScenarioCfg { abandon_after_s: Some(f64::NAN), ..scenario(SchedulerKind::Fifo, 2.0, 100.0) };
+        let _ = simulate(&cfg, &constant_profile(0.5), &Registry::new());
     }
 
     #[test]
@@ -2297,5 +2609,164 @@ mod tests {
             e.kind,
             crate::flight::SchedKind::Alert { .. } | crate::flight::SchedKind::Ratchet { .. }
         )));
+    }
+
+    /// A hand-off count that falls inside the fourth batch.
+    const MID_BATCH: u64 = 3 * SINK_BATCH as u64 + 1_000;
+
+    /// serve-stream's mix with batching curves: SD 1 s and Parti 4 s at
+    /// batch 1, so 0.8 load on 4 GPUs is 2 requests/s.
+    fn stream_mix_profile() -> ServiceProfile {
+        ServiceProfile::new(vec![
+            ServiceCurve::new(ModelId::StableDiffusion, vec![(1, 1.0), (4, 1.6), (16, 3.0)]),
+            ServiceCurve::new(ModelId::Parti, vec![(1, 4.0), (4, 4.4), (16, 5.5)]),
+        ])
+    }
+
+    fn stream_shape(scheduler: SchedulerKind, rate: f64) -> ScenarioCfg {
+        let mix = RequestMix::parse("sd:8,parti:2").expect("valid mix");
+        let mut cfg = ScenarioCfg::new(
+            4,
+            mix,
+            ArrivalProcess::poisson(rate),
+            scheduler,
+            SloSpec::ServiceMultiple(4.0),
+            80_000.0,
+            11,
+        );
+        cfg.max_requests = Some(100_000);
+        cfg.full_records = false;
+        cfg
+    }
+
+    /// An external arrival stream: Poisson times, every fifth request
+    /// for the mix's second model.
+    struct Feed {
+        gen: crate::workload::ArrivalGen,
+        t: f64,
+        n: u64,
+    }
+
+    impl ArrivalSource for Feed {
+        fn next_arrival(&mut self) -> Option<(f64, usize)> {
+            self.t = self.gen.next_after(self.t);
+            self.n += 1;
+            Some((self.t, usize::from(self.n.is_multiple_of(5))))
+        }
+    }
+
+    /// Runs `cfg` with the sink handing off after `inline_limit`
+    /// completions, fed by a [`Feed`] when `feed` is set: the result, its
+    /// report, its Prometheus dump and, when `recorded`, its recorder.
+    fn run_with_hand_off(
+        cfg: &ScenarioCfg,
+        profile: &ServiceProfile,
+        recorded: bool,
+        feed: bool,
+        inline_limit: u64,
+    ) -> (SimResult, String, String, Option<FlightRecorder>) {
+        let registry = Registry::new();
+        let flight =
+            recorded.then(|| FlightRecorder::new(FlightCfg::for_horizon(cfg.duration_s), cfg.gpus));
+        let mut source = feed.then(|| Feed {
+            gen: crate::workload::ArrivalGen::new(cfg.arrival, cfg.seed),
+            t: 0.0,
+            n: 0,
+        });
+        let source = source.as_mut().map(|f| f as &mut dyn ArrivalSource);
+        let (r, flight) = run(cfg, profile, &registry, flight, source, Some(inline_limit));
+        let report = crate::report::SloReport::from_result(&r).render();
+        (r, report, registry.render_prometheus(), flight)
+    }
+
+    /// Folding inline, on the helper thread from the first batch, or
+    /// switching inside a batch gives the same bytes.
+    fn assert_hand_off_is_invisible(cfg: &ScenarioCfg, recorded: bool, feed: bool) {
+        let profile = stream_mix_profile();
+        let inline = run_with_hand_off(cfg, &profile, recorded, feed, u64::MAX);
+        assert!(
+            inline.0.stats.completed > MID_BATCH + SINK_BATCH as u64,
+            "{} completions never reach the helper",
+            inline.0.stats.completed
+        );
+        for limit in [0, MID_BATCH] {
+            let moved = run_with_hand_off(cfg, &profile, recorded, feed, limit);
+            assert!(moved.0 == inline.0, "SimResult differs at hand-off {limit}");
+            assert_eq!(moved.1, inline.1, "report differs at hand-off {limit}");
+            assert_eq!(moved.2, inline.2, "Prometheus dump differs at hand-off {limit}");
+            assert!(moved.3 == inline.3, "flight recorder differs at hand-off {limit}");
+        }
+    }
+
+    #[test]
+    fn hand_off_is_invisible_on_the_stream_shape() {
+        let cfg = stream_shape(SchedulerKind::Dynamic { max_batch: 16 }, 2.0);
+        assert_hand_off_is_invisible(&cfg, false, false);
+    }
+
+    #[test]
+    fn hand_off_is_invisible_with_health() {
+        let cfg = stream_shape(SchedulerKind::Dynamic { max_batch: 16 }, 2.0).with_health(0.95);
+        assert_hand_off_is_invisible(&cfg, false, false);
+    }
+
+    #[test]
+    fn hand_off_is_invisible_under_overload() {
+        let mut cfg = stream_shape(SchedulerKind::Fifo, 3.0);
+        cfg.abandon_after_s = Some(12.0);
+        cfg.max_queue = Some(40);
+        let (r, ..) = run_with_hand_off(&cfg, &stream_mix_profile(), false, false, 0);
+        let (dropped, abandoned) = (r.dropped, r.abandoned);
+        assert!(dropped > 1_000 && abandoned > 1_000, "{dropped} dropped, {abandoned} abandoned");
+        assert_hand_off_is_invisible(&cfg, false, false);
+    }
+
+    #[test]
+    fn hand_off_is_invisible_when_recorded() {
+        let cfg = stream_shape(SchedulerKind::Dynamic { max_batch: 16 }, 2.0);
+        assert_hand_off_is_invisible(&cfg, true, false);
+    }
+
+    #[test]
+    fn hand_off_is_invisible_on_an_external_stream() {
+        let mut cfg = stream_shape(SchedulerKind::Static { batch: 4, wait_s: 0.5 }, 2.0);
+        cfg.attrib = true;
+        assert_hand_off_is_invisible(&cfg, false, true);
+    }
+
+    /// A panic on the loop's thread while the helper runs ends the run
+    /// with the loop's panic instead of hanging on the helper.
+    #[test]
+    #[should_panic(expected = "stream mix index out of range")]
+    fn a_loop_panic_with_the_helper_running_propagates() {
+        struct Broken(Feed);
+        impl ArrivalSource for Broken {
+            fn next_arrival(&mut self) -> Option<(f64, usize)> {
+                let (t, m) = self.0.next_arrival()?;
+                Some((t, if self.0.n > 20_000 { 9 } else { m }))
+            }
+        }
+        let cfg = stream_shape(SchedulerKind::Dynamic { max_batch: 16 }, 2.0);
+        let gen = crate::workload::ArrivalGen::new(cfg.arrival, 1);
+        let mut src = Broken(Feed { gen, t: 0.0, n: 0 });
+        let _ = run(&cfg, &stream_mix_profile(), &Registry::new(), None, Some(&mut src), Some(0));
+    }
+
+    /// A panic on the helper thread reaches the loop's thread.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_helper_panic_propagates() {
+        let cfg = stream_shape(SchedulerKind::Fifo, 2.0);
+        let folds = Folds::new(&cfg, &Registry::new());
+        std::thread::scope(|scope| {
+            let mut sink = CompletionSink::new(scope, folds, Some(0));
+            // Mix index 7 is out of range for a two-model mix.
+            let mut batch = Batch::with_capacity(4, false);
+            for _ in 0..2 * SINK_QUEUE_DEPTH + 2 {
+                batch.done.push(Done { wait_s: 0.0, latency_s: 1.0, mix_idx: 7 });
+                sink.absorb(&mut batch);
+            }
+            let _ = sink.finish(&mut batch);
+        });
     }
 }

@@ -27,9 +27,19 @@
 //! The summary is the classic GK tuple list `(v_i, g_i, delta_i)` kept
 //! sorted by value, with the invariant `g_i + delta_i <= 2 * eps_n`
 //! where `eps_n` is the current absolute error budget in ranks.  Inserts
-//! are buffered (up to `1/(2*eps)` values), then folded in with a single
-//! sorted merge pass followed by a compress sweep — the standard batched
-//! GK implementation, which keeps per-observation cost O(1) amortized.
+//! are buffered (up to `1/(2*eps)` values), then folded in — the
+//! standard batched GK implementation, which keeps per-observation cost
+//! O(1) amortized.
+//!
+//! A fold sorts the buffer by the integer key of `f64::total_cmp`, which
+//! is much faster than sorting floats through a comparator; equal keys
+//! are equal bits, so the unstable sort loses no order. It then makes
+//! **one sweep** that merges the sorted batch into the summary and
+//! compresses it as each tuple is placed. The sweep writes into a spare
+//! vector that swaps with the summary, so a fold allocates nothing once
+//! its buffers have grown to the summary's size. It produces exactly the
+//! tuples of the textbook two-step fold (merge every value, then
+//! compress the merged list), which the tests keep as a reference.
 
 /// One GK summary tuple: value, covered-rank weight `g`, and rank
 /// uncertainty `delta`.
@@ -52,6 +62,12 @@ pub struct QuantileSketch {
     err_ranks: f64,
     /// Summary tuples, ascending by `(v, insertion order)`.
     tuples: Vec<GkTuple>,
+    /// Spare summary storage a fold writes into before swapping it with
+    /// `tuples`. Empty between calls, like `keys`, so equality and clones
+    /// see only the summary.
+    spare: Vec<GkTuple>,
+    /// The sort keys of a fold's batch.
+    keys: Vec<i64>,
     /// Pending raw observations, folded in when `buffer_cap` is reached.
     buffer: Vec<f64>,
     /// Buffer capacity: `max(1, 1/(2*eps))`.
@@ -98,6 +114,8 @@ impl QuantileSketch {
             eps,
             err_ranks: 0.0,
             tuples: Vec::new(),
+            spare: Vec::new(),
+            keys: Vec::new(),
             buffer: Vec::with_capacity(buffer_cap),
             buffer_cap,
             count: 0,
@@ -197,44 +215,75 @@ impl QuantileSketch {
         if self.buffer.is_empty() {
             return;
         }
-        let mut batch = std::mem::take(&mut self.buffer);
-        batch.sort_by(f64::total_cmp);
-        let n_new = self.count + batch.len() as u64;
+        // Sorting integer keys is much faster than sorting by a comparator.
+        self.keys.extend(self.buffer.iter().map(|&v| total_order_key(v)));
+        self.keys.sort_unstable();
+        for (v, &k) in self.buffer.iter_mut().zip(&self.keys) {
+            *v = from_total_order_key(k);
+        }
+        self.keys.clear();
+        self.count += self.buffer.len() as u64;
         // Rank budget all new interior tuples are allowed to claim. Using
         // the post-batch count is safe: the invariant only has to hold
-        // against the *current* count at query time, which is >= n_new.
-        let budget = (2.0 * self.eps * n_new as f64).floor() as u64;
-        let delta_new = budget.saturating_sub(1);
+        // against the *current* count at query time, which is >= count.
+        let delta_new = ((2.0 * self.eps * self.count as f64).floor() as u64).saturating_sub(1);
+        let fresh = |v: f64| GkTuple { v, g: 1, delta: delta_new };
+        let budget = (2.0 * self.rank_error_ranks()).floor() as u64;
 
-        let old = std::mem::take(&mut self.tuples);
-        let mut merged = Vec::with_capacity(old.len() + batch.len());
+        std::mem::swap(&mut self.tuples, &mut self.spare);
+        let (old, batch, out) = (&self.spare[..], &self.buffer[..], &mut self.tuples);
+        // Merge order puts a batch value before every summary tuple it is
+        // strictly below and after the ones it ties. The first and last
+        // tuples in that order carry delta 0, so min and max stay exact,
+        // and are never merged away; each one comes off its own input.
+        let (first, old, batch) = if old.first().is_some_and(|t| batch[0].total_cmp(&t.v).is_ge()) {
+            (old[0], &old[1..], batch)
+        } else {
+            (fresh(batch[0]), old, &batch[1..])
+        };
+        out.push(GkTuple { delta: 0, ..first });
+        let last_is_old = match (old.last(), batch.last()) {
+            (Some(t), Some(v)) => v.total_cmp(&t.v).is_lt(),
+            (t, _) => t.is_some(),
+        };
+        let (last, old, batch) = match (last_is_old, old.split_last(), batch.split_last()) {
+            (true, Some((&t, old)), _) => (Some(t), old, batch),
+            (false, _, Some((&v, batch))) => (Some(fresh(v)), old, batch),
+            // The first tuple was the only one.
+            _ => (None, old, batch),
+        };
+        // Every tuple in between is placed and compressed in one pass:
+        // the pending tuple merges forward into the next one when their
+        // combined coverage still satisfies the GK invariant. The first
+        // tuple in between never merges into the exact-minimum sentinel.
+        let mut pending: Option<GkTuple> = None;
+        let mut place = |t: GkTuple| match pending.as_mut() {
+            Some(p) if p.g + t.g + t.delta <= budget => {
+                *p = GkTuple { v: t.v, g: p.g + t.g, delta: t.delta };
+            }
+            Some(p) => out.push(std::mem::replace(p, t)),
+            None => pending = Some(t),
+        };
         let mut bi = 0usize;
-        for t in old {
+        for &t in old {
             while bi < batch.len() && batch[bi].total_cmp(&t.v).is_lt() {
-                merged.push(GkTuple { v: batch[bi], g: 1, delta: delta_new });
+                place(fresh(batch[bi]));
                 bi += 1;
             }
-            merged.push(t);
+            place(t);
         }
-        while bi < batch.len() {
-            merged.push(GkTuple { v: batch[bi], g: 1, delta: delta_new });
-            bi += 1;
+        for &v in &batch[bi..] {
+            place(fresh(v));
         }
-        // First and last tuples must carry delta 0 so min/max stay exact.
-        if let Some(first) = merged.first_mut() {
-            first.delta = 0;
-        }
-        if let Some(last) = merged.last_mut() {
-            last.delta = 0;
-        }
-        self.tuples = merged;
-        self.count = n_new;
-        self.buffer = Vec::with_capacity(self.buffer_cap);
-        self.compress();
+        out.extend(pending);
+        out.extend(last.map(|t| GkTuple { delta: 0, ..t }));
+        self.spare.clear();
+        self.buffer.clear();
     }
 
     /// Merges neighbouring tuples whose combined span fits the error
     /// budget, keeping the summary at `O((1/eps) log(eps n))` tuples.
+    /// `merge` uses it; `flush` compresses in its own sweep.
     fn compress(&mut self) {
         if self.tuples.len() < 3 {
             return;
@@ -370,9 +419,157 @@ impl QuantileSketch {
     }
 }
 
+/// The order of `f64::total_cmp` as an integer: flipping the magnitude
+/// bits of negative values makes signed comparison of the bit patterns
+/// agree with `total_cmp`.
+fn total_order_key(v: f64) -> i64 {
+    flip_negative_magnitudes(v.to_bits() as i64)
+}
+
+/// The value whose [`total_order_key`] is `key`.
+fn from_total_order_key(key: i64) -> f64 {
+    f64::from_bits(flip_negative_magnitudes(key) as u64)
+}
+
+/// Flips every bit but the sign when the sign bit is set: its own
+/// inverse, since the sign bit decides the mask and stays as it is.
+fn flip_negative_magnitudes(bits: i64) -> i64 {
+    bits ^ ((((bits >> 63) as u64) >> 1) as i64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl QuantileSketch {
+        /// The textbook two-step fold that `flush` fuses: merge every
+        /// buffered value into a new summary, then compress that list.
+        fn flush_two_pass(&mut self) {
+            if self.buffer.is_empty() {
+                return;
+            }
+            let mut batch = std::mem::take(&mut self.buffer);
+            batch.sort_by(f64::total_cmp);
+            let n_new = self.count + batch.len() as u64;
+            let budget = (2.0 * self.eps * n_new as f64).floor() as u64;
+            let delta_new = budget.saturating_sub(1);
+
+            let old = std::mem::take(&mut self.tuples);
+            let mut merged = Vec::with_capacity(old.len() + batch.len());
+            let mut bi = 0usize;
+            for t in old {
+                while bi < batch.len() && batch[bi].total_cmp(&t.v).is_lt() {
+                    merged.push(GkTuple { v: batch[bi], g: 1, delta: delta_new });
+                    bi += 1;
+                }
+                merged.push(t);
+            }
+            while bi < batch.len() {
+                merged.push(GkTuple { v: batch[bi], g: 1, delta: delta_new });
+                bi += 1;
+            }
+            if let Some(first) = merged.first_mut() {
+                first.delta = 0;
+            }
+            if let Some(last) = merged.last_mut() {
+                last.delta = 0;
+            }
+            self.tuples = merged;
+            self.count = n_new;
+            self.buffer = Vec::with_capacity(self.buffer_cap);
+            self.compress();
+        }
+
+        /// `observe`, folding with the two-step reference.
+        fn observe_two_pass(&mut self, v: f64) {
+            self.sum += v;
+            if v < self.min {
+                self.min = v;
+            }
+            if v > self.max {
+                self.max = v;
+            }
+            self.buffer.push(v);
+            if self.buffer.len() >= self.buffer_cap {
+                self.flush_two_pass();
+            }
+        }
+
+        /// `merge`, with both sides folded by the two-step reference first
+        /// (`merge`'s own folds then find nothing buffered).
+        fn merge_two_pass(&mut self, other: &QuantileSketch) {
+            if other.is_empty() {
+                return;
+            }
+            let mut rhs = other.clone();
+            rhs.flush_two_pass();
+            self.flush_two_pass();
+            self.merge(&rhs);
+        }
+    }
+
+    /// A value for one proptest step: ties, signed zeros, negatives. A
+    /// tie-heavy stream draws from -2, -1, ±0, 1 and 2 only, so batches
+    /// often tie the summary's minimum and maximum too.
+    fn step_value(x: u64, tie_heavy: bool) -> f64 {
+        match x % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2..=4 => ((x >> 8) % 5) as f64 - 2.0,
+            _ if tie_heavy => ((x >> 8) % 5) as f64 - 2.0,
+            _ => ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 200.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+
+        /// The one-sweep fold leaves exactly the summary of the two-step
+        /// fold after every insert, explicit flush and merge.
+        #[test]
+        fn one_pass_fold_matches_the_two_step_fold(
+            eps_i in 0usize..4,
+            cap_i in 0usize..5,
+            ties in 0usize..2,
+            steps in proptest::collection::vec(0u64..u64::MAX, 1..2500),
+            side in proptest::collection::vec(0u64..u64::MAX, 0..700),
+        ) {
+            let eps = [0.001, 0.005, 0.01, 0.2][eps_i];
+            let make = || match [1, 2, 3, 0, 4096][cap_i] {
+                0 => QuantileSketch::new(eps),
+                cap => QuantileSketch::with_buffer_cap(eps, cap),
+            };
+            let value = |x: u64| step_value(x, ties == 1);
+            let (mut partner, mut partner_ref) = (make(), make());
+            for &x in &side {
+                partner.observe(value(x));
+                partner_ref.observe_two_pass(value(x));
+            }
+            prop_assert_eq!(&partner, &partner_ref);
+            let (mut s, mut r) = (make(), make());
+            for &x in &steps {
+                match x % 61 {
+                    0 => {
+                        s.flush();
+                        r.flush_two_pass();
+                    }
+                    1 => {
+                        s.merge(&partner);
+                        r.merge_two_pass(&partner_ref);
+                    }
+                    _ => {
+                        s.observe(value(x / 61));
+                        r.observe_two_pass(value(x / 61));
+                    }
+                }
+                prop_assert_eq!(&s, &r);
+            }
+            s.flush();
+            r.flush_two_pass();
+            prop_assert_eq!(&s, &r);
+        }
+    }
 
     /// Exact rank band of `v` in sorted data: (first index, last index).
     fn rank_band(sorted: &[f64], v: f64) -> (f64, f64) {
