@@ -104,28 +104,34 @@ fn serve_span_stream_matches_golden() {
     check_golden("serve_spans.txt", &got);
 }
 
+/// The token report and its Prometheus dump, pinned for the default
+/// worker count and for `--jobs 4`: the token DES is serial, so both
+/// runs must match the same goldens byte for byte. The 2 GiB budget
+/// puts the run into the preemption regime, so the eviction path is
+/// pinned too.
 #[test]
 fn token_report_and_metrics_match_golden() {
     let dir = std::env::temp_dir().join(format!("mmg-cli-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let prom = dir.join("token.prom");
-    let got = repro_ok(&[
-        "token",
-        "--util",
-        "0.9",
-        "--kv-budget",
-        "2",
-        "--duration-s",
-        "20",
-        "--seed",
-        "42",
-        "--metrics-out",
-        prom.to_str().expect("UTF-8 temp path"),
-    ]);
-    let metrics = std::fs::read_to_string(&prom).expect("metrics dump written");
+    let prom_arg = prom.to_str().expect("UTF-8 temp path");
+    let base = [
+        "token", "--util", "0.9", "--kv-budget", "2", "--duration-s", "20", "--seed", "42",
+        "--metrics-out", prom_arg,
+    ];
+    for jobs in [None, Some("4")] {
+        // A run that wrote no dump must not pass on the previous one's.
+        std::fs::remove_file(&prom).ok();
+        let mut args = base.to_vec();
+        if let Some(n) = jobs {
+            args.extend(["--jobs", n]);
+        }
+        let got = repro_ok(&args);
+        let metrics = std::fs::read_to_string(&prom).expect("metrics dump written");
+        check_golden("token.txt", &got);
+        check_golden("token.prom", &metrics);
+    }
     std::fs::remove_dir_all(&dir).ok();
-    check_golden("token.txt", &got);
-    check_golden("token.prom", &metrics);
 }
 
 #[test]

@@ -9,20 +9,17 @@
 //! 2. Time is `f64` seconds compared with [`f64::total_cmp`], so the
 //!    ordering is total even in the presence of rounding.
 //!
-//! Two implementations share that contract:
-//!
-//! - [`CalendarEventQueue`] — a Brown-style calendar queue with O(1)
-//!   amortized `schedule`/`pop`. Events hash into `floor(t / width)`
-//!   buckets; the pop cursor walks bucket "days", resizing the calendar
-//!   (bucket count and width) as the population doubles or collapses.
-//!   [`EventQueue`] aliases it: the serving fast path pushes tens of
-//!   millions of events through it.
-//! - [`HeapEventQueue`] — the original `BinaryHeap` kernel, kept as the
-//!   property-test oracle.
-//!
-//! Both expose the identical API and — by property test
-//! (`tests/proptest_queue.rs`) — the identical event-for-event pop
-//! sequence.
+//! [`EventQueue`] is a binary heap, O(log n) per operation in the
+//! number of *pending* events, and every engine keeps that number
+//! small: one arrival, at most one departure (cluster) or iteration
+//! boundary (token) per GPU, a batching hold timer per GPU, and one
+//! abandonment timer per request that arrived within the patience
+//! window when abandonment is on (`ScenarioCfg::abandon_after_s`, which
+//! no CLI flag or experiment sets). Without abandonment the heap stays
+//! a few levels deep however many events a run pushes through it, and
+//! it has no bucket width to fit to the spacing of event times. Its pop
+//! order is checked against a plain-list model in
+//! `tests/proptest_queue.rs`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -65,13 +62,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The queue implementation used by the simulator.
-pub type EventQueue<E> = CalendarEventQueue<E>;
-
-// ---------------------------------------------------------------------------
-// Binary-heap kernel (the oracle)
-// ---------------------------------------------------------------------------
-
 /// A deterministic event queue with a virtual clock, backed by a binary
 /// heap (O(log n) per operation).
 ///
@@ -79,23 +69,23 @@ pub type EventQueue<E> = CalendarEventQueue<E>;
 /// recently popped. Scheduling into the past is a logic error and
 /// panics.
 #[derive(Debug)]
-pub struct HeapEventQueue<E> {
+pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
     now_s: f64,
 }
 
-impl<E> Default for HeapEventQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        HeapEventQueue::new()
+        EventQueue::new()
     }
 }
 
-impl<E> HeapEventQueue<E> {
+impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     #[must_use]
     pub fn new() -> Self {
-        HeapEventQueue { heap: BinaryHeap::new(), seq: 0, now_s: 0.0 }
+        EventQueue { heap: BinaryHeap::new(), seq: 0, now_s: 0.0 }
     }
 
     /// Current virtual time, seconds.
@@ -144,242 +134,6 @@ impl<E> HeapEventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Calendar-queue kernel (the fast path)
-// ---------------------------------------------------------------------------
-
-/// Smallest calendar size; also the initial size.
-const MIN_BUCKETS: usize = 16;
-
-#[derive(Debug)]
-struct CalEntry<E> {
-    /// Virtual bucket `floor(time_s / width)` under the calendar's
-    /// *current* width — recomputed on every resize, and compared against
-    /// the pop cursor instead of re-deriving it from floats so cursor and
-    /// entries can never disagree about which "day" an event belongs to.
-    vb: u64,
-    time_s: f64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> CalEntry<E> {
-    /// Ascending event order: earlier time, then earlier sequence.
-    fn before(&self, other: &Self) -> bool {
-        self.time_s
-            .total_cmp(&other.time_s)
-            .then(self.seq.cmp(&other.seq))
-            .is_lt()
-    }
-}
-
-/// A deterministic event queue with a virtual clock, backed by a
-/// calendar queue (O(1) amortized `schedule`/`pop`).
-///
-/// Pop order is exactly `(time, insertion sequence)` — byte-for-byte the
-/// same sequence as [`HeapEventQueue`] — which the property suite in
-/// `tests/proptest_queue.rs` checks against the heap oracle under random
-/// schedules.
-///
-/// The clock only moves forward, to the timestamp of the event most
-/// recently popped. Scheduling into the past is a logic error and
-/// panics.
-#[derive(Debug)]
-pub struct CalendarEventQueue<E> {
-    /// `buckets[vb % nbuckets]`, each sorted *descending* by
-    /// `(time, seq)` so the next event to pop is a cheap `Vec::pop` off
-    /// the back.
-    buckets: Vec<Vec<CalEntry<E>>>,
-    /// `nbuckets - 1`; the bucket count is always a power of two.
-    mask: u64,
-    /// Seconds per bucket.
-    width: f64,
-    /// The virtual bucket the pop cursor is currently serving. Invariant:
-    /// no pending entry has `vb < cur_vb`.
-    cur_vb: u64,
-    len: usize,
-    seq: u64,
-    now_s: f64,
-}
-
-impl<E> Default for CalendarEventQueue<E> {
-    fn default() -> Self {
-        CalendarEventQueue::new()
-    }
-}
-
-impl<E> CalendarEventQueue<E> {
-    /// An empty queue with the clock at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        CalendarEventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: (MIN_BUCKETS - 1) as u64,
-            width: 1.0,
-            cur_vb: 0,
-            len: 0,
-            seq: 0,
-            now_s: 0.0,
-        }
-    }
-
-    /// Current virtual time, seconds.
-    #[must_use]
-    pub fn now_s(&self) -> f64 {
-        self.now_s
-    }
-
-    fn vb_of(&self, t: f64) -> u64 {
-        // f64-to-u64 `as` saturates, so +inf lands in the last virtual
-        // bucket instead of wrapping.
-        (t / self.width) as u64
-    }
-
-    /// Schedules `event` at absolute virtual time `at_s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at_s` is NaN or earlier than the current clock.
-    pub fn schedule(&mut self, at_s: f64, event: E) {
-        assert!(!at_s.is_nan(), "cannot schedule an event at NaN");
-        assert!(
-            at_s >= self.now_s,
-            "cannot schedule into the past: {at_s} < {}",
-            self.now_s
-        );
-        let entry = CalEntry {
-            vb: self.vb_of(at_s).max(self.cur_vb),
-            time_s: at_s,
-            seq: self.seq,
-            event,
-        };
-        self.seq += 1;
-        let bucket = &mut self.buckets[(entry.vb & self.mask) as usize];
-        // Descending order: the insertion point is after every entry that
-        // pops later than the new one.
-        let pos = bucket.partition_point(|e| entry.before(e));
-        bucket.insert(pos, entry);
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() {
-            self.resize();
-        }
-    }
-
-    /// Pops the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        let nbuckets = self.buckets.len();
-        let mut scanned = 0usize;
-        loop {
-            let bi = (self.cur_vb & self.mask) as usize;
-            let eligible = self
-                .buckets[bi]
-                .last()
-                .is_some_and(|e| e.vb == self.cur_vb);
-            if eligible {
-                let e = self.buckets[bi].pop().expect("eligible entry present");
-                self.len -= 1;
-                self.now_s = e.time_s;
-                if self.buckets.len() > MIN_BUCKETS && self.len * 8 < self.buckets.len() {
-                    self.resize();
-                }
-                return Some((e.time_s, e.event));
-            }
-            self.cur_vb = self.cur_vb.saturating_add(1);
-            scanned += 1;
-            if scanned > nbuckets {
-                // A whole calendar year was empty: the next event is far
-                // in the future. Jump the cursor straight to it instead
-                // of walking day by day.
-                self.cur_vb = self.min_entry_vb().expect("len > 0");
-                scanned = 0;
-            }
-        }
-    }
-
-    /// Virtual bucket of the globally earliest pending event.
-    fn min_entry_vb(&self) -> Option<u64> {
-        self.buckets
-            .iter()
-            .filter_map(|b| b.last())
-            .min_by(|a, b| a.time_s.total_cmp(&b.time_s).then(a.seq.cmp(&b.seq)))
-            .map(|e| e.vb)
-    }
-
-    /// Timestamp of the next event without popping it.
-    #[must_use]
-    pub fn peek_time_s(&self) -> Option<f64> {
-        self.buckets
-            .iter()
-            .filter_map(|b| b.last())
-            .min_by(|a, b| a.time_s.total_cmp(&b.time_s).then(a.seq.cmp(&b.seq)))
-            .map(|e| e.time_s)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Rebuilds the calendar for the current population: the bucket
-    /// count tracks `2 * len` (so steady-state buckets hold O(1) events)
-    /// and the width tracks the mean inter-event gap (so consecutive
-    /// events land in nearby buckets). O(n log n) per resize, amortized
-    /// O(1) per event because resizes happen on doublings/halvings.
-    fn resize(&mut self) {
-        let mut entries: Vec<CalEntry<E>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            entries.append(b);
-        }
-        debug_assert_eq!(entries.len(), self.len);
-
-        let nbuckets = (2 * self.len.max(1)).next_power_of_two().max(MIN_BUCKETS);
-        if nbuckets != self.buckets.len() {
-            self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-            self.mask = (nbuckets - 1) as u64;
-        }
-
-        if self.len >= 2 {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for e in &entries {
-                lo = lo.min(e.time_s);
-                hi = hi.max(e.time_s);
-            }
-            let span = hi - lo;
-            if span.is_finite() && span > 0.0 {
-                // Mean gap; clamped away from zero/denormal so `t/width`
-                // stays finite.
-                self.width = (span / self.len as f64).max(hi.abs() * 1e-12).max(1e-300);
-            }
-        }
-
-        // Sort descending once, then append in order: every bucket
-        // receives its entries already in descending pop order.
-        entries.sort_by(|a, b| {
-            b.time_s.total_cmp(&a.time_s).then(b.seq.cmp(&a.seq))
-        });
-        self.cur_vb = self.vb_of(self.now_s);
-        for mut e in entries {
-            e.vb = self.vb_of(e.time_s).max(self.cur_vb);
-            self.buckets[(e.vb & self.mask) as usize].push(e);
-        }
-        debug_assert!(
-            self.buckets.iter().all(|b| b.windows(2).all(|w| w[1].before(&w[0]))),
-            "buckets must stay sorted after resize"
-        );
     }
 }
 
@@ -480,46 +234,5 @@ mod tests {
         };
     }
 
-    queue_contract_tests!(calendar, CalendarEventQueue);
-    queue_contract_tests!(heap, HeapEventQueue);
-
-    /// A burst far in the future forces the cursor's sparse-jump path.
-    #[test]
-    fn calendar_jumps_over_empty_years() {
-        let mut q = CalendarEventQueue::new();
-        q.schedule(0.001, 0u32);
-        q.schedule(1.0e9, 1);
-        q.schedule(1.0e9, 2);
-        q.schedule(2.0e9, 3);
-        assert_eq!(q.pop(), Some((0.001, 0)));
-        assert_eq!(q.pop(), Some((1.0e9, 1)));
-        assert_eq!(q.pop(), Some((1.0e9, 2)));
-        assert_eq!(q.pop(), Some((2.0e9, 3)));
-        assert!(q.is_empty());
-    }
-
-    /// Growth and collapse across resize thresholds preserves order.
-    #[test]
-    fn calendar_resize_churn_preserves_order() {
-        let mut q = CalendarEventQueue::new();
-        for i in 0..5_000u64 {
-            // Deterministic scatter over [0, 500).
-            let t = (i.wrapping_mul(2654435761) % 500_000) as f64 / 1000.0;
-            q.schedule(t, i);
-        }
-        assert_eq!(q.len(), 5_000);
-        let mut prev_t = f64::NEG_INFINITY;
-        let mut prev_seq = 0u64;
-        let mut n = 0;
-        while let Some((t, seq)) = q.pop() {
-            assert!(
-                t > prev_t || (t == prev_t && seq > prev_seq) || n == 0,
-                "order violated at event {n}: ({t}, {seq}) after ({prev_t}, {prev_seq})"
-            );
-            prev_t = t;
-            prev_seq = seq;
-            n += 1;
-        }
-        assert_eq!(n, 5_000);
-    }
+    queue_contract_tests!(heap, EventQueue);
 }

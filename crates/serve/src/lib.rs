@@ -66,7 +66,7 @@ pub use flight::{
     BatchSpan, Exemplars, FlightCfg, FlightRecorder, SchedEvent, SchedKind, ServeWindow,
     CLUSTER_LANE, FLIGHT_SKETCH_EPS,
 };
-pub use des::{CalendarEventQueue, EventQueue, HeapEventQueue};
+pub use des::EventQueue;
 pub use kv::{KvAdmission, KvLedger, GIB};
 pub use profile::{kv_bytes_per_token, ServiceCurve, ServiceProfile, TokenServiceCurve};
 pub use report::{EnergyRow, EnergySection, ModelSlo, SloReport, TokenReport};

@@ -619,6 +619,43 @@ impl TokenServiceCurve {
     }
 }
 
+/// [`TokenServiceCurve::step_s`] with the batch axis read from a table.
+///
+/// Row `b - 1` holds `interp_batch` of every context row at batch `b`,
+/// the very values `step_s` computes, so a lookup is bit-identical to
+/// `step_s` and costs one context interpolation. Rows are filled on
+/// demand up to the largest batch asked for, so a huge batch cap
+/// allocates nothing until a batch that large runs.
+#[derive(Debug)]
+pub(crate) struct StepTable<'a> {
+    curve: &'a TokenServiceCurve,
+    /// `rows[(b - 1) * ctx_knots.len() + ci]`.
+    rows: Vec<f64>,
+}
+
+impl<'a> StepTable<'a> {
+    pub(crate) fn new(curve: &'a TokenServiceCurve) -> Self {
+        StepTable { curve, rows: Vec::new() }
+    }
+
+    /// Batches the table holds rows for.
+    pub(crate) fn batches(&self) -> usize {
+        self.rows.len() / self.curve.ctx_knots.len()
+    }
+
+    /// `curve.step_s(batch, ctx_tokens)`, bit for bit.
+    pub(crate) fn step_s(&mut self, batch: usize, ctx_tokens: f64) -> f64 {
+        assert!(batch > 0, "batch must be positive");
+        let c = self.curve;
+        let n = c.ctx_knots.len();
+        for b in self.batches() + 1..=batch {
+            self.rows.extend(c.step_s.iter().map(|row| interp_batch(&c.batch_knots, row, b)));
+        }
+        let row = &self.rows[(batch - 1) * n..batch * n];
+        interp_knots(n, |ci| c.ctx_knots[ci] as f64, |ci| row[ci], ctx_tokens)
+    }
+}
+
 /// Batch-axis read of one context row, matching [`ServiceCurve::batch_s`]:
 /// exact knots return the measured value bit-for-bit.
 fn interp_batch(knots: &[usize], row: &[f64], b: usize) -> f64 {
@@ -949,16 +986,27 @@ mod tests {
                 }
             }
             ctxs.extend([last + 0.5, last + 1.0, last * 1.5, last * 4.0 + 7.25]);
+            // The step table grows one batch at a time here and all at
+            // once on the first read of `jump`.
+            let mut table = StepTable::new(c);
+            let mut jump = StepTable::new(c);
             for batch in 1..=80 {
                 for &ctx in &ctxs {
+                    let want = reference::step_s(c, batch, ctx).to_bits();
+                    let m = c.model;
+                    let got = c.step_s(batch, ctx).to_bits();
+                    assert_eq!(got, want, "{m}: step_s({batch}, {ctx})");
+                    let got = table.step_s(batch, ctx).to_bits();
+                    assert_eq!(got, want, "{m}: table({batch}, {ctx})");
+                    let down = 81 - batch;
                     assert_eq!(
-                        c.step_s(batch, ctx).to_bits(),
-                        reference::step_s(c, batch, ctx).to_bits(),
-                        "{}: step_s({batch}, {ctx})",
-                        c.model
+                        jump.step_s(down, ctx).to_bits(),
+                        reference::step_s(c, down, ctx).to_bits(),
+                        "{m}: jump({down}, {ctx})"
                     );
                 }
             }
+            assert_eq!((table.batches(), jump.batches()), (80, 80));
             let top = c.prefill_s.last().map_or(0, |&(n, _)| n) + 1000;
             for to in 0..=top {
                 assert_eq!(

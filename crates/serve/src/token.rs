@@ -37,7 +37,7 @@ use crate::cluster::LATENCY_SKETCH_EPS;
 use crate::des::EventQueue;
 use crate::flight::{FlightCfg, FlightRecorder};
 use crate::kv::{KvAdmission, KvLedger};
-use crate::profile::TokenServiceCurve;
+use crate::profile::{StepTable, TokenServiceCurve};
 use crate::workload::{
     check_expected_arrivals, model_short_name, ArrivalGen, ArrivalProcess, LengthDist,
     LengthSampler,
@@ -191,10 +191,11 @@ impl TokenScenarioCfg {
     ///
     /// # Errors
     ///
-    /// Zero GPUs, a zero batch cap, a zero prefill chunk, a horizon or
-    /// mean arrival rate that is not positive and finite (an infinite
-    /// one never stops generating arrivals), more expected arrivals
-    /// than [`crate::MAX_EXPECTED_ARRIVALS`], or a non-AR model.
+    /// Zero GPUs, a zero batch cap, a zero prefill chunk, a prompt or
+    /// output length bound above `u32::MAX` tokens, a horizon or mean
+    /// arrival rate that is not positive and finite (an infinite one
+    /// never stops generating arrivals), more expected arrivals than
+    /// [`crate::MAX_EXPECTED_ARRIVALS`], or a non-AR model.
     pub fn validate(&self) -> Result<(), String> {
         if self.gpus == 0 {
             return Err("need at least one GPU".into());
@@ -204,6 +205,15 @@ impl TokenScenarioCfg {
         }
         if self.chunk_tokens == 0 {
             return Err("prefill chunk must be positive".into());
+        }
+        for (name, dist) in [("prompt", &self.prompt), ("output", &self.output)] {
+            if u32::try_from(dist.max).is_err() {
+                return Err(format!(
+                    "{name} length bound of {} tokens exceeds the {} a sequence can hold",
+                    dist.max,
+                    u32::MAX
+                ));
+            }
         }
         // Spelled to reject NaN too, which fails every comparison.
         if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
@@ -466,6 +476,7 @@ struct GpuState {
 struct TokenSim<'a> {
     cfg: &'a TokenScenarioCfg,
     curve: &'a TokenServiceCurve,
+    steps: StepTable<'a>,
     queue: EventQueue<Event>,
     gpus: Vec<GpuState>,
     slots: Vec<Seq>,
@@ -497,6 +508,7 @@ impl<'a> TokenSim<'a> {
         TokenSim {
             cfg,
             curve,
+            steps: StepTable::new(curve),
             queue: EventQueue::new(),
             gpus: (0..cfg.gpus)
                 .map(|_| GpuState {
@@ -524,20 +536,7 @@ impl<'a> TokenSim<'a> {
     }
 
     fn run(mut self, registry: &Registry) -> (TokenSimResult, Option<FlightRecorder>) {
-        let first = self.arrivals.next_after(0.0);
-        if first < self.cfg.duration_s && self.cfg.max_requests != Some(0) {
-            self.queue.schedule(first, Event::Arrival);
-        }
-        while let Some((t, ev)) = self.queue.pop() {
-            self.end_s = self.end_s.max(t);
-            match ev {
-                Event::Arrival => self.on_arrival(t),
-                Event::Step { gpu } => {
-                    self.gpus[gpu as usize].stepping = false;
-                    self.plan(gpu as usize, t);
-                }
-            }
-        }
+        self.drive();
         self.end_s = self.end_s.max(self.cfg.duration_s);
         self.stats.phases.flush();
         self.stats.preemptions = self.gpus.iter().map(|g| g.ledger.preemptions).sum();
@@ -556,6 +555,24 @@ impl<'a> TokenSim<'a> {
             end_s: self.end_s,
         };
         (result, self.flight)
+    }
+
+    /// Runs the event loop until the last sequence drains.
+    fn drive(&mut self) {
+        let first = self.arrivals.next_after(0.0);
+        if first < self.cfg.duration_s && self.cfg.max_requests != Some(0) {
+            self.queue.schedule(first, Event::Arrival);
+        }
+        while let Some((t, ev)) = self.queue.pop() {
+            self.end_s = self.end_s.max(t);
+            match ev {
+                Event::Arrival => self.on_arrival(t),
+                Event::Step { gpu } => {
+                    self.gpus[gpu as usize].stepping = false;
+                    self.plan(gpu as usize, t);
+                }
+            }
+        }
     }
 
     /// KV-resident tokens of a sequence's prompt (zero for models whose
@@ -644,16 +661,20 @@ impl<'a> TokenSim<'a> {
         // Plan the iteration's work; re-plan after every preemption
         // until the KV growth fits the budget.
         let bpt = self.curve.kv_bytes_per_token;
+        let tokens_per_step = self.curve.tokens_per_step as u32;
+        // No prompt is longer than `u32::MAX` tokens (`validate`), so a
+        // larger chunk plans exactly as an unbounded one.
+        let chunk = u32::try_from(self.cfg.chunk_tokens).unwrap_or(u32::MAX);
         loop {
             self.decode_members.clear();
             self.prefill_work.clear();
             let g = &self.gpus[gpu];
-            let mut prefill_budget = self.cfg.chunk_tokens as u32;
-            let prefill_pending = g.running.iter().any(|&s| {
-                let q = &self.slots[s as usize];
-                q.prefilled < q.prompt
-            });
-            let decode_allowed = !(self.cfg.priority == PhasePriority::Prefill && prefill_pending);
+            let mut prefill_budget = chunk;
+            let decode_allowed = self.cfg.priority == PhasePriority::Decode
+                || !g.running.iter().any(|&s| {
+                    let q = &self.slots[s as usize];
+                    q.prefilled < q.prompt
+                });
             let mut growth_tokens: u64 = 0;
             for &s in &g.running {
                 let q = &self.slots[s as usize];
@@ -666,8 +687,7 @@ impl<'a> TokenSim<'a> {
                     }
                 } else if decode_allowed && q.decoded < q.output {
                     self.decode_members.push(s);
-                    growth_tokens +=
-                        (self.curve.tokens_per_step as u32).min(q.output - q.decoded) as u64;
+                    growth_tokens += tokens_per_step.min(q.output - q.decoded) as u64;
                 }
             }
             if self.gpus[gpu].ledger.fits(growth_tokens * bpt) {
@@ -699,20 +719,21 @@ impl<'a> TokenSim<'a> {
             self.stats.prefilled_tokens += grown;
         }
         let n_decode = self.decode_members.len();
-        for i in 0..n_decode {
-            let s = self.decode_members[i];
-            let prompt_kv = self.prompt_kv_tokens_of(s);
+        let mut awaiting_first_token = false;
+        for &s in &self.decode_members {
             let q = &mut self.slots[s as usize];
+            let prompt_kv = if self.has_prompt_kv { q.prompt as u64 } else { 0 };
             ctx_sum += prompt_kv + q.decoded as u64;
-            let new = (self.curve.tokens_per_step as u32).min(q.output - q.decoded);
+            let new = tokens_per_step.min(q.output - q.decoded);
             q.decoded += new;
             q.resident_tokens += new as u64;
             growth_bytes += new as u64 * bpt;
             decode_tokens += new as u64;
+            awaiting_first_token |= q.first_token_s < 0.0;
         }
         if n_decode > 0 {
             let mean_ctx = ctx_sum as f64 / n_decode as f64;
-            iter_s += self.curve.step_s(n_decode, mean_ctx);
+            iter_s += self.steps.step_s(n_decode, mean_ctx);
             self.stats.decode_batch_sum += n_decode as u64;
             self.stats.decode_iterations += 1;
         }
@@ -737,11 +758,12 @@ impl<'a> TokenSim<'a> {
         let finish = now + iter_s;
         // First-token instants land at the end of the iteration that
         // produced them.
-        for i in 0..n_decode {
-            let s = self.decode_members[i];
-            let q = &mut self.slots[s as usize];
-            if q.first_token_s < 0.0 && q.decoded > 0 {
-                q.first_token_s = finish;
+        if awaiting_first_token {
+            for &s in &self.decode_members {
+                let q = &mut self.slots[s as usize];
+                if q.first_token_s < 0.0 && q.decoded > 0 {
+                    q.first_token_s = finish;
+                }
             }
         }
         let g = &mut self.gpus[gpu];
@@ -765,14 +787,6 @@ impl<'a> TokenSim<'a> {
             );
         }
         self.queue.schedule(finish, Event::Step { gpu: gpu as u32 });
-    }
-
-    fn prompt_kv_tokens_of(&self, slot: u32) -> u64 {
-        if self.has_prompt_kv {
-            self.slots[slot as usize].prompt as u64
-        } else {
-            0
-        }
     }
 
     fn retire(&mut self, gpu: usize, now: f64) {
@@ -1252,6 +1266,58 @@ pub(crate) mod tests {
         assert_eq!(at.stats.completed, at.stats.arrivals);
         let below = simulate_token(&smallest, &curve, floor - 1, &Registry::new());
         assert_eq!(below.stats.dropped_oversized, below.stats.arrivals);
+    }
+
+    #[test]
+    fn a_chunk_past_u32_max_plans_as_an_unbounded_one() {
+        let mut cfg = base_cfg(TokenBatching::Continuous { max_batch: 16 }, 4);
+        cfg.duration_s = 10.0;
+        let run = |chunk_tokens: usize| {
+            let cfg = TokenScenarioCfg { chunk_tokens, ..cfg.clone() };
+            let registry = Registry::new();
+            let r = simulate_token(&cfg, &toy_curve(), AMPLE, &registry);
+            assert!(r.stats.completed > 0, "chunk {chunk_tokens}: nothing completed");
+            assert_eq!(r.stats.completed + r.stats.dropped_oversized, r.stats.arrivals);
+            crate::report::TokenReport::from_result(&r).render() + &registry.render_prometheus()
+        };
+        assert_eq!(run(1 << 32), run(u32::MAX as usize));
+    }
+
+    #[test]
+    fn validate_refuses_lengths_a_sequence_cannot_hold() {
+        let ok = base_cfg(TokenBatching::Continuous { max_batch: 16 }, 1);
+        let widest = LengthDist::new(512.0, 0.3, 16, u32::MAX as usize);
+        let too_wide = LengthDist { max: u32::MAX as usize + 1, ..widest };
+        let cfg = TokenScenarioCfg { prompt: widest, output: widest, ..ok.clone() };
+        assert_eq!(cfg.validate(), Ok(()));
+        for (cfg, name) in [
+            (TokenScenarioCfg { prompt: too_wide, ..ok.clone() }, "prompt"),
+            (TokenScenarioCfg { output: too_wide, ..ok }, "output"),
+        ] {
+            let err = cfg.validate().unwrap_err();
+            assert!(err.starts_with(name) && err.contains("4294967296 tokens"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_huge_batch_cap_sizes_the_step_table_by_the_batches_launched() {
+        let cfg = base_cfg(TokenBatching::Continuous { max_batch: 1 << 40 }, 19);
+        let curve = toy_curve();
+        let reg = Registry::new();
+        let flight_cfg = FlightCfg { max_batches: usize::MAX, ..FlightCfg::for_horizon(60.0) };
+        let recorder = FlightRecorder::new(flight_cfg, cfg.gpus);
+        let mut sim = TokenSim::new(&cfg, &curve, AMPLE, &reg, Some(recorder));
+        sim.drive();
+        assert!(sim.stats.completed > 500);
+        assert_eq!(sim.stats.completed + sim.stats.dropped_oversized, sim.stats.arrivals);
+        let flight = sim.flight.as_ref().expect("recorder attached");
+        assert_eq!(flight.batches_dropped, 0);
+        let largest = flight.batches.iter().map(|b| b.batch as usize).max().expect("launches");
+        assert!(
+            (1..=largest).contains(&sim.steps.batches()),
+            "table holds {} batches; the largest launch had {largest} sequences",
+            sim.steps.batches()
+        );
     }
 
     #[test]

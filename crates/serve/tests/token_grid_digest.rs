@@ -77,7 +77,10 @@ fn digests() -> (String, u64) {
     let mut lines = String::new();
     let mut prompt_preemptions = 0;
     for curve in &curves {
-        for batching in [TokenBatching::Static { batch: CAP }, TokenBatching::Continuous { max_batch: CAP }] {
+        for batching in [
+            TokenBatching::Static { batch: CAP },
+            TokenBatching::Continuous { max_batch: CAP },
+        ] {
             for priority in [PhasePriority::Decode, PhasePriority::Prefill] {
                 for admission in [KvAdmission::Prompt, KvAdmission::Reserve] {
                     let (cfg, budget) = scenario(curve, batching, priority, admission);
@@ -97,7 +100,8 @@ fn digests() -> (String, u64) {
                     } else {
                         assert_eq!(r.preemptions(), 0, "reserve admission cannot preempt");
                     }
-                    let text = TokenReport::from_result(&r).render() + &registry.render_prometheus();
+                    let text =
+                        TokenReport::from_result(&r).render() + &registry.render_prometheus();
                     lines.push_str(&format!(
                         "{} {} {} {} {:016x}\n",
                         r.scheduler,
@@ -110,7 +114,10 @@ fn digests() -> (String, u64) {
             }
         }
     }
-    assert_eq!(prompt_preemptions, 12, "every prompt-admission run must preempt");
+    assert_eq!(
+        prompt_preemptions, 12,
+        "every prompt-admission run must preempt"
+    );
     let (cfg, budget) = scenario(
         &curves[0],
         TokenBatching::Continuous { max_batch: CAP },
