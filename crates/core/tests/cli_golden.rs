@@ -57,6 +57,15 @@ fn serve_attributed_report_matches_golden() {
     check_golden("serve_attrib.txt", &got);
 }
 
+/// The exact-quantile report: with every record retained, p95/p99 come
+/// from the sorted latencies rather than the sketches, alongside the
+/// worst-latency exemplars and the energy section.
+#[test]
+fn serve_full_records_report_matches_golden() {
+    let got = repro_ok(&["serve", "--full-records", "--scheduler", "static", "--seed", "7"]);
+    check_golden("serve_full_records.txt", &got);
+}
+
 /// 64-bit FNV-1a: a stable digest that does not depend on the
 /// standard library's hasher.
 fn fnv1a(bytes: &[u8]) -> u64 {
