@@ -33,7 +33,7 @@
 //! series) and `--trace-out` the Perfetto flight-recorder
 //! trace (per-GPU batch lanes, scheduler instants, counter tracks). One
 //! seed fixes the whole sample path, so stdout — and the flight trace —
-//! is byte-identical across runs, machines, and job counts.
+//! is byte-identical across runs and machines.
 //!
 //! By default `serve` runs in streaming mode: constant memory no matter
 //! how many requests are simulated, with report quantiles from a
@@ -52,7 +52,7 @@
 //! `--prompt-len` / `--output-len` are median tokens, and `--kv-budget`
 //! is GiB per GPU (default HBM − weights). Prints the TTFT/TPOT phase
 //! table, the per-GPU KV table, and the goodput line; stdout and the
-//! metrics dump are byte-identical for every `--jobs` value.
+//! metrics dump are byte-identical across runs.
 //!
 //! Experiments run on a worker pool (`--jobs`); outputs are printed and
 //! telemetry merged in experiment order, so stdout and counter totals
@@ -64,8 +64,8 @@
 //! run-manifest JSON line: the simulated device, the experiments
 //! executed, and final telemetry counter totals. The line is printed
 //! to stdout and is deterministic — the wall-clock `elapsed_s` goes to
-//! stderr on its own, so byte-comparing two runs' stdout (CI's `--jobs`
-//! determinism gate) is a plain `cmp`. With `--manifest <path>` the
+//! stderr on its own, so byte-comparing two runs' stdout (the `--jobs`
+//! determinism tests) is a plain string compare. With `--manifest <path>` the
 //! manifest is written to the file instead, with `elapsed_s` included.
 
 use std::process::ExitCode;
@@ -200,9 +200,6 @@ const SERVE: Cmd = Cmd {
         ("--seed", Seed, "n"),
         ("--metrics-out", Text, "path"),
         ("--trace-out", Text, "path"),
-        // The scenario DES is serial; `--jobs` is checked but unused so
-        // determinism harnesses can show the output ignores it.
-        ("--jobs", Count, "n"),
         ("--full-records", Switch, ""),
         ("--attrib", Switch, ""),
     ],
@@ -252,8 +249,6 @@ const TOKEN: Cmd = Cmd {
         ("--seed", Seed, "n"),
         ("--metrics-out", Text, "path"),
         ("--trace-out", Text, "path"),
-        // Checked but unused, as for `serve`: the token DES is serial.
-        ("--jobs", Count, "n"),
     ],
 };
 
@@ -548,8 +543,7 @@ fn serve_main(args: &[String]) -> Result<(), String> {
 /// Runs one token-level (iteration-granularity) serving scenario on the
 /// `mmg-serve::token` engine and prints the TTFT/TPOT/KV report.
 /// Deterministic: one seed fixes the sample path, so stdout — and the
-/// `--metrics-out` dump — is byte-identical across invocations and
-/// `--jobs` values.
+/// `--metrics-out` dump — is byte-identical across invocations.
 fn token_main(args: &[String]) -> Result<(), String> {
     use mmg_serve::{
         parse_model, simulate_token, simulate_token_recorded, ArrivalProcess, FlightCfg,
@@ -904,8 +898,8 @@ fn main() -> ExitCode {
 }
 
 /// Emits the end-of-run manifest. Default: the deterministic form (no
-/// wall clock) on stdout — byte-identical for every `--jobs`, so CI's
-/// determinism gates compare with plain `cmp` — and `elapsed_s` alone
+/// wall clock) on stdout — byte-identical for every `--jobs`, so the
+/// determinism tests compare it as a plain string — and `elapsed_s` alone
 /// on stderr. With `--manifest <path>`, the full manifest (wall clock
 /// included) goes to the file and nothing extra is printed.
 fn emit_manifest(

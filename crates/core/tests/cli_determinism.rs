@@ -1,6 +1,7 @@
 //! End-to-end determinism of the `repro` binary: serial runs are
 //! repeatable, and a parallel (`--jobs`) run produces byte-identical
-//! stdout — the worker pool must not change what the user sees.
+//! stdout and metrics dumps — the worker pool must not change what the
+//! user sees.
 
 use std::process::Command;
 
@@ -45,6 +46,37 @@ fn json_mode_is_deterministic_across_job_counts() {
         let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON envelope");
         assert!(v.get("experiment").is_some() && v.get("result").is_some());
     }
+}
+
+/// `optimize` profiles every family under every pass combination and
+/// `energy` adds the power regimes and a batch-cap sweep of the serving
+/// DES under a power cap. Their tables, the run manifest with its
+/// counter totals, and the Prometheus dump must not depend on the
+/// worker count.
+#[test]
+fn optimize_and_energy_are_identical_across_job_counts() {
+    let dir = std::env::temp_dir().join(format!("mmg-cli-opt-energy-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |jobs: &str| {
+        let prom = dir.join(format!("jobs{jobs}.prom"));
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["optimize", "energy", "--jobs", jobs, "--metrics"])
+            .arg(&prom)
+            .output()
+            .expect("repro binary runs");
+        assert!(out.status.success(), "repro --jobs {jobs} exited with {:?}", out.status);
+        let dump = std::fs::read_to_string(&prom).expect("metrics dump written");
+        (String::from_utf8(out.stdout).expect("stdout is UTF-8"), dump)
+    };
+    let (serial, serial_dump) = run("1");
+    let (parallel, parallel_dump) = run("4");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(serial, parallel, "--jobs 4 changes optimize/energy stdout");
+    assert_eq!(serial_dump, parallel_dump, "--jobs 4 changes the metrics dump");
+    for want in ["geomean all-passes", "power regimes", "best within cap", "kernel_fused_total"] {
+        assert!(serial.contains(want), "'{want}' missing from stdout:\n{serial}");
+    }
+    assert!(serial_dump.contains("gpu_energy_uj_total"), "energy counter missing");
 }
 
 #[test]

@@ -1,8 +1,8 @@
-//! Golden-file pins of `repro`'s output: one invocation per subcommand
+//! Golden-file pins of `repro`'s output: invocations of each subcommand
 //! flag parser (serve, token, fleet, optimize), each compared byte for
 //! byte against a file under `tests/golden/`. The token run also pins
-//! its `--metrics-out` Prometheus dump, and a serve run the digest of
-//! its JSON span stream.
+//! its `--metrics-out` Prometheus dump, a serve run the digest of its
+//! JSON span stream, and the fleet run repeats at `--jobs 4`.
 //!
 //! A change that intentionally alters one of these outputs regenerates
 //! the goldens with:
@@ -113,50 +113,68 @@ fn serve_span_stream_matches_golden() {
     check_golden("serve_spans.txt", &got);
 }
 
-/// The token report and its Prometheus dump, pinned for the default
-/// worker count and for `--jobs 4`: the token DES is serial, so both
-/// runs must match the same goldens byte for byte. The 2 GiB budget
-/// puts the run into the preemption regime, so the eviction path is
-/// pinned too.
+/// The token report and its Prometheus dump. The 2 GiB budget puts the
+/// run into the preemption regime, so the eviction path is pinned too.
 #[test]
 fn token_report_and_metrics_match_golden() {
     let dir = std::env::temp_dir().join(format!("mmg-cli-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let prom = dir.join("token.prom");
-    let prom_arg = prom.to_str().expect("UTF-8 temp path");
-    let base = [
-        "token", "--util", "0.9", "--kv-budget", "2", "--duration-s", "20", "--seed", "42",
-        "--metrics-out", prom_arg,
-    ];
+    let got = repro_ok(&[
+        "token",
+        "--util",
+        "0.9",
+        "--kv-budget",
+        "2",
+        "--duration-s",
+        "20",
+        "--seed",
+        "42",
+        "--metrics-out",
+        prom.to_str().expect("UTF-8 temp path"),
+    ]);
+    let metrics = std::fs::read_to_string(&prom).expect("metrics dump written");
+    std::fs::remove_dir_all(&dir).ok();
+    check_golden("token.txt", &got);
+    check_golden("token.prom", &metrics);
+}
+
+/// The fleet report at the default worker count and at `--jobs 4`. The
+/// fleet shards its clusters over the worker pool and merges them in
+/// cluster order, so both runs must match the golden and write the same
+/// Prometheus dump. The reactive+spot policy covers the churn RNG path.
+#[test]
+fn fleet_report_matches_golden() {
+    let dir = std::env::temp_dir().join(format!("mmg-cli-fleet-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut runs = Vec::new();
     for jobs in [None, Some("4")] {
-        // A run that wrote no dump must not pass on the previous one's.
-        std::fs::remove_file(&prom).ok();
-        let mut args = base.to_vec();
+        let prom = dir.join(format!("fleet-jobs-{}.prom", jobs.unwrap_or("default")));
+        let mut args = vec![
+            "fleet",
+            "--policy",
+            "reactive+spot",
+            "--arrival",
+            "diurnal",
+            "--requests",
+            "50000",
+            "--seed",
+            "42",
+            "--metrics-out",
+            prom.to_str().expect("UTF-8 temp path"),
+        ];
         if let Some(n) = jobs {
             args.extend(["--jobs", n]);
         }
-        let got = repro_ok(&args);
-        let metrics = std::fs::read_to_string(&prom).expect("metrics dump written");
-        check_golden("token.txt", &got);
-        check_golden("token.prom", &metrics);
+        let report = repro_ok(&args);
+        runs.push((report, std::fs::read_to_string(&prom).expect("metrics dump written")));
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn fleet_report_matches_golden() {
-    let got = repro_ok(&[
-        "fleet",
-        "--policy",
-        "reactive+spot",
-        "--arrival",
-        "diurnal",
-        "--requests",
-        "50000",
-        "--seed",
-        "42",
-    ]);
-    check_golden("fleet.txt", &got);
+    for (report, _) in &runs {
+        check_golden("fleet.txt", report);
+    }
+    assert!(runs[0].1.contains("fleet_"), "fleet series missing:\n{}", runs[0].1);
+    assert!(runs[0].1 == runs[1].1, "--jobs 4 changes the fleet metrics dump");
 }
 
 #[test]

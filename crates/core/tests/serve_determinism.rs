@@ -1,7 +1,8 @@
 //! End-to-end determinism of the `repro serve` subcommand and the
 //! `serve-sweep` experiment: one seed fixes the entire sample path, so
-//! stdout must be byte-identical across invocations and `--jobs`
-//! counts, and different seeds must produce different sample paths.
+//! stdout must be byte-identical across invocations (and, for the
+//! sweep, across `--jobs` counts), and different seeds must produce
+//! different sample paths.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -93,15 +94,14 @@ fn replicated_sweep_is_byte_identical_across_job_counts() {
 
 /// Attribution and the SLO health engine ride the same deterministic
 /// sample path: with `--attrib` on, stdout (report tables, phase
-/// shares, alert timeline) is byte-identical per seed and across
-/// `--jobs` counts, and the section actually renders.
+/// shares, alert timeline) is byte-identical per seed, and the section
+/// actually renders. `serve` has no worker pool, so there is no job
+/// count to vary.
 #[test]
 fn serve_attrib_is_byte_identical_across_jobs() {
     let args = [SERVE, &["--seed", "7", "--attrib"]].concat();
-    let serial = repro(&[&args[..], &["--jobs", "1"]].concat());
-    let parallel = repro(&[&args[..], &["--jobs", "4"]].concat());
-    assert_eq!(serial, parallel, "--jobs changes attributed serve stdout");
-    let again = repro(&[&args[..], &["--jobs", "1"]].concat());
+    let serial = repro(&args);
+    let again = repro(&args);
     assert_eq!(serial, again, "same seed, different attributed stdout");
     assert!(serial.contains("attribution: p99 ="), "attribution headline:\n{serial}");
     assert!(serial.contains("queue") && serial.contains("hold"), "phase table:\n{serial}");
@@ -154,6 +154,16 @@ fn serve_rejects_bad_flags() {
     assert!(!out.status.success(), "unknown scheduler must fail");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown scheduler"), "stderr: {err}");
+    // Neither DES has a worker pool, so neither takes `--jobs`.
+    for cmd in ["serve", "token"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([cmd, "--jobs", "4"])
+            .output()
+            .expect("repro binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} --jobs 4 must exit 1: {err}");
+        assert!(err.contains(&format!("unknown {cmd} flag '--jobs'")), "stderr: {err}");
+    }
 }
 
 /// A non-finite horizon, arrival rate or mix weight means arrivals never

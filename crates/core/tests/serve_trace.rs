@@ -1,54 +1,61 @@
 //! End-to-end checks of the serving flight recorder's CLI surface:
 //! `repro serve --trace-out` must emit a Perfetto-loadable trace whose
-//! bytes depend only on the scenario seed (never on `--jobs`).
+//! bytes depend only on the scenario seed.
 
 use std::process::Command;
 
-fn repro(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
+/// Runs a 20 s serve scenario with `--trace-out` plus `extra` and
+/// returns the trace, written to a temporary file named after `name`.
+fn trace_to(name: &str, seed: &str, extra: &[&str]) -> String {
+    let path = std::env::temp_dir().join(format!("mmg-trace-{}-{name}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["serve", "--duration-s", "20", "--seed", seed, "--trace-out"])
+        .arg(&path)
+        .args(extra)
         .output()
-        .expect("repro binary runs")
-}
-
-fn trace_to(path: &str, jobs: &str, seed: &str) -> String {
-    let out = repro(&[
-        "serve",
-        "--duration-s",
-        "20",
-        "--seed",
-        seed,
-        "--jobs",
-        jobs,
-        "--trace-out",
-        path,
-    ]);
+        .expect("repro binary runs");
     assert!(
         out.status.success(),
         "repro serve --trace-out failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::read_to_string(path).expect("trace file written")
+    let trace = std::fs::read_to_string(&path).expect("trace file written");
+    std::fs::remove_file(&path).ok();
+    trace
 }
 
+/// The trace is a pure function of the seed: two runs of one scenario
+/// write the same bytes (`serve` has no worker pool, so there is no job
+/// count to vary), and another seed writes different ones.
 #[test]
 fn trace_bytes_are_jobs_invariant_and_seed_sensitive() {
-    let dir = std::env::temp_dir();
-    let a = dir.join("mmg_trace_j1.json");
-    let b = dir.join("mmg_trace_j4.json");
-    let c = dir.join("mmg_trace_seed9.json");
-    let t1 = trace_to(a.to_str().unwrap(), "1", "42");
-    let t4 = trace_to(b.to_str().unwrap(), "4", "42");
-    assert_eq!(t1, t4, "--jobs changed the flight trace bytes");
-    let t9 = trace_to(c.to_str().unwrap(), "1", "9");
+    let t1 = trace_to("seed42-a", "42", &[]);
+    let again = trace_to("seed42-b", "42", &[]);
+    assert_eq!(t1, again, "same seed, different flight trace bytes");
+    let t9 = trace_to("seed9", "9", &[]);
     assert_ne!(t1, t9, "different seeds must produce different traces");
 }
 
+/// The trace envelope, event shapes, counter tracks and lanes Perfetto
+/// reads. The trace writer is hand-rolled, so every event of a plain
+/// and of an `--attrib` trace (which adds alert instants) must carry a
+/// phase and a process id.
 #[test]
 fn trace_has_the_perfetto_surface() {
-    let dir = std::env::temp_dir();
-    let path = dir.join("mmg_trace_surface.json");
-    let body = trace_to(path.to_str().unwrap(), "1", "42");
+    let body = trace_to("surface", "42", &[]);
+    let attrib = trace_to("surface-attrib", "42", &["--attrib"]);
+    for (what, trace) in [("plain", &body), ("--attrib", &attrib)] {
+        let v: serde_json::Value = serde_json::from_str(trace).expect("trace parses as JSON");
+        let events =
+            v.field("traceEvents").and_then(serde_json::Value::as_array).expect("traceEvents");
+        assert!(!events.is_empty(), "{what} trace has no events");
+        for e in events {
+            assert!(
+                e.field("ph").is_some() && e.field("pid").is_some(),
+                "{what} trace: event without ph or pid: {e:?}"
+            );
+        }
+    }
     let v: serde_json::Value = serde_json::from_str(&body).expect("trace parses as JSON");
     assert_eq!(v.field("displayTimeUnit").and_then(serde_json::Value::as_str), Some("us"));
     let events =

@@ -28,8 +28,9 @@
 //!   [`mmg_telemetry::sketch`]). Retaining every [`RequestRecord`] is
 //!   opt-in via [`ScenarioCfg::full_records`] (the CLI's
 //!   `--full-records`), which preserves the exact-quantile path.
-//! - The loop keeps the exact counts and sums, the exemplars, the full
-//!   records, the counters, the burn-rate engine and the flight recorder.
+//! - The loop keeps the exact counts and sums, the worst-latency
+//!   exemplars, the full records, the counters, the burn-rate engine and
+//!   the flight recorder.
 //!   Every per-completion **fold** (the cluster and per-model latency
 //!   sketches, the `serve_wait_s`/`serve_latency_s` histograms and, with
 //!   attribution on, the phase sketches and `serve_phase_s` histograms)
@@ -264,13 +265,6 @@ pub struct ScenarioCfg {
     /// the exact path unless a caller opts into streaming; the CLI's
     /// default is streaming with `--full-records` to opt back in.
     pub full_records: bool,
-    /// Reservoir size K of the always-on request-lifecycle
-    /// [`Exemplars`] (uniform sample of completions; survives streaming
-    /// mode). `0` disables the reservoir.
-    pub exemplar_k: usize,
-    /// Exact worst-latency lifecycles retained by the [`Exemplars`].
-    /// `0` disables worst-retention.
-    pub worst_n: usize,
     /// Per-phase latency attribution: stream queue/hold/execute
     /// quantile sketches per model and cluster-wide into
     /// [`ServeStats::phases`], plus `serve_phase_s` histograms in the
@@ -313,8 +307,6 @@ impl ScenarioCfg {
             abandon_after_s: None,
             max_queue: None,
             full_records: true,
-            exemplar_k: 8,
-            worst_n: 4,
             attrib: false,
             slo_policy: None,
             seed,
@@ -426,16 +418,6 @@ impl RequestRecord {
         self.finish_s - self.arrival_s
     }
 
-    /// Admission-wait phase. Admission control in this model decides
-    /// instantaneously at arrival (admit or drop), so completed requests
-    /// always report zero here; the phase exists in the schema so the
-    /// conservation invariant — and downstream consumers — survive a
-    /// future admission queue unchanged.
-    #[must_use]
-    pub fn admission_s(&self) -> f64 {
-        0.0
-    }
-
     /// Whether the request met its deadline.
     #[must_use]
     pub fn on_time(&self) -> bool {
@@ -464,12 +446,11 @@ fn conserving_execute_s(queue_s: f64, hold_s: f64, latency_s: f64) -> f64 {
 }
 
 /// Streaming per-phase attribution aggregates: one GK sketch plus an
-/// exact running sum per lifecycle phase (queue, hold, execute — the
-/// admission phase is structurally zero, see
-/// [`RequestRecord::admission_s`]). Memory is independent of request
-/// count; sketch quantiles carry the documented `±(eps·n + 1)` rank
-/// bound of [`LATENCY_SKETCH_EPS`]. Only maintained when
-/// [`ScenarioCfg::attrib`] is on.
+/// exact running sum per lifecycle phase (queue, hold, execute;
+/// admission decides at arrival, so no request waits for it). Memory
+/// is independent of request count; sketch quantiles carry the
+/// documented `±(eps·n + 1)` rank bound of [`LATENCY_SKETCH_EPS`]. Only
+/// maintained when [`ScenarioCfg::attrib`] is on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Queue-phase sketch (GPU busy with other work).
@@ -597,9 +578,8 @@ pub struct ServeStats {
     pub latency_sketch: QuantileSketch,
     /// Per-model aggregates, in mix declaration order.
     pub per_model: Vec<ModelStats>,
-    /// Request-lifecycle exemplars: a seeded uniform sample of
-    /// completions plus the exact worst-latency lifecycles. Maintained
-    /// in both modes, so streaming runs keep explainable tails.
+    /// The exact worst-latency request lifecycles. Maintained in both
+    /// modes, so streaming runs keep explainable tails.
     pub exemplars: Exemplars,
     /// Cluster-wide per-phase attribution, when [`ScenarioCfg::attrib`]
     /// is on.
@@ -607,7 +587,7 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    fn new(mix: &RequestMix, seed: u64, exemplar_k: usize, worst_n: usize, attrib: bool) -> Self {
+    fn new(mix: &RequestMix, attrib: bool) -> Self {
         ServeStats {
             completed: 0,
             on_time: 0,
@@ -620,7 +600,7 @@ impl ServeStats {
                 .iter()
                 .map(|(m, _)| ModelStats::new(*m, attrib))
                 .collect(),
-            exemplars: Exemplars::new(exemplar_k, worst_n, seed),
+            exemplars: Exemplars::new(),
             phases: attrib.then(PhaseStats::new),
         }
     }
@@ -723,23 +703,9 @@ pub struct SimResult {
     pub health: Option<HealthReport>,
     /// Energy accounting, when the profile carried power figures.
     pub energy: Option<EnergyStats>,
-    /// Indices into `records` sorted by arrival id, computed once at the
-    /// end of the run so [`SimResult::records_by_arrival`] never re-sorts.
-    arrival_order: Vec<u32>,
 }
 
 impl SimResult {
-    /// Completed records sorted by arrival (id) order. Uses the sort
-    /// computed once at construction — calling this repeatedly is cheap.
-    #[must_use]
-    pub fn records_by_arrival(&self) -> Vec<&RequestRecord> {
-        debug_assert_eq!(self.arrival_order.len(), self.records.len());
-        self.arrival_order
-            .iter()
-            .map(|&i| &self.records[i as usize])
-            .collect()
-    }
-
     /// Mean cluster utilization: busy GPU-seconds over `gpus × end`.
     #[must_use]
     pub fn utilization(&self) -> f64 {
@@ -1791,7 +1757,7 @@ fn run<'a>(
         abandoned: 0,
         abandoned_wait_s: 0.0,
         records: Vec::new(),
-        stats: ServeStats::new(&cfg.mix, cfg.seed, cfg.exemplar_k, cfg.worst_n, cfg.attrib),
+        stats: ServeStats::new(&cfg.mix, cfg.attrib),
         // A departure can push a whole launched batch past SINK_BATCH.
         to_fold: Batch::with_capacity(
             SINK_BATCH + cfg.scheduler.batch_cap().min(SINK_BATCH),
@@ -1981,13 +1947,6 @@ fn run<'a>(
         );
     }
 
-    assert!(
-        sim.records.len() <= u32::MAX as usize,
-        "full-records mode caps at u32::MAX completions; use streaming mode"
-    );
-    let mut arrival_order: Vec<u32> = (0..sim.records.len() as u32).collect();
-    arrival_order.sort_by_key(|&i| sim.records[i as usize].id);
-
     let result = SimResult {
         records: sim.records,
         stats: sim.stats,
@@ -2002,7 +1961,6 @@ fn run<'a>(
         busy_s: sim.busy_s,
         health,
         energy,
-        arrival_order,
     };
     (result, sim.flight)
 }
@@ -2247,7 +2205,7 @@ mod tests {
             ..scenario(SchedulerKind::Fifo, 4.0, 50.0)
         };
         let r = simulate(&cfg, &constant_profile(1.0), &Registry::new());
-        for rec in r.records_by_arrival() {
+        for rec in &r.records {
             let outstanding = r
                 .records
                 .iter()
@@ -2260,20 +2218,6 @@ mod tests {
                 rec.id
             );
         }
-    }
-
-    #[test]
-    fn records_by_arrival_is_sorted_and_stable() {
-        let cfg = scenario(SchedulerKind::Dynamic { max_batch: 8 }, 4.0, 100.0);
-        let r = simulate(&cfg, &batching_profile(0.5), &Registry::new());
-        let by_arrival = r.records_by_arrival();
-        assert_eq!(by_arrival.len(), r.records.len());
-        assert!(by_arrival.windows(2).all(|w| w[0].id < w[1].id));
-        // Second call returns the same view (cached order, no re-sort).
-        assert_eq!(
-            r.records_by_arrival().iter().map(|x| x.id).collect::<Vec<_>>(),
-            by_arrival.iter().map(|x| x.id).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -2354,8 +2298,8 @@ mod tests {
     }
 
     /// The conservation invariant, bitwise: for every completed request
-    /// `(admission + queue) + hold + execute == latency` with zero
-    /// float slack, across schedulers with very different phase mixes.
+    /// `(queue + hold) + execute == latency` with zero float slack,
+    /// across schedulers with very different phase mixes.
     #[test]
     fn phases_conserve_latency_bitwise() {
         for scheduler in [
@@ -2375,7 +2319,7 @@ mod tests {
                     rec.hold_s,
                     rec.execute_s
                 );
-                let sum = ((rec.admission_s() + rec.queue_s) + rec.hold_s) + rec.execute_s;
+                let sum = (rec.queue_s + rec.hold_s) + rec.execute_s;
                 assert!(
                     sum == rec.latency_s(),
                     "request {}: phases sum {} != latency {} ({scheduler:?})",

@@ -572,7 +572,7 @@ impl FleetResult {
 }
 
 /// A rendered fleet report: the deterministic text the `repro fleet`
-/// subcommand prints (and CI byte-compares across `--jobs`).
+/// subcommand prints (and `cli_golden.rs` compares across `--jobs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     text: String,

@@ -16,28 +16,23 @@
 //!   counts, SLO attainment, queue-depth integral, per-GPU busy time and
 //!   a latency [`QuantileSketch`] — mergeable across seeds and worker
 //!   pools, backing the `serve-timeline` experiment.
-//! - **Lifecycle exemplars** ([`Exemplars`]): a seeded reservoir sample
-//!   of K complete request lifecycles plus the top-N worst-latency
-//!   lifecycles retained exactly. These are always on (they live in
-//!   [`crate::ServeStats`]) so tail latency stays explainable in
+//! - **Lifecycle exemplars** ([`Exemplars`]): the four worst-latency
+//!   request lifecycles, retained exactly. These are always on (they
+//!   live in [`crate::ServeStats`]) so tail latency stays explainable in
 //!   streaming mode, where no [`crate::RequestRecord`]s are retained.
 //!
 //! Every structure here is a pure function of the simulated event
-//! sequence and the scenario seed — no wall clock, no unseeded
-//! randomness — so traces are byte-identical for a given seed
-//! regardless of host, `--jobs`, or repetition. All retention is
-//! bounded: spans and instants by explicit caps (with drop counters),
-//! the window ring by pair-folding (width doubles when the cap is hit),
-//! exemplars by K and N.
+//! sequence — no wall clock, no randomness of its own — so traces are
+//! byte-identical for a given seed regardless of host, `--jobs`, or
+//! repetition. All retention is bounded: spans and instants by explicit
+//! caps (with drop counters), the window ring by pair-folding (width
+//! doubles when the cap is hit), exemplars by their fixed count.
 
 use std::collections::BTreeMap;
 
 use mmg_models::ModelId;
 use mmg_profiler::trace::TraceEvent;
 use mmg_telemetry::{QuantileSketch, WindowValue, WindowedSeries};
-use rand::distributions::{Distribution, Uniform};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde_json::Value;
 
 use crate::cluster::RequestRecord;
@@ -688,81 +683,34 @@ impl FlightRecorder {
 // Exemplars
 // ---------------------------------------------------------------------------
 
-/// Bounded request-lifecycle exemplars that survive streaming mode: a
-/// seeded reservoir sample of K completions (Li's "Algorithm L", so the
-/// per-completion cost is O(1) and almost always a single comparison)
-/// plus the top-N worst-latency completions retained exactly.
+/// Number of worst-latency request lifecycles the [`Exemplars`] keep.
+const WORST_N: usize = 4;
+
+/// Bounded request-lifecycle exemplars that survive streaming mode: the
+/// four worst-latency completions, retained exactly.
 ///
-/// Determinism: the reservoir is a pure function of the completion
-/// sequence and the seed; the worst-N set uses the total order
-/// `(latency, arrival id)`, so ties break identically on every run.
+/// Determinism: the set uses the total order `(latency, arrival id)`, so
+/// ties break identically on every run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Exemplars {
-    /// Reservoir capacity K.
-    k: usize,
-    /// Worst-retention capacity N.
-    n: usize,
-    /// Uniform sample of completions, insertion order (not sorted).
-    reservoir: Vec<RequestRecord>,
     /// Worst completions, ascending `(latency, id)`; the global worst
     /// is last.
     worst: Vec<RequestRecord>,
-    /// Completions observed.
-    seen: u64,
-    /// 1-based index of the next completion the reservoir will admit.
-    next_accept: u64,
-    /// Algorithm L's running `W` factor.
-    w: f64,
     /// `(latency, id)` of `worst[0]`, cached so the per-completion
     /// admission check compares registers instead of chasing into the
     /// `Vec` (the worst list only changes on admission, which is rare).
     worst_floor: f64,
     worst_floor_id: u64,
-    rng: StdRng,
 }
 
 impl Exemplars {
-    /// An empty exemplar set holding up to `k` reservoir samples and
-    /// the `n` worst-latency lifecycles, seeded deterministically.
-    #[must_use]
-    pub fn new(k: usize, n: usize, seed: u64) -> Self {
+    /// An empty exemplar set.
+    pub(crate) fn new() -> Self {
         Exemplars {
-            k,
-            n,
-            reservoir: Vec::with_capacity(k),
-            worst: Vec::with_capacity(n),
-            seen: 0,
-            next_accept: 0,
-            w: 1.0,
+            worst: Vec::with_capacity(WORST_N),
             worst_floor: f64::NEG_INFINITY,
             worst_floor_id: 0,
-            rng: StdRng::seed_from_u64(seed ^ 0x666C_6967_6874), // "flight"
         }
-    }
-
-    /// Reservoir capacity K.
-    #[must_use]
-    pub fn reservoir_k(&self) -> usize {
-        self.k
-    }
-
-    /// Worst-retention capacity N.
-    #[must_use]
-    pub fn worst_n(&self) -> usize {
-        self.n
-    }
-
-    /// Completions observed so far.
-    #[must_use]
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The uniform lifecycle sample (at most K records, insertion
-    /// order).
-    #[must_use]
-    pub fn reservoir(&self) -> &[RequestRecord] {
-        &self.reservoir
     }
 
     /// The exact worst-latency lifecycles, ascending by
@@ -772,73 +720,33 @@ impl Exemplars {
         &self.worst
     }
 
-    /// Advances Algorithm L: updates `W` and draws the geometric skip
-    /// to the next admitted completion index.
-    fn advance(&mut self) {
-        let unit = Uniform::new(0.0f64, 1.0);
-        let u1: f64 = unit.sample(&mut self.rng).max(f64::MIN_POSITIVE);
-        self.w *= (u1.ln() / self.k as f64).exp();
-        let u2: f64 = unit.sample(&mut self.rng).max(f64::MIN_POSITIVE);
-        let denom = (1.0 - self.w).ln();
-        let skip = if denom == 0.0 { f64::INFINITY } else { u2.ln() / denom };
-        self.next_accept = if skip.is_finite() && skip < 1e18 {
-            self.seen.saturating_add(skip as u64).saturating_add(1)
-        } else {
-            u64::MAX
-        };
-    }
-
     /// Observes one completion. `make` is only invoked when the record
-    /// is actually retained, so the streaming fast path usually pays a
-    /// counter bump and one comparison.
+    /// is actually retained, so the streaming fast path usually pays one
+    /// comparison.
     pub(crate) fn observe(
         &mut self,
         latency_s: f64,
         arrival_id: u64,
         make: impl FnOnce() -> RequestRecord,
     ) {
-        self.seen += 1;
-        let take_reservoir = self.k > 0
-            && (self.reservoir.len() < self.k || self.seen == self.next_accept);
-        let take_worst = self.n > 0
-            && (self.worst.len() < self.n
-                || latency_s
-                    .total_cmp(&self.worst_floor)
-                    .then(arrival_id.cmp(&self.worst_floor_id))
-                    .is_gt());
-        if !take_reservoir && !take_worst {
+        let take = self.worst.len() < WORST_N
+            || latency_s
+                .total_cmp(&self.worst_floor)
+                .then(arrival_id.cmp(&self.worst_floor_id))
+                .is_gt();
+        if !take {
             return;
         }
-        let rec = make();
-        if take_reservoir {
-            if self.reservoir.len() < self.k {
-                self.reservoir.push(rec.clone());
-                if self.reservoir.len() == self.k {
-                    self.advance();
-                }
-            } else {
-                let slot = Uniform::new(0usize, self.k).sample(&mut self.rng);
-                self.reservoir[slot] = rec.clone();
-                self.advance();
-            }
+        let pos = self.worst.partition_point(|r| {
+            r.latency_s().total_cmp(&latency_s).then(r.id.cmp(&arrival_id)).is_lt()
+        });
+        self.worst.insert(pos, make());
+        if self.worst.len() > WORST_N {
+            self.worst.remove(0);
         }
-        if take_worst {
-            let pos = self
-                .worst
-                .partition_point(|r| {
-                    r.latency_s()
-                        .total_cmp(&latency_s)
-                        .then(r.id.cmp(&arrival_id))
-                        .is_lt()
-                });
-            self.worst.insert(pos, rec);
-            if self.worst.len() > self.n {
-                self.worst.remove(0);
-            }
-            if self.worst.len() == self.n {
-                self.worst_floor = self.worst[0].latency_s();
-                self.worst_floor_id = self.worst[0].id;
-            }
+        if self.worst.len() == WORST_N {
+            self.worst_floor = self.worst[0].latency_s();
+            self.worst_floor_id = self.worst[0].id;
         }
     }
 }
@@ -1077,25 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn exemplars_reservoir_is_a_uniform_size_k_sample() {
-        let cfg = scenario(4.0, 300.0);
-        let r = simulate(&cfg, &profile(), &Registry::new());
-        let ex = &r.stats.exemplars;
-        assert_eq!(ex.reservoir().len(), ex.reservoir_k().min(r.records.len()));
-        assert_eq!(ex.seen(), r.stats.completed);
-        // Every sampled lifecycle is a real completion.
-        for s in ex.reservoir() {
-            let found = r.records.iter().find(|rec| rec.id == s.id).expect("sampled id exists");
-            assert_eq!(found, s);
-        }
-        // Distinct ids (sampling without replacement).
-        let mut ids: Vec<u64> = ex.reservoir().iter().map(|s| s.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), ex.reservoir().len());
-    }
-
-    #[test]
     fn exemplars_deterministic_per_seed_and_divergent_across_seeds() {
         let cfg = scenario(4.0, 200.0);
         let a = simulate(&cfg, &profile(), &Registry::new());
@@ -1103,9 +992,9 @@ mod tests {
         assert_eq!(a.stats.exemplars, b.stats.exemplars);
         let c = simulate(&ScenarioCfg { seed: 12, ..cfg }, &profile(), &Registry::new());
         assert_ne!(
-            a.stats.exemplars.reservoir(),
-            c.stats.exemplars.reservoir(),
-            "different seeds should sample different lifecycles"
+            a.stats.exemplars.worst(),
+            c.stats.exemplars.worst(),
+            "different seeds should retain different lifecycles"
         );
     }
 }

@@ -30,16 +30,20 @@
 //! - [`cluster`] — routers (round-robin, least-work, model-affinity),
 //!   schedulers (FIFO, static, deadline-aware dynamic, pods), SLOs,
 //!   admission control and abandonment; [`simulate`] runs a scenario.
-//! - [`report`] — per-model p50/p95/p99, SLO attainment, goodput.
+//! - [`report`] — the rendered reports: per-model p50/p95/p99, SLO
+//!   attainment, goodput.
 //! - [`flight`] — the bounded flight recorder: per-GPU batch timelines,
 //!   scheduler instants, windowed counters (Chrome-trace export) and
-//!   always-on request-lifecycle exemplars; [`simulate_recorded`] runs a
-//!   scenario with the recorder attached.
+//!   the always-on worst-latency request lifecycles; [`simulate_recorded`]
+//!   runs a scenario with the recorder attached.
 //!
 //! Determinism: one seed fixes the entire sample path. Runs are
-//! byte-identical across processes and thread counts — the simulation
-//! itself is single-threaded and all randomness flows from seeded
-//! [`rand::rngs::StdRng`] streams.
+//! byte-identical across processes and thread counts. Each event loop
+//! runs on one thread and all randomness flows from seeded
+//! [`rand::rngs::StdRng`] streams. The one helper thread, which folds a
+//! cluster run's completions into its sketches and histograms past 2^16
+//! completions, sees the same values in the same order as the loop's
+//! own thread would (see [`cluster`]).
 
 #![deny(missing_docs)]
 
@@ -69,7 +73,7 @@ pub use flight::{
 pub use des::EventQueue;
 pub use kv::{KvAdmission, KvLedger, GIB};
 pub use profile::{kv_bytes_per_token, ServiceCurve, ServiceProfile, TokenServiceCurve};
-pub use report::{EnergyRow, EnergySection, ModelSlo, SloReport, TokenReport};
+pub use report::{SloReport, TokenReport};
 pub use token::{
     simulate_token, simulate_token_recorded, PhasePriority, TokenBatching, TokenPhaseStats,
     TokenScenarioCfg, TokenSimResult, TokenSlo, TokenStats,

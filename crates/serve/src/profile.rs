@@ -66,14 +66,6 @@ impl ServiceCurve {
         ServiceCurve { model, points: vec![(1, service_s)], pod_factor: 1.0, draw_w: 0.0 }
     }
 
-    /// The same curve with a pod co-scheduling factor attached.
-    #[must_use]
-    pub fn with_pod_factor(mut self, pod_factor: f64) -> Self {
-        assert!(pod_factor >= 1.0, "pod factor must be >= 1");
-        self.pod_factor = pod_factor;
-        self
-    }
-
     /// The same curve with a serving draw attached (watts while a GPU
     /// runs this model's batches).
     #[must_use]

@@ -1,792 +1,371 @@
-//! SLO accounting: turning a [`SimResult`] into per-model serving
-//! statistics and a rendered report.
+//! SLO accounting: the rendered report of a finished [`SimResult`] or
+//! [`TokenSimResult`].
 
 use mmg_models::ModelId;
 use mmg_profiler::report::render_table;
-use mmg_telemetry::quantile_sorted;
-use serde::{Deserialize, Serialize};
+use mmg_telemetry::{quantile_sorted, QuantileSketch};
 
-use crate::cluster::{HealthReport, PhaseStats, RequestRecord, SimResult};
+use crate::cluster::{HealthReport, ModelStats, PhaseStats, RequestRecord, SimResult};
 use crate::kv::GIB;
 use crate::token::TokenSimResult;
 use crate::workload::model_short_name;
 
-/// Serving statistics for one model in the mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModelSlo {
-    /// Short model name (`sd`, `parti`, …).
-    pub model: String,
-    /// Completed requests.
-    pub completed: u64,
-    /// Mean queueing delay, seconds.
-    pub mean_wait_s: f64,
-    /// Median end-to-end latency, seconds.
-    pub p50_s: f64,
-    /// 95th-percentile latency, seconds.
-    pub p95_s: f64,
-    /// 99th-percentile latency, seconds.
-    pub p99_s: f64,
-    /// Fraction of completions inside the deadline.
-    pub slo_attainment: f64,
-    /// Mean batch size the model's requests were served in.
-    pub mean_batch: f64,
-}
+/// Table rows as [`render_table`] takes them: a label and its cells.
+type Rows = Vec<(String, Vec<String>)>;
 
-/// One retained worst-latency request lifecycle, flattened for the
-/// report. Sourced from the always-on [`crate::Exemplars`], so these
-/// survive streaming mode, where no per-request records exist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExemplarRow {
-    /// Arrival-order request id.
-    pub id: u64,
-    /// Short model name.
-    pub model: String,
-    /// Arrival instant, seconds.
-    pub arrival_s: f64,
-    /// Queueing delay, seconds.
-    pub wait_s: f64,
-    /// End-to-end latency, seconds.
-    pub latency_s: f64,
-    /// Seconds past the deadline (0 when on time or no SLO).
-    pub over_s: f64,
-    /// GPU that served it.
-    pub gpu: u64,
-    /// Batch size it was served in.
-    pub batch: u64,
-    /// Requests in the system at its arrival (itself included).
-    pub depth: u64,
-}
+/// The quantiles the report tables print.
+const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
 
-impl ExemplarRow {
-    fn from_record(rec: &RequestRecord) -> Self {
-        let over = rec.finish_s - rec.deadline_s;
-        ExemplarRow {
-            id: rec.id,
-            model: model_short_name(rec.model).to_string(),
-            arrival_s: rec.arrival_s,
-            wait_s: rec.wait_s(),
-            latency_s: rec.latency_s(),
-            over_s: if over.is_finite() { over.max(0.0) } else { 0.0 },
-            gpu: rec.gpu as u64,
-            batch: rec.batch as u64,
-            depth: rec.depth_at_arrival,
-        }
-    }
-}
-
-/// One latency-attribution row: where a scope's latency went, by
-/// phase. The `*_p99_s` columns are per-phase tail quantiles from the
-/// streaming sketches; the `*_sum_s` columns are exact totals, so
-/// `queue_sum_s + hold_sum_s + execute_sum_s` equals the scope's summed
-/// end-to-end latency (the conservation invariant holds per request and
-/// therefore in the sums).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseRow {
-    /// `"cluster"` or a short model name.
-    pub scope: String,
-    /// 99th-percentile queue-phase seconds (GPU busy with other work).
-    pub queue_p99_s: f64,
-    /// 99th-percentile hold-phase seconds (batch-formation wait).
-    pub hold_p99_s: f64,
-    /// 99th-percentile execute-phase seconds.
-    pub execute_p99_s: f64,
-    /// Exact total queue-phase seconds across completions.
-    pub queue_sum_s: f64,
-    /// Exact total hold-phase seconds.
-    pub hold_sum_s: f64,
-    /// Exact total execute-phase seconds.
-    pub execute_sum_s: f64,
-}
-
-impl PhaseRow {
-    fn from_stats(scope: &str, ph: &PhaseStats) -> Self {
-        PhaseRow {
-            scope: scope.to_string(),
-            queue_p99_s: ph.queue.quantile(0.99).unwrap_or(0.0),
-            hold_p99_s: ph.hold.quantile(0.99).unwrap_or(0.0),
-            execute_p99_s: ph.execute.quantile(0.99).unwrap_or(0.0),
-            queue_sum_s: ph.queue_sum_s,
-            hold_sum_s: ph.hold_sum_s,
-            execute_sum_s: ph.execute_sum_s,
-        }
-    }
-
-    /// Per-phase shares of the summed p99s (`queue`, `hold`, `execute`)
-    /// — the headline "p99 = 12% queue + 71% hold + 17% execute"
-    /// decomposition. All zeros when the scope saw no latency.
-    #[must_use]
-    pub fn p99_shares(&self) -> [f64; 3] {
-        let total = self.queue_p99_s + self.hold_p99_s + self.execute_p99_s;
-        if total <= 0.0 {
-            [0.0; 3]
-        } else {
-            [
-                self.queue_p99_s / total,
-                self.hold_p99_s / total,
-                self.execute_p99_s / total,
-            ]
-        }
-    }
-}
-
-/// One burn-rate alert transition, flattened for the report timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AlertRow {
-    /// Sim time of the transition, seconds.
-    pub t_s: f64,
-    /// Name of the rule that transitioned (e.g. `fast-burn`).
-    pub rule: String,
-    /// `"fire"` or `"clear"`.
-    pub kind: String,
-    /// Long-window burn rate at the transition.
-    pub long_burn: f64,
-    /// Short-window burn rate at the transition.
-    pub short_burn: f64,
-}
-
-/// One ratcheting-queue-depth transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RatchetRow {
-    /// Sim time of the transition, seconds.
-    pub t_s: f64,
-    /// `"fire"` or `"clear"`.
-    pub kind: String,
-    /// Mean queue depth over the window that transitioned.
-    pub depth: f64,
-    /// Baseline depth the ratchet grew from.
-    pub baseline: f64,
-}
-
-/// The SLO-health timeline of a run, rendered as fire/clear rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HealthSection {
-    /// The availability objective the burn rates are measured against.
-    pub objective: f64,
-    /// Burn-rate alert transitions, chronological.
-    pub alerts: Vec<AlertRow>,
-    /// Queue-depth ratchet transitions, chronological.
-    pub ratchet: Vec<RatchetRow>,
-    /// Sim time of the first alert fire, if any fired.
-    pub time_to_first_alert_s: Option<f64>,
-}
-
-impl HealthSection {
-    fn from_report(h: &HealthReport) -> Self {
-        HealthSection {
-            objective: h.policy.objective,
-            alerts: h
-                .alerts
-                .iter()
-                .map(|e| AlertRow {
-                    t_s: e.t_s,
-                    rule: h.policy.rules[e.rule].name.clone(),
-                    kind: e.kind.label().to_string(),
-                    long_burn: e.long_burn,
-                    short_burn: e.short_burn,
-                })
-                .collect(),
-            ratchet: h
-                .ratchet
-                .iter()
-                .map(|e| RatchetRow {
-                    t_s: e.t_s,
-                    kind: e.kind.label().to_string(),
-                    depth: e.depth,
-                    baseline: e.baseline,
-                })
-                .collect(),
-            time_to_first_alert_s: h.time_to_first_alert_s(),
-        }
-    }
-}
-
-/// One per-model energy row: sustained draw and joules per completed
-/// request. The per-request figure attributes only busy-span energy —
-/// idle overhead belongs to the cluster, not to any one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnergyRow {
-    /// Short model name.
-    pub model: String,
-    /// Modeled board draw while this model's batches run, watts.
-    pub draw_w: f64,
-    /// Busy GPU-seconds spent on this model's batches.
-    pub busy_s: f64,
-    /// Busy-span joules per completed request.
-    pub j_per_request: f64,
-    /// What one request produces: `J/image`, `J/video`, or `J/req`.
-    pub unit: String,
-}
-
-/// The energy accounting of a run. Present only when the service
-/// profile carried power figures ([`crate::ServiceProfile::has_power`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnergySection {
-    /// Idle board draw, watts.
-    pub idle_w: f64,
-    /// Per-model rows, first-completion order (matching the main table).
-    pub models: Vec<EnergyRow>,
-    /// Total cluster energy over the run, watt-hours (busy spans at each
-    /// model's draw, idle remainder at idle draw).
-    pub total_wh: f64,
-    /// Mean modeled draw per GPU over the run, watts.
-    pub mean_power_w: f64,
-    /// Watt-hours per 1000 on-time completions — the energy cost of
-    /// goodput (infinite goodput-free runs report 0).
-    pub wh_per_1k_on_time: f64,
-}
-
-impl EnergySection {
-    fn from_result(r: &SimResult) -> Option<Self> {
-        let e = r.energy.as_ref()?;
-        let total_wh = r.total_energy_wh().expect("energy present");
-        let mut stats: Vec<(usize, &crate::cluster::ModelStats)> = r
-            .stats
-            .per_model
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.completed > 0)
-            .collect();
-        stats.sort_by_key(|(_, m)| m.first_done_seq);
-        let models = stats
-            .iter()
-            .map(|&(i, m)| {
-                let unit = if m.model == ModelId::Llama2 {
-                    "J/req"
-                } else if m.model.is_video() {
-                    "J/video"
-                } else {
-                    "J/image"
-                };
-                EnergyRow {
-                    model: model_short_name(m.model).to_string(),
-                    draw_w: e.model_draw_w[i],
-                    busy_s: e.model_busy_s[i],
-                    j_per_request: e.model_energy_j(i) / m.completed as f64,
-                    unit: unit.to_string(),
-                }
-            })
-            .collect();
-        Some(EnergySection {
-            idle_w: e.idle_w,
-            models,
-            total_wh,
-            mean_power_w: r.mean_power_w().expect("energy present"),
-            wh_per_1k_on_time: if r.stats.on_time > 0 {
-                total_wh * 1000.0 / r.stats.on_time as f64
-            } else {
-                0.0
-            },
-        })
-    }
-}
-
-/// Cluster-wide serving report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Cluster-wide serving report: the per-model latency/SLO table, the
+/// cluster summary line, the worst-latency exemplars and, when the run
+/// carried them, the attribution, SLO-health and energy sections.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloReport {
-    /// Per-model rows, mix declaration order.
-    pub models: Vec<ModelSlo>,
-    /// Completed requests.
-    pub completed: u64,
-    /// Admission-control drops.
-    pub dropped: u64,
-    /// Queue abandonments.
-    pub abandoned: u64,
-    /// Completions per second over the horizon.
-    pub throughput_rps: f64,
-    /// On-time completions per second over the horizon.
-    pub goodput_rps: f64,
-    /// Overall deadline attainment across completions.
-    pub slo_attainment: f64,
-    /// Mean cluster (GPU-time) utilization.
-    pub utilization: f64,
-    /// Worst-latency lifecycles, worst first — the p99 sketch says how
-    /// bad the tail is; these say *which* requests it was and what they
-    /// were waiting behind.
-    pub worst: Vec<ExemplarRow>,
-    /// Latency attribution by phase — a cluster row first, then one row
-    /// per model in first-completion order. Present only when the run
-    /// had [`crate::ScenarioCfg::attrib`] on.
-    pub attribution: Option<Vec<PhaseRow>>,
-    /// Burn-rate alert and ratchet timeline. Present only when the run
-    /// had an SLO policy ([`crate::ScenarioCfg::slo_policy`]).
-    pub health: Option<HealthSection>,
-    /// Energy accounting. Present only when the service profile carried
-    /// power figures.
-    pub energy: Option<EnergySection>,
+    text: String,
 }
 
 impl SloReport {
-    /// Builds the report from a finished run. Models appear in first-
+    /// Renders the report of a finished run. Models appear in first-
     /// completion order (callers pass results from a fixed mix, so this
     /// is stable across runs of the same scenario).
     ///
-    /// With full records retained the per-model quantiles are exact;
-    /// for a streaming run ([`crate::ScenarioCfg::full_records`] off)
-    /// they come from the latency sketches, with rank error bounded by
-    /// [`crate::LATENCY_SKETCH_EPS`]. Both paths list models in first-
-    /// completion order.
+    /// Every column but the quantiles comes from the run's exact sums in
+    /// [`crate::ServeStats`]. With full records retained the per-model
+    /// quantiles are exact; for a streaming run
+    /// ([`crate::ScenarioCfg::full_records`] off) they come from the
+    /// latency sketches, with rank error bounded by
+    /// [`crate::LATENCY_SKETCH_EPS`].
     #[must_use]
     pub fn from_result(r: &SimResult) -> Self {
-        let models = if r.records.is_empty() && r.stats.completed > 0 {
-            Self::models_from_stats(r)
-        } else {
-            Self::models_from_records(r)
-        };
-        SloReport {
-            models,
-            completed: r.stats.completed,
-            dropped: r.dropped,
-            abandoned: r.abandoned,
-            throughput_rps: r.throughput_rps(),
-            goodput_rps: r.goodput_rps(),
-            slo_attainment: r.slo_attainment(),
-            utilization: r.utilization(),
-            worst: r
-                .stats
-                .exemplars
-                .worst()
-                .iter()
-                .rev()
-                .map(ExemplarRow::from_record)
-                .collect(),
-            attribution: r.stats.phases.as_ref().map(|cluster_ph| {
-                let mut rows = vec![PhaseRow::from_stats("cluster", cluster_ph)];
-                let mut stats: Vec<&crate::cluster::ModelStats> = r
-                    .stats
-                    .per_model
-                    .iter()
-                    .filter(|m| m.completed > 0 && m.phases.is_some())
-                    .collect();
-                stats.sort_by_key(|m| m.first_done_seq);
-                rows.extend(stats.iter().map(|m| {
-                    PhaseRow::from_stats(
-                        model_short_name(m.model),
-                        m.phases.as_ref().expect("filtered above"),
-                    )
-                }));
-                rows
-            }),
-            health: r.health.as_ref().map(HealthSection::from_report),
-            energy: EnergySection::from_result(r),
+        let mut models: Vec<(usize, &ModelStats)> =
+            r.stats.per_model.iter().enumerate().filter(|(_, m)| m.completed > 0).collect();
+        models.sort_by_key(|(_, m)| m.first_done_seq);
+        let mut text = model_table(r, &models);
+        text.push_str(&format!(
+            "\ncluster: {} done, {} dropped, {} abandoned | throughput {:.2} req/s, \
+             goodput {:.2} req/s | SLO attainment {:.1}% | utilization {:.1}%\n",
+            r.stats.completed,
+            r.dropped,
+            r.abandoned,
+            r.throughput_rps(),
+            r.goodput_rps(),
+            r.slo_attainment() * 100.0,
+            r.utilization() * 100.0,
+        ));
+        push_worst(&mut text, r.stats.exemplars.worst());
+        if let Some(cluster) = &r.stats.phases {
+            push_attribution(&mut text, cluster, &models);
         }
-    }
-
-    /// Exact path: per-model rows from the retained records.
-    fn models_from_records(r: &SimResult) -> Vec<ModelSlo> {
-        let mut order: Vec<&'static str> = Vec::new();
-        for rec in &r.records {
-            let name = model_short_name(rec.model);
-            if !order.contains(&name) {
-                order.push(name);
-            }
+        if let Some(health) = &r.health {
+            push_health(&mut text, health);
         }
-        order
-            .iter()
-            .map(|&name| {
-                let recs: Vec<&RequestRecord> = r
-                    .records
-                    .iter()
-                    .filter(|rec| model_short_name(rec.model) == name)
-                    .collect();
-                let mut lat: Vec<f64> = recs.iter().map(|rec| rec.latency_s()).collect();
-                lat.sort_by(f64::total_cmp);
-                let n = recs.len() as f64;
-                ModelSlo {
-                    model: name.to_string(),
-                    completed: recs.len() as u64,
-                    mean_wait_s: recs.iter().map(|rec| rec.wait_s()).sum::<f64>() / n,
-                    p50_s: quantile_sorted(&lat, 0.50).expect("model has completions"),
-                    p95_s: quantile_sorted(&lat, 0.95).expect("model has completions"),
-                    p99_s: quantile_sorted(&lat, 0.99).expect("model has completions"),
-                    slo_attainment: recs.iter().filter(|rec| rec.on_time()).count() as f64 / n,
-                    mean_batch: recs.iter().map(|rec| rec.batch as f64).sum::<f64>() / n,
-                }
-            })
-            .collect()
+        push_energy(&mut text, r, &models);
+        SloReport { text }
     }
 
-    /// Streaming path: per-model rows from running sums and quantile
-    /// sketches, sorted into first-completion order to match the exact
-    /// path's row ordering.
-    fn models_from_stats(r: &SimResult) -> Vec<ModelSlo> {
-        let mut stats: Vec<&crate::cluster::ModelStats> =
-            r.stats.per_model.iter().filter(|m| m.completed > 0).collect();
-        stats.sort_by_key(|m| m.first_done_seq);
-        stats
-            .iter()
-            .map(|m| {
-                let n = m.completed as f64;
-                ModelSlo {
-                    model: model_short_name(m.model).to_string(),
-                    completed: m.completed,
-                    mean_wait_s: m.wait_sum_s / n,
-                    p50_s: m.latency_sketch.quantile(0.50).expect("model has completions"),
-                    p95_s: m.latency_sketch.quantile(0.95).expect("model has completions"),
-                    p99_s: m.latency_sketch.quantile(0.99).expect("model has completions"),
-                    slo_attainment: m.on_time as f64 / n,
-                    mean_batch: m.batch_sum as f64 / n,
-                }
-            })
-            .collect()
-    }
-
-    /// Renders the per-model table plus the cluster summary line.
+    /// The rendered report text.
     #[must_use]
     pub fn render(&self) -> String {
-        let rows: Vec<(String, Vec<String>)> = self
-            .models
+        self.text.clone()
+    }
+}
+
+/// The per-model table, one row per entry of `models`.
+fn model_table(r: &SimResult, models: &[(usize, &ModelStats)]) -> String {
+    let rows: Rows = models
+        .iter()
+        .map(|&(_, m)| {
+            let n = m.completed as f64;
+            let [p50, p95, p99] = latency_quantiles(r, m);
+            (
+                model_short_name(m.model).to_string(),
+                vec![
+                    format!("{}", m.completed),
+                    format!("{:.0} ms", m.wait_sum_s / n * 1e3),
+                    format!("{:.0} ms", p50 * 1e3),
+                    format!("{:.0} ms", p95 * 1e3),
+                    format!("{:.0} ms", p99 * 1e3),
+                    format!("{:.1}%", m.on_time as f64 / n * 100.0),
+                    format!("{:.1}", m.batch_sum as f64 / n),
+                ],
+            )
+        })
+        .collect();
+    render_table(
+        &["Model", "Done", "Mean wait", "p50", "p95", "p99", "SLO attain", "Mean batch"],
+        &rows,
+    )
+}
+
+/// One model's latency [`QUANTILES`]: exact from the run's records when
+/// it kept them, else from the model's sketch.
+fn latency_quantiles(r: &SimResult, m: &ModelStats) -> [f64; 3] {
+    if r.records.is_empty() {
+        return QUANTILES.map(|q| m.latency_sketch.quantile(q).expect("model has completions"));
+    }
+    let mut lat: Vec<f64> = r
+        .records
+        .iter()
+        .filter(|rec| rec.model == m.model)
+        .map(RequestRecord::latency_s)
+        .collect();
+    lat.sort_by(f64::total_cmp);
+    QUANTILES.map(|q| quantile_sorted(&lat, q).expect("model has completions"))
+}
+
+/// The worst-latency lifecycles, worst first: the p99 says how bad the
+/// tail is; these say *which* requests it was and what they were
+/// waiting behind. They come from the always-on [`crate::Exemplars`],
+/// so streaming runs print them too.
+fn push_worst(out: &mut String, worst: &[RequestRecord]) {
+    if worst.is_empty() {
+        return;
+    }
+    let rows: Rows = worst
+        .iter()
+        .rev()
+        .map(|rec| {
+            let over_s = rec.finish_s - rec.deadline_s;
+            let over_s = if over_s.is_finite() { over_s.max(0.0) } else { 0.0 };
+            (
+                format!("#{}", rec.id),
+                vec![
+                    model_short_name(rec.model).to_string(),
+                    format!("{:.3} s", rec.arrival_s),
+                    format!("{:.0} ms", rec.wait_s() * 1e3),
+                    format!("{:.0} ms", rec.latency_s() * 1e3),
+                    format!("{:.0} ms", over_s * 1e3),
+                    format!("gpu{}", rec.gpu),
+                    format!("{}", rec.batch),
+                    format!("{}", rec.depth_at_arrival),
+                ],
+            )
+        })
+        .collect();
+    out.push_str("\nworst-latency exemplars (worst first):\n");
+    out.push_str(&render_table(
+        &["Req", "Model", "Arrived", "Wait", "Latency", "Over SLO", "GPU", "Batch", "Depth"],
+        &rows,
+    ));
+}
+
+/// Per-phase p99s (queue, hold, execute) of one scope and each one's
+/// share of their sum. The shares are all zero when the scope saw no
+/// latency.
+fn phase_p99s(ph: &PhaseStats) -> ([f64; 3], [f64; 3]) {
+    let p99 = [&ph.queue, &ph.hold, &ph.execute].map(|s| s.quantile(0.99).unwrap_or(0.0));
+    let total = p99[0] + p99[1] + p99[2];
+    let shares = if total <= 0.0 { [0.0; 3] } else { p99.map(|p| p / total) };
+    (p99, shares)
+}
+
+/// Latency attribution by phase: the cluster's "p99 = 12% queue + 71%
+/// hold + 17% execute" headline, then a cluster row and one row per
+/// model.
+fn push_attribution(out: &mut String, cluster: &PhaseStats, models: &[(usize, &ModelStats)]) {
+    let [q, h, e] = phase_p99s(cluster).1;
+    out.push_str(&format!(
+        "\nattribution: p99 = {:.0}% queue + {:.0}% hold + {:.0}% execute\n",
+        q * 100.0,
+        h * 100.0,
+        e * 100.0
+    ));
+    let model_scopes = models
+        .iter()
+        .filter_map(|(_, m)| Some((model_short_name(m.model), m.phases.as_ref()?)));
+    let rows: Rows = std::iter::once(("cluster", cluster))
+        .chain(model_scopes)
+        .map(|(scope, ph)| {
+            let (p99, shares) = phase_p99s(ph);
+            let cells = p99
+                .iter()
+                .map(|p| format!("{:.0} ms", p * 1e3))
+                .chain(shares.iter().map(|s| format!("{:.0}%", s * 100.0)))
+                .collect();
+            (scope.to_string(), cells)
+        })
+        .collect();
+    out.push_str(&render_table(
+        &["Scope", "Queue p99", "Hold p99", "Exec p99", "Queue", "Hold", "Exec"],
+        &rows,
+    ));
+}
+
+/// The burn-rate alert and ratchet timeline.
+fn push_health(out: &mut String, health: &HealthReport) {
+    out.push_str(&format!("\nslo health (objective {:.1}%): ", health.policy.objective * 100.0));
+    match health.time_to_first_alert_s() {
+        Some(t) => out.push_str(&format!("first alert at {t:.1} s\n")),
+        None => out.push_str("no burn-rate alerts\n"),
+    }
+    if !health.alerts.is_empty() {
+        let rows: Rows = health
+            .alerts
             .iter()
-            .map(|m| {
+            .map(|a| {
                 (
-                    m.model.clone(),
+                    format!("{:.1} s", a.t_s),
                     vec![
-                        format!("{}", m.completed),
-                        format!("{:.0} ms", m.mean_wait_s * 1e3),
-                        format!("{:.0} ms", m.p50_s * 1e3),
-                        format!("{:.0} ms", m.p95_s * 1e3),
-                        format!("{:.0} ms", m.p99_s * 1e3),
-                        format!("{:.1}%", m.slo_attainment * 100.0),
-                        format!("{:.1}", m.mean_batch),
+                        health.policy.rules[a.rule].name.clone(),
+                        a.kind.label().to_string(),
+                        format!("{:.1}x", a.long_burn),
+                        format!("{:.1}x", a.short_burn),
                     ],
                 )
             })
             .collect();
-        let table = render_table(
-            &["Model", "Done", "Mean wait", "p50", "p95", "p99", "SLO attain", "Mean batch"],
-            &rows,
-        );
-        let mut out = format!(
-            "{table}\ncluster: {} done, {} dropped, {} abandoned | throughput {:.2} req/s, \
-             goodput {:.2} req/s | SLO attainment {:.1}% | utilization {:.1}%\n",
-            self.completed,
-            self.dropped,
-            self.abandoned,
-            self.throughput_rps,
-            self.goodput_rps,
-            self.slo_attainment * 100.0,
-            self.utilization * 100.0,
-        );
-        if !self.worst.is_empty() {
-            let rows: Vec<(String, Vec<String>)> = self
-                .worst
-                .iter()
-                .map(|e| {
-                    (
-                        format!("#{}", e.id),
-                        vec![
-                            e.model.clone(),
-                            format!("{:.3} s", e.arrival_s),
-                            format!("{:.0} ms", e.wait_s * 1e3),
-                            format!("{:.0} ms", e.latency_s * 1e3),
-                            format!("{:.0} ms", e.over_s * 1e3),
-                            format!("gpu{}", e.gpu),
-                            format!("{}", e.batch),
-                            format!("{}", e.depth),
-                        ],
-                    )
-                })
-                .collect();
-            out.push_str("\nworst-latency exemplars (worst first):\n");
-            out.push_str(&render_table(
-                &["Req", "Model", "Arrived", "Wait", "Latency", "Over SLO", "GPU", "Batch", "Depth"],
-                &rows,
-            ));
-        }
-        if let Some(attr) = &self.attribution {
-            if let Some(cluster) = attr.first() {
-                let [q, h, e] = cluster.p99_shares();
-                out.push_str(&format!(
-                    "\nattribution: p99 = {:.0}% queue + {:.0}% hold + {:.0}% execute\n",
-                    q * 100.0,
-                    h * 100.0,
-                    e * 100.0
-                ));
-            }
-            let rows: Vec<(String, Vec<String>)> = attr
-                .iter()
-                .map(|p| {
-                    let [q, h, e] = p.p99_shares();
-                    (
-                        p.scope.clone(),
-                        vec![
-                            format!("{:.0} ms", p.queue_p99_s * 1e3),
-                            format!("{:.0} ms", p.hold_p99_s * 1e3),
-                            format!("{:.0} ms", p.execute_p99_s * 1e3),
-                            format!("{:.0}%", q * 100.0),
-                            format!("{:.0}%", h * 100.0),
-                            format!("{:.0}%", e * 100.0),
-                        ],
-                    )
-                })
-                .collect();
-            out.push_str(&render_table(
-                &["Scope", "Queue p99", "Hold p99", "Exec p99", "Queue", "Hold", "Exec"],
-                &rows,
-            ));
-        }
-        if let Some(hs) = &self.health {
-            out.push_str(&format!(
-                "\nslo health (objective {:.1}%): ",
-                hs.objective * 100.0
-            ));
-            match hs.time_to_first_alert_s {
-                Some(t) => out.push_str(&format!("first alert at {t:.1} s\n")),
-                None => out.push_str("no burn-rate alerts\n"),
-            }
-            if !hs.alerts.is_empty() {
-                let rows: Vec<(String, Vec<String>)> = hs
-                    .alerts
-                    .iter()
-                    .map(|a| {
-                        (
-                            format!("{:.1} s", a.t_s),
-                            vec![
-                                a.rule.clone(),
-                                a.kind.clone(),
-                                format!("{:.1}x", a.long_burn),
-                                format!("{:.1}x", a.short_burn),
-                            ],
-                        )
-                    })
-                    .collect();
-                out.push_str(&render_table(
-                    &["Time", "Rule", "Event", "Long burn", "Short burn"],
-                    &rows,
-                ));
-            }
-            for rr in &hs.ratchet {
-                out.push_str(&format!(
-                    "ratchet {} at {:.1} s: mean depth {:.1} (baseline {:.1})\n",
-                    rr.kind, rr.t_s, rr.depth, rr.baseline
-                ));
-            }
-        }
-        if let Some(es) = &self.energy {
-            let rows: Vec<(String, Vec<String>)> = es
-                .models
-                .iter()
-                .map(|e| {
-                    (
-                        e.model.clone(),
-                        vec![
-                            format!("{:.0} W", e.draw_w),
-                            format!("{:.1} s", e.busy_s),
-                            format!("{:.1} {}", e.j_per_request, e.unit),
-                        ],
-                    )
-                })
-                .collect();
-            out.push_str("\nenergy:\n");
-            out.push_str(&render_table(&["Model", "Draw", "Busy", "Per request"], &rows));
-            out.push_str(&format!(
-                "energy: {:.2} Wh total (idle {:.0} W) | mean draw {:.0} W/GPU | \
-                 {:.2} Wh per 1k on-time\n",
-                es.total_wh, es.idle_w, es.mean_power_w, es.wh_per_1k_on_time,
-            ));
-        }
-        out
+        out.push_str(&render_table(&["Time", "Rule", "Event", "Long burn", "Short burn"], &rows));
+    }
+    for rr in &health.ratchet {
+        out.push_str(&format!(
+            "ratchet {} at {:.1} s: mean depth {:.1} (baseline {:.1})\n",
+            rr.kind.label(),
+            rr.t_s,
+            rr.depth,
+            rr.baseline
+        ));
     }
 }
 
-/// One latency-phase row of the token-serving report: the per-phase
-/// percentiles production LLM serving is judged on (TTFT and TPOT
-/// alongside queue wait and end-to-end latency).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TokenPhaseRow {
-    /// Phase name: `queue` | `ttft` | `tpot` | `e2e`.
-    pub phase: String,
-    /// Mean, seconds.
-    pub mean_s: f64,
-    /// Median, seconds.
-    pub p50_s: f64,
-    /// 95th percentile, seconds.
-    pub p95_s: f64,
-    /// 99th percentile, seconds.
-    pub p99_s: f64,
-}
-
-/// Per-GPU KV-cache accounting row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TokenKvRow {
-    /// GPU index.
-    pub gpu: u64,
-    /// KV byte budget, GiB.
-    pub budget_gib: f64,
-    /// Peak resident KV bytes, GiB.
-    pub peak_gib: f64,
-    /// Sequences evicted for recompute on this GPU.
-    pub preemptions: u64,
+/// The energy accounting, when the service profile carried power
+/// figures: per-model draw and busy-span joules per completed request
+/// (idle overhead belongs to the cluster, not to any one model), then
+/// the cluster totals.
+fn push_energy(out: &mut String, r: &SimResult, models: &[(usize, &ModelStats)]) {
+    let Some(e) = &r.energy else {
+        return;
+    };
+    let rows: Rows = models
+        .iter()
+        .map(|&(i, m)| {
+            let unit = if m.model == ModelId::Llama2 {
+                "J/req"
+            } else if m.model.is_video() {
+                "J/video"
+            } else {
+                "J/image"
+            };
+            (
+                model_short_name(m.model).to_string(),
+                vec![
+                    format!("{:.0} W", e.model_draw_w[i]),
+                    format!("{:.1} s", e.model_busy_s[i]),
+                    format!("{:.1} {unit}", e.model_energy_j(i) / m.completed as f64),
+                ],
+            )
+        })
+        .collect();
+    out.push_str("\nenergy:\n");
+    out.push_str(&render_table(&["Model", "Draw", "Busy", "Per request"], &rows));
+    let total_wh = r.total_energy_wh().expect("energy present");
+    let wh_per_1k_on_time = if r.stats.on_time > 0 {
+        total_wh * 1000.0 / r.stats.on_time as f64
+    } else {
+        0.0
+    };
+    out.push_str(&format!(
+        "energy: {:.2} Wh total (idle {:.0} W) | mean draw {:.0} W/GPU | \
+         {:.2} Wh per 1k on-time\n",
+        total_wh,
+        e.idle_w,
+        r.mean_power_w().expect("energy present"),
+        wh_per_1k_on_time,
+    ));
 }
 
 /// The rendered outcome of a token-serving run: phase percentiles
-/// (TTFT/TPOT), KV-cache pressure per GPU, and cluster totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// (queue wait, TTFT, TPOT, end to end), KV-cache pressure per GPU, and
+/// cluster totals.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenReport {
-    /// Short model name.
-    pub model: String,
-    /// GPUs simulated.
-    pub gpus: u64,
-    /// Scheduler name (`static` | `continuous`).
-    pub scheduler: String,
-    /// Phase priority (`decode` | `prefill`).
-    pub priority: String,
-    /// KV admission policy (`prompt` | `reserve`).
-    pub admission: String,
-    /// Requests that arrived.
-    pub arrivals: u64,
-    /// Requests that completed.
-    pub completed: u64,
-    /// Arrivals dropped as oversized for the KV budget.
-    pub dropped: u64,
-    /// Sequences evicted for recompute (all GPUs).
-    pub preemptions: u64,
-    /// Output tokens decoded.
-    pub decoded_tokens: u64,
-    /// Prompt tokens prefilled.
-    pub prefilled_tokens: u64,
-    /// Decode iterations executed.
-    pub iterations: u64,
-    /// Decoded tokens per simulated second.
-    pub tokens_per_sim_s: f64,
-    /// Completions per second.
-    pub throughput_rps: f64,
-    /// On-time completions per second.
-    pub goodput_rps: f64,
-    /// Fraction of completions meeting both SLO bounds.
-    pub slo_attainment: f64,
-    /// Mean GPU busy fraction.
-    pub utilization: f64,
-    /// Mean decode batch size.
-    pub mean_decode_batch: f64,
-    /// TTFT SLO bound, seconds.
-    pub ttft_slo_s: f64,
-    /// TPOT SLO bound, seconds.
-    pub tpot_slo_s: f64,
-    /// Per-phase latency percentiles.
-    pub phases: Vec<TokenPhaseRow>,
-    /// Per-GPU KV-cache rows.
-    pub kv: Vec<TokenKvRow>,
+    text: String,
 }
 
 impl TokenReport {
-    /// Builds the report from a simulation result.
+    /// Renders the report of a finished run.
     #[must_use]
     pub fn from_result(r: &TokenSimResult) -> Self {
+        let mut text = format!(
+            "token serving: {} on {} GPUs | {} batching, {} priority, {} admission\n",
+            model_short_name(r.model),
+            r.gpus,
+            r.scheduler,
+            r.priority,
+            r.admission
+        );
         let p = &r.stats.phases;
         let n = r.stats.completed as f64;
-        let row = |phase: &str, sketch: &mmg_telemetry::QuantileSketch, sum: f64| TokenPhaseRow {
-            phase: phase.to_string(),
-            mean_s: if n > 0.0 { sum / n } else { 0.0 },
-            p50_s: sketch.quantile(0.50).unwrap_or(0.0),
-            p95_s: sketch.quantile(0.95).unwrap_or(0.0),
-            p99_s: sketch.quantile(0.99).unwrap_or(0.0),
-        };
-        TokenReport {
-            model: model_short_name(r.model).to_string(),
-            gpus: r.gpus as u64,
-            scheduler: r.scheduler.to_string(),
-            priority: r.priority.to_string(),
-            admission: r.admission.to_string(),
-            arrivals: r.stats.arrivals,
-            completed: r.stats.completed,
-            dropped: r.stats.dropped_oversized,
-            preemptions: r.preemptions(),
-            decoded_tokens: r.stats.decoded_tokens,
-            prefilled_tokens: r.stats.prefilled_tokens,
-            iterations: r.stats.iterations,
-            tokens_per_sim_s: r.tokens_per_sim_s(),
-            throughput_rps: r.throughput_rps(),
-            goodput_rps: r.goodput_rps(),
-            slo_attainment: r.slo_attainment(),
-            utilization: r.utilization(),
-            mean_decode_batch: r.mean_decode_batch(),
-            ttft_slo_s: r.slo.ttft_s,
-            tpot_slo_s: r.slo.tpot_s,
-            phases: vec![
-                row("queue", &p.queue, p.queue_sum_s),
-                row("ttft", &p.ttft, p.ttft_sum_s),
-                row("tpot", &p.tpot, p.tpot_sum_s),
-                row("e2e", &p.e2e, p.e2e_sum_s),
-            ],
-            kv: r
-                .kv
-                .iter()
-                .enumerate()
-                .map(|(i, l)| TokenKvRow {
-                    gpu: i as u64,
-                    budget_gib: l.budget_bytes as f64 / GIB,
-                    peak_gib: l.peak_resident_bytes as f64 / GIB,
-                    preemptions: l.preemptions,
-                })
-                .collect(),
-        }
-    }
-
-    /// Renders the phase table, the KV table, and the totals line.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "token serving: {} on {} GPUs | {} batching, {} priority, {} admission\n",
-            self.model, self.gpus, self.scheduler, self.priority, self.admission
-        );
-        let phase_rows: Vec<(String, Vec<String>)> = self
-            .phases
-            .iter()
-            .map(|p| {
-                (
-                    p.phase.clone(),
-                    vec![
-                        format!("{:.1} ms", p.mean_s * 1e3),
-                        format!("{:.1} ms", p.p50_s * 1e3),
-                        format!("{:.1} ms", p.p95_s * 1e3),
-                        format!("{:.1} ms", p.p99_s * 1e3),
-                    ],
-                )
+        let phases: [(&str, &QuantileSketch, f64); 4] = [
+            ("queue", &p.queue, p.queue_sum_s),
+            ("ttft", &p.ttft, p.ttft_sum_s),
+            ("tpot", &p.tpot, p.tpot_sum_s),
+            ("e2e", &p.e2e, p.e2e_sum_s),
+        ];
+        let phase_rows: Rows = phases
+            .into_iter()
+            .map(|(phase, sketch, sum_s)| {
+                let mean_s = if n > 0.0 { sum_s / n } else { 0.0 };
+                let quantiles = QUANTILES.map(|q| sketch.quantile(q).unwrap_or(0.0));
+                let cells = std::iter::once(mean_s)
+                    .chain(quantiles)
+                    .map(|s| format!("{:.1} ms", s * 1e3))
+                    .collect();
+                (phase.to_string(), cells)
             })
             .collect();
-        out.push_str(&render_table(&["Phase", "Mean", "p50", "p95", "p99"], &phase_rows));
-        let kv_rows: Vec<(String, Vec<String>)> = self
+        text.push_str(&render_table(&["Phase", "Mean", "p50", "p95", "p99"], &phase_rows));
+        let kv_rows: Rows = r
             .kv
             .iter()
-            .map(|k| {
+            .enumerate()
+            .map(|(i, l)| {
+                let budget_gib = l.budget_bytes as f64 / GIB;
+                let peak_gib = l.peak_resident_bytes as f64 / GIB;
                 (
-                    format!("gpu{}", k.gpu),
+                    format!("gpu{i}"),
                     vec![
-                        format!("{:.1} GiB", k.budget_gib),
-                        format!("{:.2} GiB", k.peak_gib),
-                        format!("{:.1}%", 100.0 * k.peak_gib / k.budget_gib.max(1e-9)),
-                        format!("{}", k.preemptions),
+                        format!("{budget_gib:.1} GiB"),
+                        format!("{peak_gib:.2} GiB"),
+                        format!("{:.1}%", 100.0 * peak_gib / budget_gib.max(1e-9)),
+                        format!("{}", l.preemptions),
                     ],
                 )
             })
             .collect();
-        out.push('\n');
-        out.push_str(&render_table(
+        text.push('\n');
+        text.push_str(&render_table(
             &["GPU", "KV budget", "KV peak", "Peak util", "Preempted"],
             &kv_rows,
         ));
-        out.push_str(&format!(
+        let s = &r.stats;
+        text.push_str(&format!(
             "\ntokens: {} decoded, {} prefilled over {} iterations | {:.0} tok/s simulated | \
              mean decode batch {:.1}\ncluster: {} arrived, {} done, {} dropped, {} preempted | \
              throughput {:.2} req/s, goodput {:.2} req/s | SLO attainment {:.1}% \
              (TTFT <= {:.0} ms, TPOT <= {:.1} ms) | utilization {:.1}%\n",
-            self.decoded_tokens,
-            self.prefilled_tokens,
-            self.iterations,
-            self.tokens_per_sim_s,
-            self.mean_decode_batch,
-            self.arrivals,
-            self.completed,
-            self.dropped,
-            self.preemptions,
-            self.throughput_rps,
-            self.goodput_rps,
-            self.slo_attainment * 100.0,
-            self.ttft_slo_s * 1e3,
-            self.tpot_slo_s * 1e3,
-            self.utilization * 100.0,
+            s.decoded_tokens,
+            s.prefilled_tokens,
+            s.iterations,
+            r.tokens_per_sim_s(),
+            r.mean_decode_batch(),
+            s.arrivals,
+            s.completed,
+            s.dropped_oversized,
+            r.preemptions(),
+            r.throughput_rps(),
+            r.goodput_rps(),
+            r.slo_attainment() * 100.0,
+            r.slo.ttft_s * 1e3,
+            r.slo.tpot_s * 1e3,
+            r.utilization() * 100.0,
         ));
-        out
+        TokenReport { text }
+    }
+
+    /// The rendered report text.
+    #[must_use]
+    pub fn render(&self) -> String {
+        self.text.clone()
     }
 }
 
@@ -796,8 +375,10 @@ mod tests {
     use crate::cluster::{simulate, ScenarioCfg, SchedulerKind, SloSpec};
     use crate::profile::{ServiceCurve, ServiceProfile};
     use crate::workload::{ArrivalProcess, RequestMix};
-    use mmg_models::ModelId;
     use mmg_telemetry::Registry;
+
+    const MODEL_TABLE: &str = "| Model | Done";
+    const ENERGY_TABLE: &str = "| Model | Draw";
 
     fn run() -> SimResult {
         let mix = RequestMix::new(vec![
@@ -820,28 +401,45 @@ mod tests {
         simulate(&cfg, &profile, &Registry::new())
     }
 
-    #[test]
-    fn report_covers_every_model_and_orders_quantiles() {
-        let rep = SloReport::from_result(&run());
-        assert_eq!(rep.models.len(), 2);
-        for m in &rep.models {
-            assert!(m.completed > 0, "{}", m.model);
-            assert!(m.p50_s <= m.p95_s && m.p95_s <= m.p99_s, "{}", m.model);
-            assert!((0.0..=1.0).contains(&m.slo_attainment));
-        }
-        assert_eq!(
-            rep.completed,
-            rep.models.iter().map(|m| m.completed).sum::<u64>()
-        );
-        assert!(rep.goodput_rps <= rep.throughput_rps + 1e-12);
+    /// The trimmed cells of the rows of the table whose header line
+    /// starts with `header`.
+    fn table_rows(text: &str, header: &str) -> Vec<Vec<String>> {
+        text.lines()
+            .skip_while(|l| !l.starts_with(header))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| {
+                l.split('|').map(str::trim).filter(|c| !c.is_empty()).map(String::from).collect()
+            })
+            .collect()
+    }
+
+    /// The number `s` starts with: `"1537 ms"` gives 1537, `"48.6%"`
+    /// gives 48.6.
+    fn num(s: &str) -> f64 {
+        let word = s.split_whitespace().next().unwrap_or_default();
+        word.trim_end_matches(['%', ',']).parse().unwrap_or_else(|_| panic!("no number in '{s}'"))
+    }
+
+    /// The number right after the first `key` in `text`.
+    fn after(text: &str, key: &str) -> f64 {
+        let at = text.find(key).unwrap_or_else(|| panic!("'{key}' missing from:\n{text}"));
+        num(text[at + key.len()..].trim_start())
     }
 
     #[test]
-    fn report_serializes() {
-        let rep = SloReport::from_result(&run());
-        let json = serde_json::to_string(&rep).unwrap();
-        let back: SloReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(rep, back);
+    fn report_covers_every_model_and_orders_quantiles() {
+        let text = SloReport::from_result(&run()).render();
+        let rows = table_rows(&text, MODEL_TABLE);
+        assert_eq!(rows.len(), 2, "{text}");
+        for row in &rows {
+            let [done, p50, p95, p99, attain] = [1, 3, 4, 5, 6].map(|i| num(&row[i]));
+            assert!(done > 0.0, "{row:?}");
+            assert!(p50 <= p95 && p95 <= p99, "{row:?}");
+            assert!((0.0..=100.0).contains(&attain), "{row:?}");
+        }
+        assert_eq!(rows.iter().map(|row| num(&row[1])).sum::<f64>(), after(&text, "cluster:"));
+        assert!(after(&text, "goodput") <= after(&text, "throughput"), "{text}");
     }
 
     #[test]
@@ -854,13 +452,11 @@ mod tests {
     }
 
     /// Metered runs grow an energy section with J-per-request rows;
-    /// unmetered runs keep `energy: None` so serialized reports are
-    /// unchanged from before the energy layer.
+    /// unmetered runs print none, so their reports are unchanged from
+    /// before the energy layer.
     #[test]
     fn energy_section_rides_metered_runs_only() {
-        let plain = SloReport::from_result(&run());
-        assert!(plain.energy.is_none());
-        assert!(!plain.render().contains("energy:"));
+        assert!(!SloReport::from_result(&run()).render().contains("energy:"));
 
         let mix = RequestMix::new(vec![
             (ModelId::StableDiffusion, 3.0),
@@ -880,34 +476,29 @@ mod tests {
             100.0,
             11,
         );
-        let r = simulate(&cfg, &profile, &Registry::new());
-        let rep = SloReport::from_result(&r);
-        let es = rep.energy.as_ref().expect("metered run");
-        assert_eq!(es.idle_w, 55.0);
-        assert!(es.total_wh > 0.0);
-        assert!(es.mean_power_w > 55.0);
-        assert!(es.wh_per_1k_on_time > 0.0);
-        let sd = es.models.iter().find(|m| m.model == "sd").expect("sd row");
-        assert_eq!(sd.unit, "J/image");
+        let text = SloReport::from_result(&simulate(&cfg, &profile, &Registry::new())).render();
+        assert_eq!(after(&text, "(idle"), 55.0);
+        assert!(after(&text, "energy: ") > 0.0, "total Wh:\n{text}");
+        assert!(after(&text, "mean draw") > 55.0, "mean draw:\n{text}");
+        assert!(after(&text, "W/GPU |") > 0.0, "Wh per 1k on-time:\n{text}");
+        let rows = table_rows(&text, ENERGY_TABLE);
+        let row = |model: &str| rows.iter().find(|r| r[0] == model).expect("energy row").clone();
         // Constant curve: J/request = service_s × draw / 1 (batch 1 under
         // FIFO), so ~0.3 × 330.
-        assert!((sd.j_per_request - 0.3 * 330.0).abs() < 1.0, "{}", sd.j_per_request);
-        let mav = es.models.iter().find(|m| m.model == "mav").expect("mav row");
-        assert_eq!(mav.unit, "J/video");
-        assert!((mav.j_per_request - 0.9 * 290.0).abs() < 1.0, "{}", mav.j_per_request);
-        let text = rep.render();
-        assert!(text.contains("J/image") && text.contains("J/video"));
+        let sd = row("sd");
+        assert!(sd[3].ends_with("J/image"), "{sd:?}");
+        assert!((num(&sd[3]) - 0.3 * 330.0).abs() < 1.0, "{sd:?}");
+        let mav = row("mav");
+        assert!(mav[3].ends_with("J/video"), "{mav:?}");
+        assert!((num(&mav[3]) - 0.9 * 290.0).abs() < 1.0, "{mav:?}");
         assert!(text.contains("Wh per 1k on-time"));
-        // Round-trips with the section attached.
-        let back: SloReport =
-            serde_json::from_str(&serde_json::to_string(&rep).unwrap()).unwrap();
-        assert_eq!(rep, back);
     }
 
     /// A ~10k-request scenario in both modes: every streaming-report
     /// quantile must land within the sketch's documented rank-error
-    /// bound of the exact (sorted-records) answer, and all the exact
-    /// running sums must agree to float precision.
+    /// bound of the exact (sorted-records) answer, the exact report
+    /// must print the sorted-records quantiles, and every other byte,
+    /// which comes from the exact running sums, must agree.
     #[test]
     fn streaming_report_matches_exact_within_sketch_bound() {
         let mix = RequestMix::new(vec![
@@ -932,23 +523,25 @@ mod tests {
         let streaming_cfg = ScenarioCfg { full_records: false, ..cfg };
         let streaming = simulate(&streaming_cfg, &profile, &Registry::new());
 
-        let exact = SloReport::from_result(&full);
-        let sketched = SloReport::from_result(&streaming);
-        assert_eq!(exact.models.len(), sketched.models.len());
-        assert_eq!(exact.completed, sketched.completed);
-        assert!((exact.slo_attainment - sketched.slo_attainment).abs() < 1e-12);
+        let exact = SloReport::from_result(&full).render();
+        let sketched = SloReport::from_result(&streaming).render();
+        let summary = |text: &str| text[text.find("\ncluster:").expect("summary line")..].to_string();
+        assert_eq!(summary(&exact), summary(&sketched));
+        let (exact_rows, sketched_rows) =
+            (table_rows(&exact, MODEL_TABLE), table_rows(&sketched, MODEL_TABLE));
+        assert_eq!(exact_rows.len(), 2, "{exact}");
+        let sums_only = |rows: &[Vec<String>]| -> Vec<Vec<String>> {
+            rows.iter().map(|r| [&r[..3], &r[6..]].concat()).collect()
+        };
+        assert_eq!(sums_only(&exact_rows), sums_only(&sketched_rows), "row order and sums");
 
-        for (em, sm) in exact.models.iter().zip(&sketched.models) {
-            assert_eq!(em.model, sm.model, "row order must match the exact report");
-            assert_eq!(em.completed, sm.completed);
-            assert!((em.mean_wait_s - sm.mean_wait_s).abs() < 1e-9);
-            assert!((em.mean_batch - sm.mean_batch).abs() < 1e-9);
+        for (er, sr) in exact_rows.iter().zip(&sketched_rows) {
             // Value-level check of the rank bound: the sketched quantile
             // must sit between the exact order statistics err ranks away.
             let mut lat: Vec<f64> = full
                 .records
                 .iter()
-                .filter(|r| model_short_name(r.model) == em.model)
+                .filter(|r| model_short_name(r.model) == er[0])
                 .map(RequestRecord::latency_s)
                 .collect();
             lat.sort_by(f64::total_cmp);
@@ -957,17 +550,21 @@ mod tests {
                 .stats
                 .per_model
                 .iter()
-                .find(|m| model_short_name(m.model) == em.model)
+                .find(|m| model_short_name(m.model) == er[0])
                 .unwrap();
             let err = ms.latency_sketch.rank_error_ranks().ceil() as usize + 1;
-            for (q, got) in [(0.50, sm.p50_s), (0.95, sm.p95_s), (0.99, sm.p99_s)] {
+            for (q, col) in [(0.50, 3), (0.95, 4), (0.99, 5)] {
+                let want = quantile_sorted(&lat, q).unwrap();
+                assert_eq!(er[col], format!("{:.0} ms", want * 1e3), "{} exact q{q}", er[0]);
+                let got = ms.latency_sketch.quantile(q).unwrap();
+                assert_eq!(sr[col], format!("{:.0} ms", got * 1e3), "{} sketched q{q}", er[0]);
                 let r = (q * (n - 1) as f64).round() as usize;
                 let lo = lat[r.saturating_sub(err)];
                 let hi = lat[(r + err).min(n - 1)];
                 assert!(
                     (lo..=hi).contains(&got),
                     "{} q{q}: {got} outside [{lo}, {hi}] (±{err} ranks of {n})",
-                    em.model
+                    er[0]
                 );
             }
         }

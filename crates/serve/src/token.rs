@@ -26,7 +26,7 @@
 //! queue wait, TTFT (time-to-first-token) and TPOT (time-per-output-
 //! token), each tracked in Greenwald–Khanna sketches. Determinism
 //! matches the rest of the crate: one seed fixes the sample path and
-//! runs are byte-identical across processes and `--jobs`.
+//! runs are byte-identical across processes.
 
 use std::collections::VecDeque;
 
@@ -333,8 +333,6 @@ pub struct TokenStats {
     /// Arrivals dropped because a single sequence could never fit the
     /// KV budget.
     pub dropped_oversized: u64,
-    /// Sequences evicted for recompute (summed over GPUs).
-    pub preemptions: u64,
     /// Output tokens decoded.
     pub decoded_tokens: u64,
     /// Prompt tokens prefilled (recompute counts again).
@@ -356,7 +354,6 @@ impl TokenStats {
             completed: 0,
             on_time: 0,
             dropped_oversized: 0,
-            preemptions: 0,
             decoded_tokens: 0,
             prefilled_tokens: 0,
             iterations: 0,
@@ -539,7 +536,6 @@ impl<'a> TokenSim<'a> {
         self.drive();
         self.end_s = self.end_s.max(self.cfg.duration_s);
         self.stats.phases.flush();
-        self.stats.preemptions = self.gpus.iter().map(|g| g.ledger.preemptions).sum();
         self.publish(registry);
         let result = TokenSimResult {
             model: self.cfg.model,
