@@ -9,7 +9,8 @@
 //! compute-bound diffusion.
 //!
 //! Everything runs on the deterministic [`EventQueue`]; the only
-//! randomness is the seeded arrival process and model mix.
+//! randomness is the seeded arrival stream ([`RegionStream`]: arrival
+//! times and model draws).
 //!
 //! # The fast path
 //!
@@ -18,9 +19,9 @@
 //!
 //! - Request state lives in a **slot pool** with a free list; generation
 //!   counters keep stale abandonment events from touching reused slots.
-//!   Batch id-vectors are pooled too, and arrivals are pre-generated in
-//!   batches, so the steady-state event loop does no per-request
-//!   allocation.
+//!   Batch id-vectors are pooled too, and the one pending arrival rides
+//!   in its event with its model's mix index, so the steady-state event
+//!   loop does no per-request allocation.
 //! - All telemetry handles are resolved **once per run**, so the event
 //!   loop never does a registry lookup.
 //! - Aggregates stream into [`ServeStats`]: exact running sums plus
@@ -48,6 +49,7 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::thread::{Scope, ScopedJoinHandle};
 
@@ -56,15 +58,12 @@ use mmg_telemetry::burnrate::{
     AlertEvent, AlertKind, BurnRateEngine, RatchetDetector, RatchetEvent, SloPolicy,
 };
 use mmg_telemetry::{latency_buckets_s, Counter, Histogram, QuantileSketch, Registry};
-use rand::distributions::{Distribution, Uniform};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::des::EventQueue;
 use crate::flight::{Exemplars, FlightCfg, FlightRecorder};
 use crate::profile::{ServiceCurve, ServiceProfile};
 use crate::workload::{
-    check_expected_arrivals, model_short_name, ArrivalGen, ArrivalProcess, RequestMix,
+    check_expected_arrivals, model_short_name, ArrivalProcess, RegionStream, RequestMix,
 };
 
 /// Relative rank-error bound of the streaming latency sketches: every
@@ -72,10 +71,6 @@ use crate::workload::{
 /// [`mmg_telemetry::sketch`] for the bound's derivation and merge
 /// semantics).
 pub const LATENCY_SKETCH_EPS: f64 = 0.001;
-
-/// How many arrival timestamps are pre-generated per refill of the
-/// arrival buffer.
-const ARRIVAL_BATCH: usize = 64;
 
 /// Completions the event loop collects before it hands them to the
 /// completion sink as one batch.
@@ -97,22 +92,6 @@ const RATCHET_GROWTH: f64 = 2.0;
 // ~1-2 requests occur even at low utilization); genuine FIFO collapse
 // blows past it within a few windows.
 const RATCHET_MIN_DEPTH: f64 = 4.0;
-
-/// An externally supplied arrival stream: each item is `(arrival time
-/// in seconds, index into the scenario's [`RequestMix`] entries)`.
-///
-/// The default simulation draws arrival times and models internally
-/// from the scenario's seeded generators; a source replaces both, which
-/// is how the fleet layer feeds one deterministically split slice of a
-/// global arrival stream into each cluster. Contract: times are
-/// strictly increasing and mix indices are in range for the scenario's
-/// mix. The simulation stops pulling at the first arrival past the
-/// horizon (that arrival is consumed but not simulated), so a windowed
-/// adapter should clip its stream at the horizon itself.
-pub trait ArrivalSource {
-    /// The next arrival, or `None` when the stream is exhausted.
-    fn next_arrival(&mut self) -> Option<(f64, usize)>;
-}
 
 /// How arriving requests are assigned to a GPU queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,10 +228,11 @@ pub struct ScenarioCfg {
     pub scheduler: SchedulerKind,
     /// Deadline specification.
     pub slo: SloSpec,
-    /// Arrival horizon, seconds: no requests arrive after this instant
-    /// (in-flight work drains to completion).
+    /// Arrival horizon, seconds: requests arrive in `[0, duration_s)`,
+    /// and in-flight work drains to completion after it.
     pub duration_s: f64,
-    /// Stop generating arrivals after this many, regardless of horizon.
+    /// Stop after this many arrivals, regardless of horizon; `Some(0)`
+    /// runs no arrivals at all.
     pub max_requests: Option<u64>,
     /// Queued requests give up after waiting this long.
     pub abandon_after_s: Option<f64>,
@@ -776,7 +756,8 @@ impl SimResult {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    Arrival,
+    /// An arrival for the model at this index of the scenario's mix.
+    Arrival { mix_idx: u32 },
     Depart { gpu: usize },
     Timeout { gpu: usize },
     Abandon { slot: u32, gen: u32 },
@@ -1171,17 +1152,6 @@ struct Sim<'a> {
     batch_h: Histogram,
     drops_c: Counter,
     abandons_c: Counter,
-    mix_rng: StdRng,
-    unit: Uniform<f64>,
-    arrival_gen: ArrivalGen,
-    arrival_buf: VecDeque<f64>,
-    last_gen_t: f64,
-    /// External arrival stream, when the caller supplied one
-    /// ([`simulate_stream`]). `None` keeps the seeded-generator path
-    /// byte-identical to before the hook existed.
-    source: Option<&'a mut dyn ArrivalSource>,
-    /// Mix index of the one scheduled-but-unprocessed stream arrival.
-    pending_mix: Option<usize>,
     area_requests_s: f64,
     last_event_s: f64,
     in_system: u64,
@@ -1197,33 +1167,6 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    /// Next arrival instant; refills the pre-generated batch when empty.
-    /// The chained `next_after` recurrence is unchanged, so the sample
-    /// path is identical to drawing one arrival at a time. With an
-    /// external [`ArrivalSource`], pulls from it instead (`+inf` marks
-    /// exhaustion — past every horizon, so nothing gets scheduled).
-    fn next_arrival(&mut self) -> f64 {
-        if let Some(src) = self.source.as_mut() {
-            return match src.next_arrival() {
-                Some((t, mix_idx)) => {
-                    debug_assert!(self.pending_mix.is_none(), "unconsumed stream arrival");
-                    self.pending_mix = Some(mix_idx);
-                    t
-                }
-                None => f64::INFINITY,
-            };
-        }
-        if self.arrival_buf.is_empty() {
-            let mut t = self.last_gen_t;
-            for _ in 0..ARRIVAL_BATCH {
-                t = self.arrival_gen.next_after(t);
-                self.arrival_buf.push_back(t);
-            }
-            self.last_gen_t = t;
-        }
-        self.arrival_buf.pop_front().expect("refilled above")
-    }
-
     fn alloc_slot(&mut self) -> u32 {
         if let Some(slot) = self.free.pop() {
             slot
@@ -1445,20 +1388,11 @@ impl<'a> Sim<'a> {
         self.queue.schedule(finish_s, Event::Depart { gpu });
     }
 
-    fn on_arrival(&mut self) {
+    fn on_arrival(&mut self, mix_idx: usize) {
         let now = self.queue.now_s();
         let arrival_id = self.arrivals;
         self.arrivals += 1;
-        let mix_idx = match self.pending_mix.take() {
-            Some(idx) => {
-                assert!(idx < self.per_model.len(), "stream mix index out of range");
-                idx
-            }
-            None => {
-                let u: f64 = self.unit.sample(&mut self.mix_rng);
-                self.cfg.mix.sample_index(u)
-            }
-        };
+        assert!(mix_idx < self.per_model.len(), "stream mix index out of range");
         let info = &self.per_model[mix_idx];
         let model = info.model;
         let deadline_s = now + info.slo_delta_s;
@@ -1648,29 +1582,9 @@ impl<'a> Sim<'a> {
 /// curve for.
 #[must_use]
 pub fn simulate(cfg: &ScenarioCfg, profile: &ServiceProfile, registry: &Registry) -> SimResult {
-    let (result, _flight) = run(cfg, profile, registry, None, None, None);
-    result
-}
-
-/// Like [`simulate`], but arrivals come from an external
-/// [`ArrivalSource`] instead of the scenario's seeded generators (whose
-/// seeds are then unused). The fleet layer uses this to run one cluster
-/// against its deterministically split slice of a global arrival
-/// stream. Everything downstream of arrival — routing, scheduling,
-/// batching, SLOs, telemetry — behaves exactly as in [`simulate`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate`], or if the source
-/// yields a mix index out of range for the scenario's mix.
-#[must_use]
-pub fn simulate_stream(
-    cfg: &ScenarioCfg,
-    profile: &ServiceProfile,
-    registry: &Registry,
-    source: &mut dyn ArrivalSource,
-) -> SimResult {
-    let (result, _flight) = run(cfg, profile, registry, None, Some(source), None);
+    let mut arrivals = scenario_stream(cfg);
+    let (result, _flight) =
+        run(cfg, profile, registry, None, &mut arrivals, 0.0..cfg.duration_s, None);
     result
 }
 
@@ -1691,20 +1605,45 @@ pub fn simulate_recorded(
     registry: &Registry,
     flight_cfg: FlightCfg,
 ) -> (SimResult, FlightRecorder) {
+    let mut arrivals = scenario_stream(cfg);
     let recorder = FlightRecorder::new(flight_cfg, cfg.gpus);
-    let (result, flight) = run(cfg, profile, registry, Some(recorder), None, None);
+    let (result, flight) =
+        run(cfg, profile, registry, Some(recorder), &mut arrivals, 0.0..cfg.duration_s, None);
     (result, flight.expect("recorder threaded through the run"))
 }
 
-/// Runs a scenario. The completion sink moves to a helper thread after
-/// `inline_limit` completions on any host, or by the default rule (see
-/// the module docs) when it is `None`.
-fn run<'a>(
-    cfg: &'a ScenarioCfg,
-    profile: &'a ServiceProfile,
+/// The scenario's own arrival stream: times seeded by `seed`, model
+/// draws by `seed + 1`, capped at `max_requests`.
+///
+/// # Panics
+///
+/// Panics with the message of [`ScenarioCfg::validate`] if the scenario
+/// fails it.
+fn scenario_stream(cfg: &ScenarioCfg) -> RegionStream {
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
+    let mix_seed = cfg.seed.wrapping_add(1);
+    RegionStream::seeded(cfg.arrival, cfg.mix.clone(), cfg.seed, mix_seed, cfg.max_requests)
+}
+
+/// Runs a scenario on the arrivals `arrivals` holds in `window`, at
+/// times relative to `window.start`; the stream's mix indices address
+/// the scenario's mix. The completion sink moves to a helper thread
+/// after `inline_limit` completions on any host, or by the default rule
+/// (see the module docs) when it is `None`.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`simulate`], or on a mix index
+/// out of range for the scenario's mix.
+pub(crate) fn run(
+    cfg: &ScenarioCfg,
+    profile: &ServiceProfile,
     registry: &Registry,
     flight: Option<FlightRecorder>,
-    source: Option<&'a mut dyn ArrivalSource>,
+    arrivals: &mut RegionStream,
+    window: Range<f64>,
     inline_limit: Option<u64>,
 ) -> (SimResult, Option<FlightRecorder>) {
     if let Err(e) = cfg.validate() {
@@ -1713,6 +1652,12 @@ fn run<'a>(
     for model in cfg.mix.models() {
         assert!(profile.curve(model).is_some(), "no service curve for {model}");
     }
+    // The next arrival of the window, as a window-relative event.
+    let mut arrival_event = || {
+        arrivals.next_before(window.end).map(|(t, mix_idx)| {
+            (t - window.start, Event::Arrival { mix_idx: mix_idx as u32 })
+        })
+    };
 
     // Resolve per-model curves, deadlines, and telemetry handles once;
     // the event loop then never touches the registry's lock or re-scans
@@ -1767,13 +1712,6 @@ fn run<'a>(
             .histogram("serve_batch_size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
         drops_c: registry.counter("serve_drops_total"),
         abandons_c: registry.counter("serve_abandons_total"),
-        mix_rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(1)),
-        unit: Uniform::new(0.0, 1.0),
-        arrival_gen: ArrivalGen::new(cfg.arrival, cfg.seed),
-        arrival_buf: VecDeque::with_capacity(ARRIVAL_BATCH),
-        last_gen_t: 0.0,
-        source,
-        pending_mix: None,
         area_requests_s: 0.0,
         last_event_s: 0.0,
         in_system: 0,
@@ -1783,9 +1721,8 @@ fn run<'a>(
         health: cfg.slo_policy.clone().map(HealthMonitor::new),
     };
 
-    let first = sim.next_arrival();
-    if first <= cfg.duration_s {
-        sim.queue.schedule(first, Event::Arrival);
+    if let Some((t, event)) = arrival_event() {
+        sim.queue.schedule(t, event);
     }
 
     let (any_events, folds) = std::thread::scope(|scope| {
@@ -1812,15 +1749,10 @@ fn run<'a>(
                 sim.in_flight_at_horizon = sim.in_system;
             }
             match event {
-                Event::Arrival => {
-                    sim.on_arrival();
-                    let generated = sim.arrivals;
-                    let more = cfg.max_requests.is_none_or(|cap| generated < cap);
-                    if more {
-                        let next = sim.next_arrival();
-                        if next <= cfg.duration_s {
-                            sim.queue.schedule(next, Event::Arrival);
-                        }
+                Event::Arrival { mix_idx } => {
+                    sim.on_arrival(mix_idx as usize);
+                    if let Some((t, event)) = arrival_event() {
+                        sim.queue.schedule(t, event);
                     }
                 }
                 Event::Depart { gpu } => {
@@ -1852,45 +1784,21 @@ fn run<'a>(
             .set(if end_s > 0.0 { busy / end_s } else { 0.0 });
     }
 
-    // Energy close-out: busy spans were integrated at launch; the idle
-    // remainder of each GPU's clock runs at the profile's idle draw.
-    // Everything here is gated on the profile actually carrying power
-    // figures, so unmetered runs emit no energy metrics at all and their
-    // registries (and flight traces) stay byte-identical to before the
-    // energy layer existed.
-    let energy = profile.has_power().then(|| {
-        let idle_w = profile.idle_w;
-        let stats = EnergyStats {
-            idle_w,
-            busy_energy_j: sim.energy_j.clone(),
-            model_busy_s: sim.model_busy_s.clone(),
-            model_draw_w: sim.per_model.iter().map(|m| m.draw_w).collect(),
-        };
-        let mut total_j = 0.0;
-        for (g, &busy) in sim.busy_s.iter().enumerate() {
-            let j = stats.busy_energy_j[g] + (end_s - busy).max(0.0) * idle_w;
-            total_j += j;
-            let gpu_label = g.to_string();
-            registry
-                .gauge_with("serve_gpu_energy_wh", &[("gpu", gpu_label.as_str())])
-                .set(j / 3600.0);
-        }
-        registry.gauge("serve_energy_wh").set(total_j / 3600.0);
-        registry.gauge("serve_mean_power_w").set(if end_s > 0.0 {
-            total_j / (end_s * sim.busy_s.len() as f64)
-        } else {
-            0.0
-        });
-        registry.describe("serve_energy_wh", "modeled cluster energy over the run, watt-hours");
-        registry
-            .describe("serve_gpu_energy_wh", "modeled per-GPU energy over the run, watt-hours");
-        registry
-            .describe("serve_mean_power_w", "mean modeled board draw per GPU over the run, watts");
-        if let Some(fl) = sim.flight.as_mut() {
-            fl.enable_power(idle_w);
-        }
-        stats
+    // Energy close-out: busy spans were integrated at launch; the
+    // result's accessors charge the idle remainder of each GPU's clock at
+    // the profile's idle draw. Everything here is gated on the profile
+    // actually carrying power figures, so unmetered runs emit no energy
+    // metrics at all and their registries (and flight traces) stay
+    // byte-identical to before the energy layer existed.
+    let energy = profile.has_power().then(|| EnergyStats {
+        idle_w: profile.idle_w,
+        busy_energy_j: sim.energy_j,
+        model_busy_s: sim.model_busy_s,
+        model_draw_w: sim.per_model.iter().map(|m| m.draw_w).collect(),
     });
+    if let (Some(e), Some(fl)) = (&energy, sim.flight.as_mut()) {
+        fl.enable_power(e.idle_w);
+    }
 
     debug_assert_eq!(sim.in_system, 0, "drain left requests in the system");
 
@@ -1962,6 +1870,21 @@ fn run<'a>(
         health,
         energy,
     };
+    if let Some(total_wh) = result.total_energy_wh() {
+        for g in 0..result.busy_s.len() {
+            let gpu_label = g.to_string();
+            registry
+                .gauge_with("serve_gpu_energy_wh", &[("gpu", gpu_label.as_str())])
+                .set(result.gpu_energy_j(g).expect("a metered run") / 3600.0);
+        }
+        registry.gauge("serve_energy_wh").set(total_wh);
+        registry.gauge("serve_mean_power_w").set(result.mean_power_w().expect("a metered run"));
+        registry.describe("serve_energy_wh", "modeled cluster energy over the run, watt-hours");
+        registry
+            .describe("serve_gpu_energy_wh", "modeled per-GPU energy over the run, watt-hours");
+        registry
+            .describe("serve_mean_power_w", "mean modeled board draw per GPU over the run, watts");
+    }
     (result, sim.flight)
 }
 
@@ -2583,24 +2506,16 @@ mod tests {
         cfg
     }
 
-    /// An external arrival stream: Poisson times, every fifth request
-    /// for the mix's second model.
-    struct Feed {
-        gen: crate::workload::ArrivalGen,
-        t: f64,
-        n: u64,
-    }
-
-    impl ArrivalSource for Feed {
-        fn next_arrival(&mut self) -> Option<(f64, usize)> {
-            self.t = self.gen.next_after(self.t);
-            self.n += 1;
-            Some((self.t, usize::from(self.n.is_multiple_of(5))))
-        }
+    /// A stream of `cfg`'s arrival process over `mix` instead of the
+    /// scenario's own, with its own seeds and the scenario's cap.
+    fn foreign_stream(cfg: &ScenarioCfg, mix: &str, seed: u64) -> RegionStream {
+        let mix = RequestMix::parse(mix).expect("valid mix");
+        RegionStream::seeded(cfg.arrival, mix, seed, seed.wrapping_add(1), cfg.max_requests)
     }
 
     /// Runs `cfg` with the sink handing off after `inline_limit`
-    /// completions, fed by a [`Feed`] when `feed` is set: the result, its
+    /// completions — on a stream of one request in five for the mix's
+    /// second model when `feed` is set — and returns the result, its
     /// report, its Prometheus dump and, when `recorded`, its recorder.
     fn run_with_hand_off(
         cfg: &ScenarioCfg,
@@ -2612,13 +2527,11 @@ mod tests {
         let registry = Registry::new();
         let flight =
             recorded.then(|| FlightRecorder::new(FlightCfg::for_horizon(cfg.duration_s), cfg.gpus));
-        let mut source = feed.then(|| Feed {
-            gen: crate::workload::ArrivalGen::new(cfg.arrival, cfg.seed),
-            t: 0.0,
-            n: 0,
-        });
-        let source = source.as_mut().map(|f| f as &mut dyn ArrivalSource);
-        let (r, flight) = run(cfg, profile, &registry, flight, source, Some(inline_limit));
+        let mut arrivals =
+            if feed { foreign_stream(cfg, "sd:4,parti:1", 3) } else { scenario_stream(cfg) };
+        let window = 0.0..cfg.duration_s;
+        let (r, flight) =
+            run(cfg, profile, &registry, flight, &mut arrivals, window, Some(inline_limit));
         let report = crate::report::SloReport::from_result(&r).render();
         (r, report, registry.render_prometheus(), flight)
     }
@@ -2683,17 +2596,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "stream mix index out of range")]
     fn a_loop_panic_with_the_helper_running_propagates() {
-        struct Broken(Feed);
-        impl ArrivalSource for Broken {
-            fn next_arrival(&mut self) -> Option<(f64, usize)> {
-                let (t, m) = self.0.next_arrival()?;
-                Some((t, if self.0.n > 20_000 { 9 } else { m }))
-            }
-        }
         let cfg = stream_shape(SchedulerKind::Dynamic { max_batch: 16 }, 2.0);
-        let gen = crate::workload::ArrivalGen::new(cfg.arrival, 1);
-        let mut src = Broken(Feed { gen, t: 0.0, n: 0 });
-        let _ = run(&cfg, &stream_mix_profile(), &Registry::new(), None, Some(&mut src), Some(0));
+        // A third model, about one arrival in 40,000: its index is out of
+        // range for the scenario's two-model mix.
+        let stream = || foreign_stream(&cfg, "sd:8,parti:2,muse:0.00025", 1);
+        let mut probe = stream();
+        let first_foreign = (1u64..).find(|_| probe.next().1 == 2).expect("endless stream");
+        // Well after the helper took the folds, and before the cap.
+        assert!((20_000..100_000).contains(&first_foreign), "first at arrival {first_foreign}");
+        let window = 0.0..cfg.duration_s;
+        let _ = run(&cfg, &stream_mix_profile(), &Registry::new(), None, &mut stream(), window, Some(0));
     }
 
     /// A panic on the helper thread reaches the loop's thread.

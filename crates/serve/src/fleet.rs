@@ -12,13 +12,13 @@
 //! receives a Poisson/diurnal stream at `rate · wᵣ/Σw`, phase-shifted
 //! by the region's diurnal offset. By the superposition theorem the
 //! union of the per-region streams *is* the fleet's global arrival
-//! process, and [`GlobalStream`] materializes exactly that union as a
-//! deterministic k-way merge (ties broken by region index). Splitting
-//! is therefore exact by construction: the per-region streams partition
-//! the global reference stream bit-for-bit — counts, timestamps, and
-//! model draws — which is what lets the fleet shard its DES by cluster
-//! across a worker pool and still merge byte-identical results for any
-//! `--jobs`.
+//! process: a deterministic k-way merge of the region streams (ties
+//! broken by region index) is that union, and a test checks that the
+//! per-region streams partition it bit-for-bit — counts, timestamps,
+//! and model draws. Each region stream is a [`RegionStream`], the type
+//! every serving engine draws its arrivals from. The split is what lets
+//! the fleet shard its DES by cluster across a worker pool and still
+//! merge byte-identical results for any `--jobs`.
 //!
 //! # Windows, autoscaling, cost
 //!
@@ -40,8 +40,8 @@
 //! the general DES sample path exactly (same start/finish arithmetic;
 //! an equivalence test pins it) and carries GPU free-times across
 //! window boundaries, so it is a *continuous* DES per cluster. Other
-//! scheduler/router combinations fall back to [`simulate_stream`] per
-//! window (GPUs start each window idle — a documented
+//! scheduler/router combinations run the cluster DES once per window on
+//! the same region stream (GPUs start each window idle — a documented
 //! stationary-within-window approximation).
 
 use mmg_telemetry::{QuantileSketch, Registry, WindowValue, WindowedSeries};
@@ -49,9 +49,9 @@ use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cluster::{simulate_stream, ArrivalSource, RouterKind, ScenarioCfg, SchedulerKind, SloSpec};
+use crate::cluster::{RouterKind, ScenarioCfg, SchedulerKind, SloSpec};
 use crate::profile::ServiceProfile;
-use crate::workload::{check_expected_arrivals, ArrivalGen, ArrivalProcess, RequestMix};
+use crate::workload::{check_expected_arrivals, ArrivalProcess, RegionStream, RequestMix};
 
 /// Rank-error bound of the fleet-level latency sketches. Coarser than
 /// the per-cluster [`crate::LATENCY_SKETCH_EPS`]: fleet runs push 10⁸+
@@ -269,94 +269,24 @@ impl FleetCfg {
     }
 }
 
-/// One region's slice of the fleet arrival stream: seeded arrival times
-/// plus per-arrival model draws, independent of every other region.
-#[derive(Debug)]
-pub struct RegionStream {
-    gen: ArrivalGen,
-    mix: RequestMix,
-    mix_rng: StdRng,
-    unit: Uniform<f64>,
-    t_s: f64,
-}
-
 impl RegionStream {
-    /// The stream for region `idx` of `fleet`.
+    /// The stream of region `idx` of `fleet`: the region's process over
+    /// the fleet's mix, seeded from the fleet seed, with no request cap.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range (and on invalid processes, as
-    /// [`ArrivalGen::new`] does).
+    /// [`crate::ArrivalGen::new`] does).
     #[must_use]
     pub fn new(fleet: &FleetCfg, idx: usize) -> Self {
         let r = idx as u64;
-        RegionStream {
-            gen: ArrivalGen::new(
-                fleet.region_process(idx),
-                derive_seed(fleet.seed, r, SALT_ARRIVAL),
-            ),
-            mix: fleet.mix.clone(),
-            mix_rng: StdRng::seed_from_u64(derive_seed(fleet.seed, r, SALT_MIX)),
-            unit: Uniform::new(0.0, 1.0),
-            t_s: 0.0,
-        }
-    }
-
-    /// The next `(arrival time, mix index)` of this region. Times are
-    /// strictly increasing; the stream never ends (callers clip at
-    /// their horizon, so an `Iterator` impl — which must be fused and
-    /// fallible — would fit worse than this infallible method).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> (f64, usize) {
-        self.t_s = self.gen.next_after(self.t_s);
-        // A single-model mix needs no draw — and consuming no RNG here
-        // keeps the draw count per arrival identical in every consumer
-        // of the stream (fast lane, windowed DES, global merge).
-        let mix_idx = if self.mix.entries().len() == 1 {
-            0
-        } else {
-            let u: f64 = self.unit.sample(&mut self.mix_rng);
-            self.mix.sample_index(u)
-        };
-        (self.t_s, mix_idx)
-    }
-}
-
-/// The fleet's single global arrival stream: the deterministic k-way
-/// merge of every region's [`RegionStream`] (earliest time first, ties
-/// by region index). This is the single-stream reference the split is
-/// tested against — the per-region streams partition it exactly.
-#[derive(Debug)]
-pub struct GlobalStream {
-    regions: Vec<RegionStream>,
-    /// Next pending `(t, mix)` per region, lazily advanced.
-    heads: Vec<(f64, usize)>,
-}
-
-impl GlobalStream {
-    /// The merged stream of `fleet`'s regions.
-    #[must_use]
-    pub fn new(fleet: &FleetCfg) -> Self {
-        let mut regions: Vec<RegionStream> =
-            (0..fleet.clusters.len()).map(|i| RegionStream::new(fleet, i)).collect();
-        let heads = regions.iter_mut().map(RegionStream::next).collect();
-        GlobalStream { regions, heads }
-    }
-
-    /// The next `(arrival time, region index, mix index)` fleet-wide.
-    /// Infinite, like [`RegionStream::next`].
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> (f64, usize, usize) {
-        let r = self
-            .heads
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))
-            .map(|(i, _)| i)
-            .expect("fleet has at least one region");
-        let (t, mix_idx) = self.heads[r];
-        self.heads[r] = self.regions[r].next();
-        (t, r, mix_idx)
+        RegionStream::seeded(
+            fleet.region_process(idx),
+            fleet.mix.clone(),
+            derive_seed(fleet.seed, r, SALT_ARRIVAL),
+            derive_seed(fleet.seed, r, SALT_MIX),
+            None,
+        )
     }
 }
 
@@ -849,7 +779,6 @@ pub fn run_cluster(
     // carries the systematic-sample phase across windows.
     let mut free_t: Vec<f64> = Vec::new();
     let mut rr_next: usize = 0;
-    let mut pending: Option<(f64, usize)> = None;
     let mut lat_phase: u64 = 0;
 
     let models: Vec<FastModel> = fleet
@@ -902,11 +831,7 @@ pub fn run_cluster(
             let mut late = 0u64;
             let mut busy = 0.0f64;
             let mut busy_j = 0.0f64;
-            let (mut t, mut m) = match pending.take() {
-                Some(a) => a,
-                None => stream.next(),
-            };
-            while t < w1 {
+            while let Some((t, m)) = stream.next_before(w1) {
                 let g = rr_next;
                 rr_next += 1;
                 if rr_next == gpus {
@@ -928,11 +853,7 @@ pub fn run_cluster(
                 if n.wrapping_add(lat_phase).is_multiple_of(FAST_LANE_SKETCH_EVERY) {
                     latency.observe(lat);
                 }
-                let nx = stream.next();
-                t = nx.0;
-                m = nx.1;
             }
-            pending = Some((t, m));
             lat_phase = lat_phase.wrapping_add(n);
             win.arrivals = n;
             win.completed = n;
@@ -940,8 +861,8 @@ pub fn run_cluster(
             win.busy_s = busy;
             win.energy_j = busy_j;
         } else {
-            // General lane: one bounded-horizon DES per window via the
-            // arrival-source hook. GPUs start the window idle — the
+            // General lane: one bounded-horizon DES per window on the
+            // region stream. GPUs start the window idle — the
             // stationary-within-window approximation (window ≫ service
             // time keeps the boundary error small).
             let mut cfg = ScenarioCfg::new(
@@ -955,8 +876,8 @@ pub fn run_cluster(
             );
             cfg.router = fleet.router;
             cfg.full_records = false;
-            let mut src = WindowSource { stream: &mut stream, w0, w1, pending: &mut pending };
-            let res = simulate_stream(&cfg, profile, registry, &mut src);
+            let (res, _) =
+                crate::cluster::run(&cfg, profile, registry, None, &mut stream, w0..w1, None);
             win.arrivals = res.arrivals;
             win.completed = res.stats.completed;
             win.on_time = res.stats.on_time;
@@ -1024,37 +945,47 @@ pub fn run_cluster(
     }
 }
 
-/// Adapts one window of a [`RegionStream`] to the cluster DES: yields
-/// window-relative times for arrivals in `[w0, w1)`, parking the first
-/// beyond-window arrival for the next window.
-struct WindowSource<'a> {
-    stream: &'a mut RegionStream,
-    w0: f64,
-    w1: f64,
-    pending: &'a mut Option<(f64, usize)>,
-}
-
-impl ArrivalSource for WindowSource<'_> {
-    fn next_arrival(&mut self) -> Option<(f64, usize)> {
-        let (t, m) = match self.pending.take() {
-            Some(a) => a,
-            None => self.stream.next(),
-        };
-        if t < self.w1 {
-            Some((t - self.w0, m))
-        } else {
-            *self.pending = Some((t, m));
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::simulate_stream;
     use crate::profile::ServiceCurve;
     use mmg_models::ModelId;
+    use proptest::prelude::*;
+
+    /// The fleet's single global arrival stream: the deterministic k-way
+    /// merge of every region's [`RegionStream`] (earliest time first, ties
+    /// by region index). This is the single-stream reference the split is
+    /// tested against — the per-region streams partition it exactly.
+    struct GlobalStream {
+        regions: Vec<RegionStream>,
+        /// Next pending `(t, mix)` per region, lazily advanced.
+        heads: Vec<(f64, usize)>,
+    }
+
+    impl GlobalStream {
+        /// The merged stream of `fleet`'s regions.
+        fn new(fleet: &FleetCfg) -> Self {
+            let mut regions: Vec<RegionStream> =
+                (0..fleet.clusters.len()).map(|i| RegionStream::new(fleet, i)).collect();
+            let heads = regions.iter_mut().map(RegionStream::next).collect();
+            GlobalStream { regions, heads }
+        }
+
+        /// The next `(arrival time, region index, mix index)` fleet-wide.
+        /// Infinite, like [`RegionStream::next`].
+        fn next(&mut self) -> (f64, usize, usize) {
+            let r = self
+                .heads
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))
+                .map(|(i, _)| i)
+                .expect("fleet has at least one region");
+            let (t, mix_idx) = self.heads[r];
+            self.heads[r] = self.regions[r].next();
+            (t, r, mix_idx)
+        }
+    }
 
     fn test_profile() -> ServiceProfile {
         ServiceProfile::new(vec![
@@ -1148,57 +1079,125 @@ mod tests {
         assert!((share0 - 0.5).abs() < 0.03, "region 0 share {share0}");
     }
 
-    #[test]
-    fn fast_lane_matches_the_event_driven_cluster() {
-        // One window, FIFO + round-robin: the closed-form fast lane must
-        // reproduce the general DES sample path. Counts are compared
-        // exactly; float sums within tolerance (the two paths accumulate
-        // in different orders).
-        let mut fleet = test_fleet(1);
-        fleet.window_s = 300.0;
-        let profile = test_profile();
-        let registry = Registry::new();
-        let fast = run_cluster(&fleet, 0, &profile, &registry);
+    /// One cluster of `gpus` on a FIFO + round-robin fleet of one window
+    /// of `window_s`, serving `mix` at `load` of its batch-1 capacity.
+    fn one_window_fleet(
+        gpus: usize,
+        mix: RequestMix,
+        load: f64,
+        diurnal: bool,
+        window_s: f64,
+        seed: u64,
+    ) -> FleetCfg {
+        let profile = three_model_profile();
+        let mean_service_s: f64 = mix
+            .entries()
+            .iter()
+            .map(|(m, _)| mix.share(*m) * profile.curve(*m).expect("profiled").batch_s(1))
+            .sum();
+        let rate = load * gpus as f64 / mean_service_s;
+        FleetCfg {
+            clusters: vec![ClusterCfg {
+                name: "solo".into(),
+                sku: "a100".into(),
+                gpus,
+                price_per_gpu_hr: 2.0,
+                weight: 1.0,
+                phase_s: 0.0,
+            }],
+            mix,
+            arrival: if diurnal {
+                ArrivalProcess::diurnal(rate)
+            } else {
+                ArrivalProcess::poisson(rate)
+            },
+            scheduler: SchedulerKind::Fifo,
+            router: RouterKind::RoundRobin,
+            slo: SloSpec::ServiceMultiple(4.0),
+            window_s,
+            windows: 1,
+            autoscaler: AutoscalerPolicy::Fixed,
+            seed,
+        }
+    }
 
-        let mut cfg = ScenarioCfg::new(
-            fleet.clusters[0].gpus,
-            fleet.mix.clone(),
-            fleet.region_process(0),
-            SchedulerKind::Fifo,
-            fleet.slo,
-            fleet.window_s,
-            fleet.seed,
-        );
-        cfg.router = RouterKind::RoundRobin;
-        cfg.full_records = false;
-        let mut stream = RegionStream::new(&fleet, 0);
-        let mut pending = None;
-        let mut src = WindowSource {
-            stream: &mut stream,
-            w0: 0.0,
-            w1: fleet.window_s,
-            pending: &mut pending,
-        };
-        let slow = simulate_stream(&cfg, &profile, &Registry::new(), &mut src);
+    fn three_model_profile() -> ServiceProfile {
+        ServiceProfile::new(vec![
+            ServiceCurve::constant(ModelId::StableDiffusion, 0.1),
+            ServiceCurve::constant(ModelId::Parti, 0.4),
+            ServiceCurve::constant(ModelId::Muse, 0.25),
+        ])
+    }
 
-        assert_eq!(fast.arrivals, slow.arrivals);
-        assert_eq!(fast.completed, slow.stats.completed);
-        assert_eq!(fast.on_time, slow.stats.on_time);
-        let slow_busy: f64 = slow.busy_s.iter().sum();
-        assert!(
-            (fast.busy_s - slow_busy).abs() < 1e-6,
-            "busy {} vs {}",
-            fast.busy_s,
-            slow_busy
-        );
-        let (fp99, sp99) = (
-            fast.latency.quantile(0.99).unwrap(),
-            slow.stats.latency_sketch.quantile(0.99).unwrap(),
-        );
-        assert!(
-            (fp99 - sp99).abs() / sp99.max(1e-9) < 0.05,
-            "p99 {fp99} vs {sp99}"
-        );
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The closed-form fast lane reproduces the event-driven cluster
+        /// DES run on the same region stream: counts exactly, busy time
+        /// to rounding (the two paths add it up in different orders), and
+        /// its latency sketch bit for bit, rebuilt from the DES's records
+        /// at the lane's 1-in-8 sample of arrivals.
+        #[test]
+        fn fast_lane_matches_the_event_driven_cluster(
+            gpus in 1usize..9,
+            load in 0.3f64..1.2,
+            models in 1usize..4,
+            weights in (0.5f64..4.0, 0.5f64..4.0, 0.5f64..4.0),
+            diurnal in 0usize..2,
+            expected_arrivals in 500.0f64..12_000.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let entries = [
+                (ModelId::StableDiffusion, weights.0),
+                (ModelId::Parti, weights.1),
+                (ModelId::Muse, weights.2),
+            ];
+            let mix = RequestMix::new(entries[..models].to_vec());
+            let probe = one_window_fleet(gpus, mix.clone(), load, diurnal == 1, 1.0, seed);
+            let window_s = expected_arrivals / probe.arrival.mean_rate_rps();
+            let fleet = one_window_fleet(gpus, mix, load, diurnal == 1, window_s, seed);
+            let profile = three_model_profile();
+            let fast = run_cluster(&fleet, 0, &profile, &Registry::new());
+
+            let mut cfg = ScenarioCfg::new(
+                gpus,
+                fleet.mix.clone(),
+                fleet.region_process(0),
+                SchedulerKind::Fifo,
+                fleet.slo,
+                window_s,
+                fleet.seed,
+            );
+            cfg.router = RouterKind::RoundRobin;
+            let mut stream = RegionStream::new(&fleet, 0);
+            let (mut slow, _) = crate::cluster::run(
+                &cfg,
+                &profile,
+                &Registry::new(),
+                None,
+                &mut stream,
+                0.0..window_s,
+                None,
+            );
+
+            prop_assert_eq!(fast.arrivals, slow.arrivals);
+            prop_assert_eq!(fast.completed, slow.stats.completed);
+            prop_assert_eq!(fast.on_time, slow.stats.on_time);
+            let slow_busy: f64 = slow.busy_s.iter().sum();
+            prop_assert!(
+                (fast.busy_s - slow_busy).abs() <= 1e-9 * slow_busy,
+                "busy {} vs {}",
+                fast.busy_s,
+                slow_busy
+            );
+            slow.records.sort_by_key(|r| r.id);
+            let mut sampled = QuantileSketch::with_buffer_cap(FLEET_SKETCH_EPS, 4096);
+            for r in slow.records.iter().filter(|r| (r.id + 1) % FAST_LANE_SKETCH_EVERY == 0) {
+                sampled.observe(r.latency_s());
+            }
+            sampled.flush();
+            prop_assert!(fast.latency == sampled, "the fast lane sketched other latencies");
+        }
     }
 
     #[test]
@@ -1439,4 +1438,5 @@ mod tests {
         let err = fleet.validate().unwrap_err();
         assert!(err.starts_with("expected arrival count 2.000e10 exceeds"), "{err}");
     }
+
 }

@@ -24,12 +24,19 @@
 //! - [`des`] — the event-queue kernel: virtual clock, deterministic
 //!   `(time, insertion-seq)` ordering, no wall clock anywhere.
 //! - [`workload`] — Poisson / bursty (Markov-modulated) / diurnal
-//!   arrival processes and the weighted model [`RequestMix`].
+//!   arrival processes, the weighted model [`RequestMix`], and
+//!   [`RegionStream`], the one seeded `(time, model)` request stream
+//!   every engine below draws its arrivals from.
 //! - [`profile`] — [`ServiceProfile`]: per-model batch-size cost curves
 //!   queried from the real profiler.
 //! - [`cluster`] — routers (round-robin, least-work, model-affinity),
 //!   schedulers (FIFO, static, deadline-aware dynamic, pods), SLOs,
 //!   admission control and abandonment; [`simulate`] runs a scenario.
+//! - [`fleet`] — regions of clusters with autoscaling and $/GPU-hr;
+//!   [`run_cluster`] runs one region's cluster, on a closed-form FIFO
+//!   fast lane or on the cluster DES once per window.
+//! - [`token`] — iteration-level autoregressive serving over a KV-cache
+//!   ledger ([`kv`]); [`simulate_token`] runs a scenario.
 //! - [`report`] — the rendered reports: per-model p50/p95/p99, SLO
 //!   attainment, goodput.
 //! - [`flight`] — the bounded flight recorder: per-GPU batch timelines,
@@ -58,13 +65,13 @@ pub mod token;
 pub mod workload;
 
 pub use cluster::{
-    simulate, simulate_recorded, simulate_stream, ArrivalSource, EnergyStats, HealthReport,
-    ModelStats, PhaseStats, RequestRecord, RouterKind, ScenarioCfg, SchedulerKind, ServeStats,
-    SimResult, SloSpec, LATENCY_SKETCH_EPS,
+    simulate, simulate_recorded, EnergyStats, HealthReport, ModelStats, PhaseStats,
+    RequestRecord, RouterKind, ScenarioCfg, SchedulerKind, ServeStats, SimResult, SloSpec,
+    LATENCY_SKETCH_EPS,
 };
 pub use fleet::{
     run_cluster, AutoscalerPolicy, ClusterCfg, ClusterResult, FleetCfg, FleetReport, FleetResult,
-    RegionStream, SpotChurn, FLEET_SKETCH_EPS, PRICE_PER_KWH,
+    SpotChurn, FLEET_SKETCH_EPS, PRICE_PER_KWH,
 };
 pub use flight::{
     BatchSpan, Exemplars, FlightCfg, FlightRecorder, SchedEvent, SchedKind, ServeWindow,
@@ -80,5 +87,5 @@ pub use token::{
 };
 pub use workload::{
     model_short_name, parse_model, ArrivalGen, ArrivalProcess, LengthDist, LengthSampler,
-    RequestMix, MAX_EXPECTED_ARRIVALS,
+    RegionStream, RequestMix, MAX_EXPECTED_ARRIVALS,
 };

@@ -39,8 +39,8 @@ use crate::flight::{FlightCfg, FlightRecorder};
 use crate::kv::{KvAdmission, KvLedger};
 use crate::profile::{StepTable, TokenServiceCurve};
 use crate::workload::{
-    check_expected_arrivals, model_short_name, ArrivalGen, ArrivalProcess, LengthDist,
-    LengthSampler,
+    check_expected_arrivals, model_short_name, ArrivalProcess, LengthDist, LengthSampler,
+    RegionStream, RequestMix,
 };
 
 /// How requests are grouped onto a GPU.
@@ -178,9 +178,11 @@ pub struct TokenScenarioCfg {
     pub output: LengthDist,
     /// The goodput SLO.
     pub slo: TokenSlo,
-    /// Arrivals stop after this horizon (the run drains afterwards).
+    /// Arrival horizon, seconds: requests arrive in `[0, duration_s)`,
+    /// and the run drains afterwards.
     pub duration_s: f64,
-    /// Hard cap on arrivals (`None` = horizon only).
+    /// Hard cap on arrivals (`None` = horizon only); `Some(0)` runs no
+    /// arrivals at all.
     pub max_requests: Option<u64>,
     /// Master seed for arrivals and length sampling.
     pub seed: u64,
@@ -377,8 +379,6 @@ pub struct TokenSimResult {
     pub priority: &'static str,
     /// Admission-policy name.
     pub admission: &'static str,
-    /// Per-GPU KV budget, bytes.
-    pub kv_budget_bytes: u64,
     /// The SLO judged against.
     pub slo: TokenSlo,
     /// Aggregated counters and sketches.
@@ -478,7 +478,7 @@ struct TokenSim<'a> {
     gpus: Vec<GpuState>,
     slots: Vec<Seq>,
     free_slots: Vec<u32>,
-    arrivals: ArrivalGen,
+    arrivals: RegionStream,
     prompt_len: LengthSampler,
     output_len: LengthSampler,
     stats: TokenStats,
@@ -518,7 +518,13 @@ impl<'a> TokenSim<'a> {
                 .collect(),
             slots: Vec::new(),
             free_slots: Vec::new(),
-            arrivals: ArrivalGen::new(cfg.arrival, cfg.seed),
+            arrivals: RegionStream::seeded(
+                cfg.arrival,
+                RequestMix::single(cfg.model),
+                cfg.seed,
+                cfg.seed.wrapping_add(1),
+                cfg.max_requests,
+            ),
             prompt_len: LengthSampler::new(cfg.prompt, cfg.seed ^ 0x9e37_79b9_7f4a_7c15),
             output_len: LengthSampler::new(cfg.output, cfg.seed ^ 0x5851_f42d_4c95_7f2d),
             stats: TokenStats::new(),
@@ -543,7 +549,6 @@ impl<'a> TokenSim<'a> {
             scheduler: self.cfg.batching.name(),
             priority: self.cfg.priority.name(),
             admission: self.cfg.admission.name(),
-            kv_budget_bytes: self.gpus[0].ledger.budget_bytes,
             slo: self.cfg.slo,
             stats: self.stats,
             kv: self.gpus.iter().map(|g| g.ledger.clone()).collect(),
@@ -555,10 +560,7 @@ impl<'a> TokenSim<'a> {
 
     /// Runs the event loop until the last sequence drains.
     fn drive(&mut self) {
-        let first = self.arrivals.next_after(0.0);
-        if first < self.cfg.duration_s && self.cfg.max_requests != Some(0) {
-            self.queue.schedule(first, Event::Arrival);
-        }
+        self.schedule_next_arrival();
         while let Some((t, ev)) = self.queue.pop() {
             self.end_s = self.end_s.max(t);
             match ev {
@@ -637,13 +639,14 @@ impl<'a> TokenSim<'a> {
                 self.plan(gpu, t);
             }
         }
-        let next = self.arrivals.next_after(t);
-        let more = self
-            .cfg
-            .max_requests
-            .is_none_or(|cap| self.stats.arrivals < cap);
-        if next < self.cfg.duration_s && more {
-            self.queue.schedule(next, Event::Arrival);
+        self.schedule_next_arrival();
+    }
+
+    /// Schedules the stream's next arrival, if it falls before the
+    /// horizon within the request cap.
+    fn schedule_next_arrival(&mut self) {
+        if let Some((t, _)) = self.arrivals.next_before(self.cfg.duration_s) {
+            self.queue.schedule(t, Event::Arrival);
         }
     }
 

@@ -497,16 +497,10 @@ impl RequestMix {
             .map_or(0.0, |(_, w)| w / self.total_weight)
     }
 
-    /// Samples one model from a uniform variate `u ∈ [0, 1)`.
-    #[must_use]
-    pub fn sample(&self, u: f64) -> ModelId {
-        self.entries[self.sample_index(u)].0
-    }
-
-    /// Like [`RequestMix::sample`], but returns the index into
-    /// [`RequestMix::entries`] — the serving fast path uses the index to
-    /// address pre-resolved per-model state (telemetry handles, service
-    /// curves) without re-scanning the mix.
+    /// Samples one model from a uniform variate `u ∈ [0, 1)`, as its
+    /// index into [`RequestMix::entries`]: the engines address
+    /// pre-resolved per-model state (telemetry handles, service curves)
+    /// by that index without re-scanning the mix.
     #[must_use]
     pub fn sample_index(&self, u: f64) -> usize {
         let mut remaining = u.clamp(0.0, 1.0) * self.total_weight;
@@ -517,6 +511,87 @@ impl RequestMix {
             remaining -= w;
         }
         self.entries.len() - 1
+    }
+}
+
+/// The seeded request stream every serving engine draws from: arrival
+/// times from an [`ArrivalGen`] and, per arrival, a [`RequestMix`] index
+/// from a mix RNG of its own. One scenario is a fleet of one region, so
+/// the cluster DES, the fleet's lanes and the token DES all read this
+/// type.
+///
+/// The stream always holds its next arrival. [`RegionStream::next_before`]
+/// hands it out only while it falls before a given end, so a caller
+/// that stops at a window edge leaves it parked for its next window.
+#[derive(Debug)]
+pub struct RegionStream {
+    gen: ArrivalGen,
+    mix: RequestMix,
+    mix_rng: StdRng,
+    unit: Uniform<f64>,
+    /// The next arrival, drawn and not yet handed out.
+    head: (f64, usize),
+    /// Arrivals `next_before` may still hand out (the request cap).
+    left: u64,
+}
+
+impl RegionStream {
+    /// A stream of `process` arrivals over `mix`: times seeded by
+    /// `time_seed`, model draws by `mix_seed`. With a `cap`,
+    /// [`RegionStream::next_before`] hands out at most that many arrivals.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid processes, as [`ArrivalGen::new`] does.
+    pub(crate) fn seeded(
+        process: ArrivalProcess,
+        mix: RequestMix,
+        time_seed: u64,
+        mix_seed: u64,
+        cap: Option<u64>,
+    ) -> Self {
+        let mut stream = RegionStream {
+            gen: ArrivalGen::new(process, time_seed),
+            mix,
+            mix_rng: StdRng::seed_from_u64(mix_seed),
+            unit: Uniform::new(0.0, 1.0),
+            head: (0.0, 0),
+            left: cap.unwrap_or(u64::MAX),
+        };
+        // Draws the first arrival after t = 0 into the head.
+        stream.next();
+        stream
+    }
+
+    /// The next `(arrival time, mix index)`, past any end or cap. Times
+    /// are strictly increasing; the stream never ends (callers clip at
+    /// their horizon, so an `Iterator` impl — which must be fused and
+    /// fallible — would fit worse than this infallible method).
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> (f64, usize) {
+        let t_s = self.gen.next_after(self.head.0);
+        // A single-model mix needs no draw — and consuming no RNG here
+        // keeps the draw count per arrival identical in every consumer
+        // of the stream.
+        let mix_idx = if self.mix.entries().len() == 1 {
+            0
+        } else {
+            let u: f64 = self.unit.sample(&mut self.mix_rng);
+            self.mix.sample_index(u)
+        };
+        std::mem::replace(&mut self.head, (t_s, mix_idx))
+    }
+
+    /// The next arrival if it falls in `[.., end_s)` and the request cap
+    /// allows one more; otherwise `None`, and the arrival stays parked
+    /// for the next call.
+    pub fn next_before(&mut self, end_s: f64) -> Option<(f64, usize)> {
+        if self.head.0 < end_s && self.left > 0 {
+            self.left -= 1;
+            Some(self.next())
+        } else {
+            None
+        }
     }
 }
 
@@ -685,10 +760,43 @@ mod tests {
         let mix = RequestMix::parse("sd:8,parti:2").unwrap();
         assert_eq!(mix.entries().len(), 2);
         assert!((mix.share(ModelId::StableDiffusion) - 0.8).abs() < 1e-12);
-        assert_eq!(mix.sample(0.0), ModelId::StableDiffusion);
-        assert_eq!(mix.sample(0.79), ModelId::StableDiffusion);
-        assert_eq!(mix.sample(0.81), ModelId::Parti);
-        assert_eq!(mix.sample(0.999), ModelId::Parti);
+        assert_eq!(mix.entries()[0].0, ModelId::StableDiffusion);
+        assert_eq!(mix.sample_index(0.0), 0);
+        assert_eq!(mix.sample_index(0.79), 0);
+        assert_eq!(mix.sample_index(0.81), 1);
+        assert_eq!(mix.sample_index(0.999), 1);
+    }
+
+    #[test]
+    fn region_stream_windows_hand_out_the_whole_stream_in_order() {
+        let mix = RequestMix::parse("sd:8,parti:2").unwrap();
+        let stream = || RegionStream::seeded(ArrivalProcess::poisson(5.0), mix.clone(), 3, 4, None);
+        let (mut whole, mut windowed) = (stream(), stream());
+        for w in 1..=50 {
+            let end = f64::from(w);
+            while let Some((t, m)) = windowed.next_before(end) {
+                assert!((end - 1.0..end).contains(&t), "{t} outside window {w}");
+                let (want_t, want_m) = whole.next();
+                assert_eq!((t.to_bits(), m), (want_t.to_bits(), want_m));
+            }
+        }
+        assert!(whole.next().0 >= 50.0, "a window dropped an arrival");
+    }
+
+    #[test]
+    fn region_stream_horizon_is_half_open_and_caps_are_exact() {
+        let mix = RequestMix::single(ModelId::Llama2);
+        let stream =
+            |cap| RegionStream::seeded(ArrivalProcess::poisson(5.0), mix.clone(), 7, 8, cap);
+        let first = stream(None).next().0;
+        let mut s = stream(None);
+        assert_eq!(s.next_before(first), None, "an arrival on the horizon is out");
+        assert_eq!(s.next_before(f64::INFINITY).map(|a| a.0), Some(first), "and stays parked");
+        for cap in [0, 1, 7] {
+            let mut s = stream(Some(cap));
+            let n = std::iter::from_fn(|| s.next_before(f64::INFINITY)).count();
+            assert_eq!(n as u64, cap);
+        }
     }
 
     #[test]
