@@ -1079,14 +1079,15 @@ mod tests {
         assert!((share0 - 0.5).abs() < 0.03, "region 0 share {share0}");
     }
 
-    /// One cluster of `gpus` on a FIFO + round-robin fleet of one window
-    /// of `window_s`, serving `mix` at `load` of its batch-1 capacity.
+    /// One cluster of `gpus` on a FIFO + round-robin fleet, serving `mix`
+    /// at `load` of its batch-1 capacity for one window that expects
+    /// `expected_arrivals`.
     fn one_window_fleet(
         gpus: usize,
         mix: RequestMix,
         load: f64,
         diurnal: bool,
-        window_s: f64,
+        expected_arrivals: f64,
         seed: u64,
     ) -> FleetCfg {
         let profile = three_model_profile();
@@ -1114,7 +1115,7 @@ mod tests {
             scheduler: SchedulerKind::Fifo,
             router: RouterKind::RoundRobin,
             slo: SloSpec::ServiceMultiple(4.0),
-            window_s,
+            window_s: expected_arrivals / rate,
             windows: 1,
             autoscaler: AutoscalerPolicy::Fixed,
             seed,
@@ -1153,9 +1154,8 @@ mod tests {
                 (ModelId::Muse, weights.2),
             ];
             let mix = RequestMix::new(entries[..models].to_vec());
-            let probe = one_window_fleet(gpus, mix.clone(), load, diurnal == 1, 1.0, seed);
-            let window_s = expected_arrivals / probe.arrival.mean_rate_rps();
-            let fleet = one_window_fleet(gpus, mix, load, diurnal == 1, window_s, seed);
+            let fleet = one_window_fleet(gpus, mix, load, diurnal == 1, expected_arrivals, seed);
+            let window_s = fleet.window_s;
             let profile = three_model_profile();
             let fast = run_cluster(&fleet, 0, &profile, &Registry::new());
 

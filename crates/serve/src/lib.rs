@@ -32,11 +32,6 @@
 //! - [`cluster`] — routers (round-robin, least-work, model-affinity),
 //!   schedulers (FIFO, static, deadline-aware dynamic, pods), SLOs,
 //!   admission control and abandonment; [`simulate`] runs a scenario.
-//! - [`fleet`] — regions of clusters with autoscaling and $/GPU-hr;
-//!   [`run_cluster`] runs one region's cluster, on a closed-form FIFO
-//!   fast lane or on the cluster DES once per window.
-//! - [`token`] — iteration-level autoregressive serving over a KV-cache
-//!   ledger ([`kv`]); [`simulate_token`] runs a scenario.
 //! - [`report`] — the rendered reports: per-model p50/p95/p99, SLO
 //!   attainment, goodput.
 //! - [`flight`] — the bounded flight recorder: per-GPU batch timelines,

@@ -516,13 +516,9 @@ impl RequestMix {
 
 /// The seeded request stream every serving engine draws from: arrival
 /// times from an [`ArrivalGen`] and, per arrival, a [`RequestMix`] index
-/// from a mix RNG of its own. One scenario is a fleet of one region, so
-/// the cluster DES, the fleet's lanes and the token DES all read this
-/// type.
-///
-/// The stream always holds its next arrival. [`RegionStream::next_before`]
-/// hands it out only while it falls before a given end, so a caller
-/// that stops at a window edge leaves it parked for its next window.
+/// from a mix RNG of its own. It always holds its next arrival, so a
+/// caller that stops at a window's end leaves that arrival parked for
+/// its next window.
 #[derive(Debug)]
 pub struct RegionStream {
     gen: ArrivalGen,
