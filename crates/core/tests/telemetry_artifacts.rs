@@ -11,14 +11,14 @@ use std::process::Command;
 
 use serde_json::Value;
 
-/// A scratch directory for one test's artifacts, removed on drop.
-struct Scratch(PathBuf);
+/// A temporary directory for one test's artifacts, removed on drop.
+struct TempDir(PathBuf);
 
-impl Scratch {
+impl TempDir {
     fn new(name: &str) -> Self {
         let dir = std::env::temp_dir().join(format!("mmg-artifacts-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        Scratch(dir)
+        TempDir(dir)
     }
 
     fn file(&self, name: &str) -> String {
@@ -26,7 +26,7 @@ impl Scratch {
     }
 }
 
-impl Drop for Scratch {
+impl Drop for TempDir {
     fn drop(&mut self) {
         std::fs::remove_dir_all(&self.0).ok();
     }
@@ -92,7 +92,7 @@ fn check_starts_never_decrease(what: &str, starts: &[f64]) {
 
 #[test]
 fn an_experiment_run_writes_metrics_trace_and_manifest() {
-    let dir = Scratch::new("fig4");
+    let dir = TempDir::new("fig4");
     let (metrics, trace, manifest) =
         (dir.file("metrics.txt"), dir.file("trace.json"), dir.file("run.json"));
     repro_ok(&["fig4", "--metrics", &metrics, "--trace-out", &trace, "--manifest", &manifest]);
@@ -103,7 +103,7 @@ fn an_experiment_run_writes_metrics_trace_and_manifest() {
 
 #[test]
 fn serve_and_token_export_well_formed_spans() {
-    let dir = Scratch::new("spans");
+    let dir = TempDir::new("spans");
     let (serve, token) = (dir.file("serve.json"), dir.file("token.json"));
     repro_ok(&["serve", "--duration-s", "5", "--metrics-out", &serve]);
     check_spans("serve", &read_nonempty(&serve));
@@ -113,7 +113,7 @@ fn serve_and_token_export_well_formed_spans() {
 
 #[test]
 fn fleet_exports_well_formed_spans_in_start_order() {
-    let dir = Scratch::new("fleet");
+    let dir = TempDir::new("fleet");
     let fleet = dir.file("fleet.json");
     repro_ok(&["fleet", "--requests", "20000", "--metrics-out", &fleet]);
     let starts = check_spans("fleet", &read_nonempty(&fleet));
