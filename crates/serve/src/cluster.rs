@@ -49,7 +49,6 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::thread::{Scope, ScopedJoinHandle};
 
@@ -298,9 +297,9 @@ impl ScenarioCfg {
     /// # Errors
     ///
     /// Zero GPUs; a horizon that is not positive, or is infinite without
-    /// a request cap; a mean arrival rate that is not positive and
-    /// finite; a static batcher's wait that is not finite; a patience
-    /// ([`ScenarioCfg::abandon_after_s`]) that is negative or not finite;
+    /// a request cap; a static batcher's wait that is not finite; a
+    /// patience ([`ScenarioCfg::abandon_after_s`]) that is negative or
+    /// not finite; a mean arrival rate that is not positive and finite;
     /// or more expected arrivals than [`crate::MAX_EXPECTED_ARRIVALS`].
     pub fn validate(&self) -> Result<(), String> {
         if self.gpus == 0 {
@@ -313,10 +312,6 @@ impl ScenarioCfg {
                 "duration must be positive and finite (or infinite with a request cap), got {}",
                 self.duration_s
             ));
-        }
-        let rate = self.arrival.mean_rate_rps();
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(format!("arrival rate must be positive and finite, got {rate}"));
         }
         if let SchedulerKind::Static { wait_s, .. } = self.scheduler {
             if !wait_s.is_finite() {
@@ -331,7 +326,7 @@ impl ScenarioCfg {
             }
         }
         check_expected_arrivals(
-            rate,
+            self.arrival,
             self.duration_s,
             self.max_requests,
             "--rate or --duration-s, or cap the run with --requests",
@@ -1578,14 +1573,12 @@ impl<'a> Sim<'a> {
 /// # Panics
 ///
 /// Panics with the message of [`ScenarioCfg::validate`] if the scenario
-/// fails it, or if the scenario references a model the profile has no
-/// curve for.
+/// fails it (a non-positive or NaN arrival rate panics first, in
+/// [`crate::ArrivalGen::new`]), or if the scenario references a model the
+/// profile has no curve for.
 #[must_use]
 pub fn simulate(cfg: &ScenarioCfg, profile: &ServiceProfile, registry: &Registry) -> SimResult {
-    let mut arrivals = scenario_stream(cfg);
-    let (result, _flight) =
-        run(cfg, profile, registry, None, &mut arrivals, 0.0..cfg.duration_s, None);
-    result
+    run(cfg, profile, registry, None, &mut scenario_stream(cfg), 0.0, None).0
 }
 
 /// Like [`simulate`], with a [`FlightRecorder`] attached: the returned
@@ -1605,33 +1598,24 @@ pub fn simulate_recorded(
     registry: &Registry,
     flight_cfg: FlightCfg,
 ) -> (SimResult, FlightRecorder) {
-    let mut arrivals = scenario_stream(cfg);
     let recorder = FlightRecorder::new(flight_cfg, cfg.gpus);
     let (result, flight) =
-        run(cfg, profile, registry, Some(recorder), &mut arrivals, 0.0..cfg.duration_s, None);
+        run(cfg, profile, registry, Some(recorder), &mut scenario_stream(cfg), 0.0, None);
     (result, flight.expect("recorder threaded through the run"))
 }
 
 /// The scenario's own arrival stream: times seeded by `seed`, model
 /// draws by `seed + 1`, capped at `max_requests`.
-///
-/// # Panics
-///
-/// Panics with the message of [`ScenarioCfg::validate`] if the scenario
-/// fails it.
 fn scenario_stream(cfg: &ScenarioCfg) -> RegionStream {
-    if let Err(e) = cfg.validate() {
-        panic!("{e}");
-    }
     let mix_seed = cfg.seed.wrapping_add(1);
     RegionStream::seeded(cfg.arrival, cfg.mix.clone(), cfg.seed, mix_seed, cfg.max_requests)
 }
 
-/// Runs a scenario on the arrivals `arrivals` holds in `window`, at
-/// times relative to `window.start`; the stream's mix indices address
-/// the scenario's mix. The completion sink moves to a helper thread
-/// after `inline_limit` completions on any host, or by the default rule
-/// (see the module docs) when it is `None`.
+/// Runs a scenario on the arrivals `arrivals` holds in
+/// `[offset, offset + duration_s)`, at times relative to `offset`; the
+/// stream's mix indices address the scenario's mix. The completion sink
+/// moves to a helper thread after `inline_limit` completions on any
+/// host, or by the default rule (see the module docs) when it is `None`.
 ///
 /// # Panics
 ///
@@ -1643,7 +1627,7 @@ pub(crate) fn run(
     registry: &Registry,
     flight: Option<FlightRecorder>,
     arrivals: &mut RegionStream,
-    window: Range<f64>,
+    offset: f64,
     inline_limit: Option<u64>,
 ) -> (SimResult, Option<FlightRecorder>) {
     if let Err(e) = cfg.validate() {
@@ -1652,11 +1636,12 @@ pub(crate) fn run(
     for model in cfg.mix.models() {
         assert!(profile.curve(model).is_some(), "no service curve for {model}");
     }
-    // The next arrival of the window, as a window-relative event.
-    let mut arrival_event = || {
-        arrivals.next_before(window.end).map(|(t, mix_idx)| {
-            (t - window.start, Event::Arrival { mix_idx: mix_idx as u32 })
-        })
+    // Schedules the window's next arrival at its window-relative time.
+    let window_end_s = offset + cfg.duration_s;
+    let mut schedule_arrival = |queue: &mut EventQueue<Event>| {
+        if let Some((t, mix_idx)) = arrivals.next_before(window_end_s) {
+            queue.schedule(t - offset, Event::Arrival { mix_idx: mix_idx as u32 });
+        }
     };
 
     // Resolve per-model curves, deadlines, and telemetry handles once;
@@ -1721,9 +1706,7 @@ pub(crate) fn run(
         health: cfg.slo_policy.clone().map(HealthMonitor::new),
     };
 
-    if let Some((t, event)) = arrival_event() {
-        sim.queue.schedule(t, event);
-    }
+    schedule_arrival(&mut sim.queue);
 
     let (any_events, folds) = std::thread::scope(|scope| {
         let mut sink = CompletionSink::new(scope, folds, inline_limit);
@@ -1751,9 +1734,7 @@ pub(crate) fn run(
             match event {
                 Event::Arrival { mix_idx } => {
                     sim.on_arrival(mix_idx as usize);
-                    if let Some((t, event)) = arrival_event() {
-                        sim.queue.schedule(t, event);
-                    }
+                    schedule_arrival(&mut sim.queue);
                 }
                 Event::Depart { gpu } => {
                     sim.on_depart(gpu);
@@ -2529,9 +2510,8 @@ mod tests {
             recorded.then(|| FlightRecorder::new(FlightCfg::for_horizon(cfg.duration_s), cfg.gpus));
         let mut arrivals =
             if feed { foreign_stream(cfg, "sd:4,parti:1", 3) } else { scenario_stream(cfg) };
-        let window = 0.0..cfg.duration_s;
         let (r, flight) =
-            run(cfg, profile, &registry, flight, &mut arrivals, window, Some(inline_limit));
+            run(cfg, profile, &registry, flight, &mut arrivals, 0.0, Some(inline_limit));
         let report = crate::report::SloReport::from_result(&r).render();
         (r, report, registry.render_prometheus(), flight)
     }
@@ -2604,8 +2584,8 @@ mod tests {
         let first_foreign = (1u64..).find(|_| probe.next().1 == 2).expect("endless stream");
         // Well after the helper took the folds, and before the cap.
         assert!((20_000..100_000).contains(&first_foreign), "first at arrival {first_foreign}");
-        let window = 0.0..cfg.duration_s;
-        let _ = run(&cfg, &stream_mix_profile(), &Registry::new(), None, &mut stream(), window, Some(0));
+        let profile = stream_mix_profile();
+        let _ = run(&cfg, &profile, &Registry::new(), None, &mut stream(), 0.0, Some(0));
     }
 
     /// A panic on the helper thread reaches the loop's thread.

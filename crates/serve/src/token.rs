@@ -221,12 +221,8 @@ impl TokenScenarioCfg {
         if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
             return Err(format!("duration must be positive and finite, got {}", self.duration_s));
         }
-        let rate = self.arrival.mean_rate_rps();
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(format!("arrival rate must be positive and finite, got {rate}"));
-        }
         check_expected_arrivals(
-            rate,
+            self.arrival,
             self.duration_s,
             self.max_requests,
             "--util, --rate or --duration-s, or cap the run with --requests",

@@ -20,15 +20,22 @@ use rand::SeedableRng;
 /// and [`crate::FleetCfg::validate`] refuse a scenario above it.
 pub const MAX_EXPECTED_ARRIVALS: f64 = 1e10;
 
-/// Refuses a run whose expected arrival count — mean rate × horizon, or
-/// `max_requests` when that is smaller — exceeds
+/// Refuses a run whose arrival process has a mean rate that is not
+/// positive and finite, or whose expected arrival count — mean rate ×
+/// horizon, or `max_requests` when that is smaller — exceeds
 /// [`MAX_EXPECTED_ARRIVALS`]. `lower` names the flags that shrink it.
 pub(crate) fn check_expected_arrivals(
-    rate_rps: f64,
+    process: ArrivalProcess,
     horizon_s: f64,
     max_requests: Option<u64>,
     lower: &str,
 ) -> Result<(), String> {
+    // Spelled to reject NaN too. An infinite rate never lets simulated
+    // time reach the horizon.
+    let rate_rps = process.mean_rate_rps();
+    if !(rate_rps.is_finite() && rate_rps > 0.0) {
+        return Err(format!("arrival rate must be positive and finite, got {rate_rps}"));
+    }
     let mut expected = rate_rps * horizon_s;
     if let Some(cap) = max_requests {
         expected = expected.min(cap as f64);
@@ -566,9 +573,8 @@ impl RegionStream {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> (f64, usize) {
         let t_s = self.gen.next_after(self.head.0);
-        // A single-model mix needs no draw — and consuming no RNG here
-        // keeps the draw count per arrival identical in every consumer
-        // of the stream.
+        // A single-model mix needs no draw: the mix RNG feeds nothing
+        // else, so skipping it changes no arrival.
         let mix_idx = if self.mix.entries().len() == 1 {
             0
         } else {
@@ -581,7 +587,7 @@ impl RegionStream {
     /// The next arrival if it falls in `[.., end_s)` and the request cap
     /// allows one more; otherwise `None`, and the arrival stays parked
     /// for the next call.
-    pub fn next_before(&mut self, end_s: f64) -> Option<(f64, usize)> {
+    pub(crate) fn next_before(&mut self, end_s: f64) -> Option<(f64, usize)> {
         if self.head.0 < end_s && self.left > 0 {
             self.left -= 1;
             Some(self.next())
