@@ -942,6 +942,7 @@ pub fn run_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::SimResult;
     use crate::profile::ServiceCurve;
     use mmg_models::ModelId;
     use proptest::prelude::*;
@@ -1116,6 +1117,23 @@ mod tests {
         }
     }
 
+    /// The cluster DES, FIFO + round-robin like the fast lane, on the
+    /// first window of cluster 0's region stream, with full records.
+    fn des_on_region_stream(fleet: &FleetCfg, profile: &ServiceProfile) -> SimResult {
+        let mut cfg = ScenarioCfg::new(
+            fleet.clusters[0].gpus,
+            fleet.mix.clone(),
+            fleet.region_process(0),
+            SchedulerKind::Fifo,
+            fleet.slo,
+            fleet.window_s,
+            fleet.seed,
+        );
+        cfg.router = RouterKind::RoundRobin;
+        let mut stream = RegionStream::new(fleet, 0);
+        crate::cluster::run(&cfg, profile, &Registry::new(), None, &mut stream, 0.0, None).0
+    }
+
     fn three_model_profile() -> ServiceProfile {
         ServiceProfile::new(vec![
             ServiceCurve::constant(ModelId::StableDiffusion, 0.1),
@@ -1149,30 +1167,9 @@ mod tests {
             ];
             let mix = RequestMix::new(entries[..models].to_vec());
             let fleet = one_window_fleet(gpus, mix, load, diurnal == 1, expected_arrivals, seed);
-            let window_s = fleet.window_s;
             let profile = three_model_profile();
             let fast = run_cluster(&fleet, 0, &profile, &Registry::new());
-
-            let mut cfg = ScenarioCfg::new(
-                gpus,
-                fleet.mix.clone(),
-                fleet.region_process(0),
-                SchedulerKind::Fifo,
-                fleet.slo,
-                window_s,
-                fleet.seed,
-            );
-            cfg.router = RouterKind::RoundRobin;
-            let mut stream = RegionStream::new(&fleet, 0);
-            let (mut slow, _) = crate::cluster::run(
-                &cfg,
-                &profile,
-                &Registry::new(),
-                None,
-                &mut stream,
-                0.0,
-                None,
-            );
+            let mut slow = des_on_region_stream(&fleet, &profile);
 
             prop_assert_eq!(fast.arrivals, slow.arrivals);
             prop_assert_eq!(fast.completed, slow.stats.completed);
@@ -1192,6 +1189,33 @@ mod tests {
             sampled.flush();
             prop_assert!(fast.latency == sampled, "the fast lane sketched other latencies");
         }
+    }
+
+    #[test]
+    fn fast_lane_p99_matches_the_event_driven_cluster() {
+        // One 300 s window of the test fleet's first cluster (4 GPUs,
+        // diurnal, 9,522 completions): the p99 the fleet report
+        // reads from the fast lane's 1-in-8 sample stays within 5% of
+        // the cluster DES's p99 on the same stream. Random scenarios can
+        // miss this bound: round-robin sends every eighth arrival to the
+        // same GPUs when the GPU count shares a factor with 8.
+        let mut fleet = test_fleet(1);
+        fleet.window_s = 300.0;
+        let profile = test_profile();
+        let fast = run_cluster(&fleet, 0, &profile, &Registry::new());
+        let slow = des_on_region_stream(&fleet, &profile);
+
+        assert!(slow.stats.completed >= 4_000, "{} completions", slow.stats.completed);
+        assert_eq!(fast.arrivals, slow.arrivals);
+        assert_eq!(fast.completed, slow.stats.completed);
+        assert_eq!(fast.on_time, slow.stats.on_time);
+        let slow_busy: f64 = slow.busy_s.iter().sum();
+        assert!((fast.busy_s - slow_busy).abs() < 1e-6, "busy {} vs {slow_busy}", fast.busy_s);
+        let (fp99, sp99) = (
+            fast.latency.quantile(0.99).unwrap(),
+            slow.stats.latency_sketch.quantile(0.99).unwrap(),
+        );
+        assert!((fp99 - sp99).abs() / sp99.max(1e-9) < 0.05, "p99 {fp99} vs {sp99}");
     }
 
     #[test]
@@ -1432,5 +1456,4 @@ mod tests {
         let err = fleet.validate().unwrap_err();
         assert!(err.starts_with("expected arrival count 2.000e10 exceeds"), "{err}");
     }
-
 }
