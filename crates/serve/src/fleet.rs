@@ -221,7 +221,10 @@ impl FleetCfg {
     /// Checks the configuration, returning a description of the first
     /// problem found. A fleet expecting more than
     /// [`crate::MAX_EXPECTED_ARRIVALS`] arrivals over its horizon is
-    /// refused.
+    /// refused, and so is one whose region processes
+    /// ([`FleetCfg::region_process`]) an [`crate::ArrivalGen`] could not
+    /// sample: an infinite weight leaves every region a NaN or zero rate,
+    /// and a non-finite phase breaks a diurnal region.
     pub fn validate(&self) -> Result<(), String> {
         if self.clusters.is_empty() {
             return Err("fleet needs at least one cluster".into());
@@ -254,12 +257,12 @@ impl FleetCfg {
         {
             return Err("fleet needs a positive window and at least one window".into());
         }
-        check_expected_arrivals(
-            self.arrival,
-            self.horizon_s(),
-            None,
-            "--util, --rate, --duration-s or --requests",
-        )
+        let lower = "--util, --rate, --duration-s or --requests";
+        check_expected_arrivals(self.arrival, self.horizon_s(), None, lower)?;
+        self.clusters.iter().enumerate().try_for_each(|(idx, c)| {
+            check_expected_arrivals(self.region_process(idx), self.horizon_s(), None, lower)
+                .map_err(|e| format!("cluster {}: {e}", c.name))
+        })
     }
 }
 
@@ -1445,6 +1448,24 @@ mod tests {
             let fleet = FleetCfg { arrival: ok.arrival.with_rate(rate), ..ok.clone() };
             let err = fleet.validate().unwrap_err();
             assert!(err.starts_with("arrival rate must be positive and finite"), "{rate}: {err}");
+        }
+    }
+
+    #[test]
+    fn an_infinite_cluster_weight_is_rejected() {
+        let mut fleet = test_fleet(2);
+        fleet.clusters[0].weight = f64::INFINITY;
+        let err = fleet.validate().unwrap_err();
+        assert!(err.starts_with("cluster us: arrival rate must be positive and finite"), "{err}");
+    }
+
+    #[test]
+    fn a_non_finite_cluster_phase_is_rejected() {
+        for phase_s in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut fleet = test_fleet(2);
+            fleet.clusters[1].phase_s = phase_s;
+            let err = fleet.validate().unwrap_err();
+            assert!(err.starts_with("cluster eu: the arrival process needs"), "{phase_s}: {err}");
         }
     }
 

@@ -21,8 +21,9 @@ use rand::SeedableRng;
 pub const MAX_EXPECTED_ARRIVALS: f64 = 1e10;
 
 /// Refuses a run whose arrival process has a mean rate that is not
-/// positive and finite, or whose expected arrival count — mean rate ×
-/// horizon, or `max_requests` when that is smaller — exceeds
+/// positive and finite or a shape [`ArrivalGen::new`] refuses (see
+/// [`ArrivalProcess::check_shape`]), or whose expected arrival count —
+/// mean rate × horizon, or `max_requests` when that is smaller — exceeds
 /// [`MAX_EXPECTED_ARRIVALS`]. `lower` names the flags that shrink it.
 pub(crate) fn check_expected_arrivals(
     process: ArrivalProcess,
@@ -36,6 +37,7 @@ pub(crate) fn check_expected_arrivals(
     if !(rate_rps.is_finite() && rate_rps > 0.0) {
         return Err(format!("arrival rate must be positive and finite, got {rate_rps}"));
     }
+    process.check_shape()?;
     let mut expected = rate_rps * horizon_s;
     if let Some(cap) = max_requests {
         expected = expected.min(cap as f64);
@@ -149,6 +151,34 @@ impl ArrivalProcess {
         }
     }
 
+    /// Checks the shape [`ArrivalGen`] samples: a bursty process needs a
+    /// burst factor of at least 1 and positive burst and idle durations,
+    /// a diurnal one an amplitude in `[0, 1)`, a positive period and a
+    /// finite phase.
+    ///
+    /// # Errors
+    ///
+    /// Names the shape's requirements and the process that misses them.
+    pub(crate) fn check_shape(&self) -> Result<(), String> {
+        // Each test names what must hold, so NaN fails it.
+        let (holds, needs) = match *self {
+            ArrivalProcess::Poisson { .. } => return Ok(()),
+            ArrivalProcess::Bursty { burst_factor, mean_burst_s, mean_idle_s, .. } => (
+                burst_factor >= 1.0 && mean_burst_s > 0.0 && mean_idle_s > 0.0,
+                "a burst factor of at least 1 and positive burst and idle durations",
+            ),
+            ArrivalProcess::Diurnal { amplitude, period_s, phase_s, .. } => (
+                (0.0..1.0).contains(&amplitude) && period_s > 0.0 && phase_s.is_finite(),
+                "an amplitude in [0, 1), a positive period and a finite phase",
+            ),
+        };
+        if holds {
+            Ok(())
+        } else {
+            Err(format!("the arrival process needs {needs}, got {self:?}"))
+        }
+    }
+
     /// The same process with its mean rate replaced.
     #[must_use]
     pub fn with_rate(self, new_rate_rps: f64) -> Self {
@@ -188,24 +218,9 @@ impl ArrivalGen {
     /// Panics on non-positive rates or degenerate shape parameters.
     #[must_use]
     pub fn new(process: ArrivalProcess, seed: u64) -> Self {
-        match process {
-            ArrivalProcess::Poisson { rate_rps } => {
-                assert!(rate_rps > 0.0, "arrival rate must be positive");
-            }
-            ArrivalProcess::Bursty { rate_rps, burst_factor, mean_burst_s, mean_idle_s } => {
-                assert!(rate_rps > 0.0, "arrival rate must be positive");
-                assert!(burst_factor >= 1.0, "burst factor must be >= 1");
-                assert!(
-                    mean_burst_s > 0.0 && mean_idle_s > 0.0,
-                    "phase durations must be positive"
-                );
-            }
-            ArrivalProcess::Diurnal { rate_rps, amplitude, period_s, phase_s } => {
-                assert!(rate_rps > 0.0, "arrival rate must be positive");
-                assert!((0.0..1.0).contains(&amplitude), "amplitude must be in [0, 1)");
-                assert!(period_s > 0.0, "period must be positive");
-                assert!(phase_s.is_finite(), "phase offset must be finite");
-            }
+        assert!(process.mean_rate_rps() > 0.0, "arrival rate must be positive");
+        if let Err(e) = process.check_shape() {
+            panic!("{e}");
         }
         ArrivalGen {
             process,
@@ -885,5 +900,89 @@ mod tests {
         );
         assert!(ArrivalProcess::parse("steady", 2.0).is_err());
         assert_eq!(ArrivalProcess::bursty(2.0).with_rate(4.0).mean_rate_rps(), 4.0);
+    }
+
+    /// What the cluster and token scenarios' `validate` say about a run
+    /// on `process`.
+    fn validated(process: ArrivalProcess) -> [Result<(), String>; 2] {
+        let cluster = crate::ScenarioCfg::new(
+            1,
+            RequestMix::single(ModelId::Muse),
+            process,
+            crate::SchedulerKind::Fifo,
+            crate::SloSpec::None,
+            100.0,
+            1,
+        );
+        let token = crate::TokenScenarioCfg {
+            gpus: 1,
+            model: ModelId::Muse,
+            arrival: process,
+            batching: crate::TokenBatching::Continuous { max_batch: 1 },
+            priority: crate::PhasePriority::Decode,
+            admission: crate::KvAdmission::Prompt,
+            chunk_tokens: 1,
+            prompt: LengthDist::fixed(1),
+            output: LengthDist::fixed(1),
+            slo: crate::TokenSlo { ttft_s: 1.0, tpot_s: 1.0 },
+            duration_s: 100.0,
+            max_requests: None,
+            seed: 1,
+        };
+        [cluster.validate(), token.validate()]
+    }
+
+    /// Both scenarios accept `ok` and refuse each of `bad` with a typed
+    /// error naming what the shape `needs`, where `ArrivalGen::new` would
+    /// panic.
+    fn assert_refused(ok: ArrivalProcess, bad: &[ArrivalProcess], needs: &str) {
+        assert_eq!(validated(ok), [Ok(()), Ok(())]);
+        for &process in bad {
+            for result in validated(process) {
+                let err = result.expect_err(&format!("{process:?} passed"));
+                assert!(err.contains(needs), "{process:?}: {err}");
+            }
+        }
+    }
+
+    fn diurnal(amplitude: f64, period_s: f64, phase_s: f64) -> ArrivalProcess {
+        ArrivalProcess::Diurnal { rate_rps: 2.0, amplitude, period_s, phase_s }
+    }
+
+    fn bursty(burst_factor: f64, mean_burst_s: f64, mean_idle_s: f64) -> ArrivalProcess {
+        ArrivalProcess::Bursty { rate_rps: 2.0, burst_factor, mean_burst_s, mean_idle_s }
+    }
+
+    const DIURNAL_NEEDS: &str = "an amplitude in [0, 1), a positive period and a finite phase";
+    const BURSTY_NEEDS: &str = "a burst factor of at least 1 and positive burst and idle durations";
+
+    #[test]
+    fn a_diurnal_amplitude_outside_0_1_is_refused() {
+        let bad = [-0.1, 1.0, 1.5, f64::NAN].map(|a| diurnal(a, 120.0, 0.0));
+        assert_refused(diurnal(0.0, 120.0, 0.0), &bad, DIURNAL_NEEDS);
+    }
+
+    #[test]
+    fn a_diurnal_period_that_is_not_positive_is_refused() {
+        let bad = [0.0, -120.0, f64::NAN].map(|p| diurnal(0.6, p, 0.0));
+        assert_refused(diurnal(0.6, 120.0, 0.0), &bad, DIURNAL_NEEDS);
+    }
+
+    #[test]
+    fn a_diurnal_phase_that_is_not_finite_is_refused() {
+        let bad = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN].map(|ph| diurnal(0.6, 120.0, ph));
+        assert_refused(diurnal(0.6, 120.0, -30.0), &bad, DIURNAL_NEEDS);
+    }
+
+    #[test]
+    fn a_burst_factor_below_1_is_refused() {
+        let bad = [0.5, 0.0, f64::NAN].map(|f| bursty(f, 5.0, 10.0));
+        assert_refused(bursty(1.0, 5.0, 10.0), &bad, BURSTY_NEEDS);
+    }
+
+    #[test]
+    fn burst_or_idle_durations_that_are_not_positive_are_refused() {
+        let bad = [bursty(3.0, 0.0, 10.0), bursty(3.0, 5.0, -1.0), bursty(3.0, f64::NAN, 10.0)];
+        assert_refused(bursty(3.0, 5.0, 10.0), &bad, BURSTY_NEEDS);
     }
 }
