@@ -29,23 +29,26 @@
 //!   [`mmg_telemetry::sketch`]). Retaining every [`RequestRecord`] is
 //!   opt-in via [`ScenarioCfg::full_records`] (the CLI's
 //!   `--full-records`), which preserves the exact-quantile path.
-//! - The loop keeps the exact counts and sums, the worst-latency
-//!   exemplars, the full records, the counters, the burn-rate engine and
-//!   the flight recorder.
-//!   Every per-completion **fold** (the cluster and per-model latency
-//!   sketches, the `serve_wait_s`/`serve_latency_s` histograms and, with
-//!   attribution on, the phase sketches and `serve_phase_s` histograms)
-//!   goes through one completion sink instead. The loop appends a small
-//!   record per completion to a batch and hands the sink a batch of
-//!   4,096 at a time. The sink absorbs batches on the loop's thread for
-//!   the first 2^16 completions, so the many short runs of the
-//!   experiment suite stay single-threaded. After that, on a host with at
-//!   least two CPUs, batches go over a bounded channel to a scoped helper
-//!   thread that owns the folds until the run ends, and buffers return
-//!   to the loop for reuse. Each sketch and histogram sees the same values
-//!   in the same order either way, so the results do not depend on where
-//!   the folds ran. A panic on either thread ends the run and propagates
-//!   out of `simulate*`.
+//! - The event loop keeps only the event mechanics, the worst-latency
+//!   exemplars, the full records and the flight recorder. Per completion
+//!   it appends one small record (wait, latency, finish time, mix index,
+//!   batch size, on-time flag and, with attribution on, the three phases)
+//!   to a batch, and it hands one **completion sink** a batch of 4,096 at
+//!   a time. The sink is the only owner of the completion statistics: it
+//!   folds each batch, in completion order, into the run's [`ServeStats`]
+//!   (counts, on-time and batch sums, first-completion order, latency and
+//!   phase sketches), the per-model `serve_wait_s`/`serve_latency_s`/
+//!   `serve_phase_s` histograms and the burn-rate engine. The request,
+//!   SLO-miss, drop and abandon counters are added once at close-out from
+//!   the run's exact counts.
+//! - The sink absorbs batches on the loop's thread for the first 2^16
+//!   completions, so the many short runs of the experiment suite stay
+//!   single-threaded. After that, on a host with at least two CPUs,
+//!   batches go over a bounded channel to a scoped helper thread that
+//!   owns the folds until the run ends, and buffers return to the loop
+//!   for reuse. Every fold sees the same values in the same order either
+//!   way, so the results do not depend on where the folds ran. A panic on
+//!   either thread ends the run and propagates out of `simulate*`.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -56,7 +59,7 @@ use mmg_models::ModelId;
 use mmg_telemetry::burnrate::{
     AlertEvent, AlertKind, BurnRateEngine, RatchetDetector, RatchetEvent, SloPolicy,
 };
-use mmg_telemetry::{latency_buckets_s, Counter, Histogram, QuantileSketch, Registry};
+use mmg_telemetry::{latency_buckets_s, Histogram, QuantileSketch, Registry};
 
 use crate::des::EventQueue;
 use crate::flight::{Exemplars, FlightCfg, FlightRecorder};
@@ -244,18 +247,17 @@ pub struct ScenarioCfg {
     /// the exact path unless a caller opts into streaming; the CLI's
     /// default is streaming with `--full-records` to opt back in.
     pub full_records: bool,
-    /// Per-phase latency attribution: stream queue/hold/execute
-    /// quantile sketches per model and cluster-wide into
+    /// Online SLO health, which also turns on per-phase latency
+    /// attribution. When set, an
+    /// [`mmg_telemetry::burnrate::BurnRateEngine`] (plus the
+    /// ratcheting-queue-depth detector) is driven from the completion
+    /// stream and its alert timeline lands in [`SimResult::health`] (and
+    /// on the flight recorder's cluster lane when one is attached), and
+    /// queue/hold/execute sketches per model and cluster-wide stream into
     /// [`ServeStats::phases`], plus `serve_phase_s` histograms in the
-    /// registry. Off by default — the streaming fast path pays nothing
-    /// for the layer when it is off. Attribution is pure observation and
-    /// never changes the simulated trajectory.
-    pub attrib: bool,
-    /// Online SLO burn-rate alerting (plus the ratcheting-queue-depth
-    /// detector): when set, an [`mmg_telemetry::burnrate::BurnRateEngine`]
-    /// is driven from the completion stream and the resulting alert
-    /// timeline lands in [`SimResult::health`] (and on the flight
-    /// recorder's cluster lane when one is attached). `None` = off.
+    /// registry. `None` by default: the streaming fast path pays nothing
+    /// for either layer. Both are pure observation and never change the
+    /// simulated trajectory.
     pub slo_policy: Option<SloPolicy>,
     /// RNG seed for arrivals and mix sampling.
     pub seed: u64,
@@ -286,7 +288,6 @@ impl ScenarioCfg {
             abandon_after_s: None,
             max_queue: None,
             full_records: true,
-            attrib: false,
             slo_policy: None,
             seed,
         }
@@ -333,12 +334,11 @@ impl ScenarioCfg {
         )
     }
 
-    /// Enables the full observability layer: phase attribution plus the
-    /// scaled paging burn-rate policy for `objective` over this
-    /// scenario's horizon.
+    /// Enables the full observability layer: the scaled paging burn-rate
+    /// policy for `objective` over this scenario's horizon, and with it
+    /// phase attribution.
     #[must_use]
     pub fn with_health(mut self, objective: f64) -> Self {
-        self.attrib = true;
         self.slo_policy = Some(SloPolicy::paging(objective, self.duration_s));
         self
     }
@@ -425,7 +425,7 @@ fn conserving_execute_s(queue_s: f64, hold_s: f64, latency_s: f64) -> f64 {
 /// admission decides at arrival, so no request waits for it). Memory
 /// is independent of request count; sketch quantiles carry the
 /// documented `±(eps·n + 1)` rank bound of [`LATENCY_SKETCH_EPS`]. Only
-/// maintained when [`ScenarioCfg::attrib`] is on.
+/// maintained when [`ScenarioCfg::slo_policy`] is set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Queue-phase sketch (GPU busy with other work).
@@ -456,19 +456,20 @@ impl PhaseStats {
         }
     }
 
-    /// Adds one completion's phases to the exact sums; its sketch inserts
-    /// go through the completion sink.
-    fn add_sums(&mut self, [queue_s, hold_s, execute_s]: [f64; 3]) {
+    /// Adds one completion's queue, hold and execute seconds.
+    fn observe(&mut self, [queue_s, hold_s, execute_s]: [f64; 3]) {
+        self.queue.observe(queue_s);
+        self.hold.observe(hold_s);
+        self.execute.observe(execute_s);
         self.queue_sum_s += queue_s;
         self.hold_sum_s += hold_s;
         self.execute_sum_s += execute_s;
     }
 
-    /// Installs the sink's phase sketches.
-    fn set_sketches(&mut self, [queue, hold, execute]: [QuantileSketch; 3]) {
-        self.queue = queue;
-        self.hold = hold;
-        self.execute = execute;
+    fn flush(&mut self) {
+        self.queue.flush();
+        self.hold.flush();
+        self.execute.flush();
     }
 
     /// Pools another run's attribution into this one (sketch merges add
@@ -512,7 +513,7 @@ pub struct ModelStats {
     pub first_done_seq: u64,
     /// Latency sketch (rank error [`LATENCY_SKETCH_EPS`]).
     pub latency_sketch: QuantileSketch,
-    /// Per-phase attribution, when [`ScenarioCfg::attrib`] is on.
+    /// Per-phase attribution, when [`ScenarioCfg::slo_policy`] is set.
     pub phases: Option<PhaseStats>,
 }
 
@@ -556,8 +557,8 @@ pub struct ServeStats {
     /// The exact worst-latency request lifecycles. Maintained in both
     /// modes, so streaming runs keep explainable tails.
     pub exemplars: Exemplars,
-    /// Cluster-wide per-phase attribution, when [`ScenarioCfg::attrib`]
-    /// is on.
+    /// Cluster-wide per-phase attribution, when
+    /// [`ScenarioCfg::slo_policy`] is set.
     pub phases: Option<PhaseStats>,
 }
 
@@ -577,6 +578,16 @@ impl ServeStats {
                 .collect(),
             exemplars: Exemplars::new(),
             phases: attrib.then(PhaseStats::new),
+        }
+    }
+
+    /// Flushes every sketch's buffered inserts.
+    fn flush(&mut self) {
+        self.latency_sketch.flush();
+        self.phases.iter_mut().for_each(PhaseStats::flush);
+        for m in &mut self.per_model {
+            m.latency_sketch.flush();
+            m.phases.iter_mut().for_each(PhaseStats::flush);
         }
     }
 }
@@ -758,22 +769,12 @@ enum Event {
     Abandon { slot: u32, gen: u32 },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Vacant,
-    Queued,
-    Running,
-    Done,
-    Abandoned,
-}
-
 /// Pooled per-request state. Slots are recycled through a free list;
 /// `gen` increments on every free so events holding a `(slot, gen)`
 /// reference (abandonment timers) can detect that their request is gone
 /// and the slot now belongs to someone else.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ReqState {
-    model: ModelId,
     mix_idx: u32,
     gen: u32,
     gpu: u32,
@@ -781,8 +782,6 @@ struct ReqState {
     arrival_s: f64,
     deadline_s: f64,
     depth_at_arrival: u64,
-    base_s: f64,
-    status: Status,
     /// GPU busy-seconds *completed* on this request's GPU at its arrival
     /// (the in-flight batch counts only its elapsed portion). The launch
     /// re-reads the same meter; the delta is the queue-phase wait.
@@ -812,16 +811,13 @@ struct ModelInfo<'a> {
     draw_w: f64,
     /// Deadline delta after arrival (`+inf` for no SLO).
     slo_delta_s: f64,
-    requests_c: Counter,
-    slo_miss_c: Counter,
 }
 
-/// Online health state driven by the event loop: the burn-rate engine
-/// eats the completion stream, the ratchet detector eats per-window mean
-/// queue depths accumulated from the same occupancy spans that feed the
+/// The event loop's half of the health layer (the completion sink drives
+/// the burn-rate engine): the ratchet detector eats per-window mean queue
+/// depths accumulated from the same occupancy spans that feed the
 /// Little's-law integral.
 struct HealthMonitor {
-    engine: BurnRateEngine,
     ratchet: RatchetDetector,
     window_s: f64,
     depth_win_idx: u64,
@@ -829,10 +825,8 @@ struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    fn new(policy: SloPolicy) -> Self {
-        let window_s = policy.window_s;
+    fn new(window_s: f64) -> Self {
         HealthMonitor {
-            engine: BurnRateEngine::new(policy),
             ratchet: RatchetDetector::new(RATCHET_STREAK, RATCHET_GROWTH, RATCHET_MIN_DEPTH),
             window_s,
             depth_win_idx: 0,
@@ -860,11 +854,9 @@ impl HealthMonitor {
         }
     }
 
-    /// Final evaluation at the end of the run: the engine closes its
-    /// trailing partial window; the ratchet sees the partial depth
-    /// window at its true (elapsed-time) mean.
+    /// Final evaluation at the end of the run: the ratchet sees the
+    /// partial depth window at its true (elapsed-time) mean.
     fn finish(&mut self, t_end_s: f64) {
-        self.engine.finish(t_end_s);
         let elapsed = t_end_s - self.depth_win_idx as f64 * self.window_s;
         if elapsed > 0.0 && self.depth_area_s > 0.0 {
             self.ratchet.push(t_end_s, self.depth_area_s / elapsed);
@@ -878,7 +870,11 @@ impl HealthMonitor {
 struct Done {
     wait_s: f64,
     latency_s: f64,
+    finish_s: f64,
     mix_idx: u32,
+    /// Size of the batch it was served in.
+    batch: u32,
+    on_time: bool,
 }
 
 /// Completions in completion order, as the loop hands them to the sink.
@@ -912,98 +908,88 @@ impl Batch {
     }
 }
 
-/// One model's fold targets.
-struct ModelFolds {
-    latency: QuantileSketch,
-    wait_h: Histogram,
-    latency_h: Histogram,
-    /// Phase sketches and `serve_phase_s{model,phase}` histograms (queue,
-    /// hold, execute), when attribution is on.
-    phases: Option<([QuantileSketch; 3], [Histogram; 3])>,
-}
-
-/// Everything a run folds completions into. Its histograms are the
-/// run's registry handles, which nothing else observes during the run,
-/// so whichever thread holds the folds is their lone writer.
+/// Everything a run folds completions into: its stats (all but the
+/// exemplars, which the loop keeps), its per-model histograms and, with
+/// health on, the burn-rate engine. The histograms are the run's
+/// registry handles, which nothing else observes during the run, so
+/// whichever thread holds the folds is their lone writer.
 struct Folds {
-    latency: QuantileSketch,
-    /// Cluster-wide phase sketches, when attribution is on.
-    phases: Option<[QuantileSketch; 3]>,
-    /// By mix index.
-    per_model: Vec<ModelFolds>,
+    stats: ServeStats,
+    /// `serve_wait_s` and `serve_latency_s` per model, by mix index.
+    hists: Vec<[Histogram; 2]>,
+    /// `serve_phase_s` per model and phase (queue, hold, execute), by mix
+    /// index; empty when attribution is off.
+    phase_hists: Vec<[Histogram; 3]>,
+    burn: Option<BurnRateEngine>,
 }
 
 impl Folds {
     fn new(cfg: &ScenarioCfg, registry: &Registry) -> Self {
-        let sketch = || QuantileSketch::new(LATENCY_SKETCH_EPS);
-        let per_model = cfg
-            .mix
-            .entries()
+        let attrib = cfg.slo_policy.is_some();
+        let hist = |name: &str, labels: &[(&str, &str)]| {
+            registry.histogram_with(name, labels, &latency_buckets_s())
+        };
+        let models: Vec<&str> = cfg.mix.models().map(model_short_name).collect();
+        let hists = models
             .iter()
-            .map(|(model, _)| {
-                let m = model_short_name(*model);
-                let hist = |name: &str, labels: &[(&str, &str)]| {
-                    registry.histogram_with(name, labels, &latency_buckets_s())
-                };
-                ModelFolds {
-                    latency: sketch(),
-                    wait_h: hist("serve_wait_s", &[("model", m)]),
-                    latency_h: hist("serve_latency_s", &[("model", m)]),
-                    phases: cfg.attrib.then(|| {
-                        let hists = ["queue", "hold", "execute"]
-                            .map(|phase| hist("serve_phase_s", &[("model", m), ("phase", phase)]));
-                        ([sketch(), sketch(), sketch()], hists)
-                    }),
-                }
-            })
+            .map(|&m| ["serve_wait_s", "serve_latency_s"].map(|name| hist(name, &[("model", m)])))
             .collect();
+        let phase_hists = if attrib {
+            models
+                .iter()
+                .map(|&m| {
+                    ["queue", "hold", "execute"]
+                        .map(|phase| hist("serve_phase_s", &[("model", m), ("phase", phase)]))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         Folds {
-            latency: sketch(),
-            phases: cfg.attrib.then(|| [sketch(), sketch(), sketch()]),
-            per_model,
+            stats: ServeStats::new(&cfg.mix, attrib),
+            hists,
+            phase_hists,
+            burn: cfg.slo_policy.clone().map(BurnRateEngine::new),
         }
     }
 
-    /// Folds a batch in. Each sketch and histogram sees its values in
-    /// completion order, as if they were observed one completion at a
-    /// time.
+    /// Folds a batch in, one completion at a time in completion order.
     fn absorb(&mut self, batch: &Batch) {
+        let stats = &mut self.stats;
         for d in &batch.done {
-            let m = &mut self.per_model[d.mix_idx as usize];
-            m.wait_h.observe(d.wait_s);
-            m.latency_h.observe(d.latency_s);
-            m.latency.observe(d.latency_s);
-            self.latency.observe(d.latency_s);
-        }
-        if let Some(cluster) = self.phases.as_mut() {
-            for (d, ph) in batch.done.iter().zip(&batch.phases) {
-                let (sketches, hists) = self.per_model[d.mix_idx as usize]
-                    .phases
-                    .as_mut()
-                    .expect("attribution folds every model's phases");
-                for i in 0..3 {
-                    hists[i].observe(ph[i]);
-                    sketches[i].observe(ph[i]);
-                    cluster[i].observe(ph[i]);
-                }
+            let i = d.mix_idx as usize;
+            let [wait_h, latency_h] = &self.hists[i];
+            wait_h.observe(d.wait_s);
+            latency_h.observe(d.latency_s);
+            let m = &mut stats.per_model[i];
+            if m.first_done_seq == u64::MAX {
+                m.first_done_seq = stats.completed;
+            }
+            m.completed += 1;
+            m.on_time += u64::from(d.on_time);
+            m.wait_sum_s += d.wait_s;
+            m.latency_sum_s += d.latency_s;
+            m.batch_sum += u64::from(d.batch);
+            m.latency_sketch.observe(d.latency_s);
+            stats.completed += 1;
+            stats.on_time += u64::from(d.on_time);
+            stats.wait_sum_s += d.wait_s;
+            stats.latency_sum_s += d.latency_s;
+            stats.batch_sum += u64::from(d.batch);
+            stats.latency_sketch.observe(d.latency_s);
+            if let Some(burn) = self.burn.as_mut() {
+                burn.record(d.finish_s, d.on_time);
             }
         }
-    }
-
-    /// Moves the flushed sketches into the run's stats.
-    fn into_stats(self, stats: &mut ServeStats) {
-        let flushed = |mut s: QuantileSketch| {
-            s.flush();
-            s
-        };
-        stats.latency_sketch = flushed(self.latency);
-        if let (Some(ph), Some(sketches)) = (stats.phases.as_mut(), self.phases) {
-            ph.set_sketches(sketches.map(flushed));
-        }
-        for (ms, mf) in stats.per_model.iter_mut().zip(self.per_model) {
-            ms.latency_sketch = flushed(mf.latency);
-            if let (Some(ph), Some((sketches, _))) = (ms.phases.as_mut(), mf.phases) {
-                ph.set_sketches(sketches.map(flushed));
+        if let Some(cluster) = stats.phases.as_mut() {
+            for (d, &phases) in batch.done.iter().zip(&batch.phases) {
+                let i = d.mix_idx as usize;
+                for (h, v) in self.phase_hists[i].iter().zip(phases) {
+                    h.observe(v);
+                }
+                let model = stats.per_model[i].phases.as_mut();
+                model.expect("attribution covers every model").observe(phases);
+                cluster.observe(phases);
             }
         }
     }
@@ -1135,18 +1121,18 @@ struct Sim<'a> {
     /// Busy seconds per model (mix order) — the energy report's
     /// J-per-request attribution base.
     model_busy_s: Vec<f64>,
+    /// Arrivals per model (mix order), dropped ones included.
+    model_arrivals: Vec<u64>,
     rr_next: usize,
     arrivals: u64,
     dropped: u64,
     abandoned: u64,
     abandoned_wait_s: f64,
     records: Vec<RequestRecord>,
-    stats: ServeStats,
+    exemplars: Exemplars,
     /// Completions not yet handed to the completion sink.
     to_fold: Batch,
     batch_h: Histogram,
-    drops_c: Counter,
-    abandons_c: Counter,
     area_requests_s: f64,
     last_event_s: f64,
     in_system: u64,
@@ -1156,8 +1142,9 @@ struct Sim<'a> {
     /// ([`simulate_recorded`]). `None` keeps the fast path untouched:
     /// every hook site is guarded by an `Option` check.
     flight: Option<FlightRecorder>,
-    /// SLO health engine, when [`ScenarioCfg::slo_policy`] is set. Same
-    /// contract as `flight`: `None` costs the fast path nothing.
+    /// The ratchet half of the health layer, when
+    /// [`ScenarioCfg::slo_policy`] is set. Same contract as `flight`:
+    /// `None` costs the fast path nothing.
     health: Option<HealthMonitor>,
 }
 
@@ -1166,21 +1153,7 @@ impl<'a> Sim<'a> {
         if let Some(slot) = self.free.pop() {
             slot
         } else {
-            self.reqs.push(ReqState {
-                model: ModelId::StableDiffusion,
-                mix_idx: 0,
-                gen: 0,
-                gpu: 0,
-                arrival_id: 0,
-                arrival_s: 0.0,
-                deadline_s: 0.0,
-                depth_at_arrival: 0,
-                base_s: 0.0,
-                status: Status::Vacant,
-                busy_done_at_arrival: 0.0,
-                queue_wait_s: 0.0,
-                hold_wait_s: 0.0,
-            });
+            self.reqs.push(ReqState::default());
             (self.reqs.len() - 1) as u32
         }
     }
@@ -1245,10 +1218,10 @@ impl<'a> Sim<'a> {
             }
             SchedulerKind::Static { batch, wait_s } => {
                 let head = q[0];
-                let model = self.reqs[head as usize].model;
+                let mix_idx = self.reqs[head as usize].mix_idx;
                 let target = batch.max(1);
                 for &slot in q.iter() {
-                    if self.reqs[slot as usize].model == model {
+                    if self.reqs[slot as usize].mix_idx == mix_idx {
                         out.push(slot);
                         if out.len() >= target {
                             break;
@@ -1280,9 +1253,9 @@ impl<'a> Sim<'a> {
                             )
                     })
                     .expect("non-empty queue");
-                let model = self.reqs[leader as usize].model;
+                let mix_idx = self.reqs[leader as usize].mix_idx;
                 out.extend(
-                    q.iter().copied().filter(|&s| self.reqs[s as usize].model == model),
+                    q.iter().copied().filter(|&s| self.reqs[s as usize].mix_idx == mix_idx),
                 );
                 out.sort_by(|&a, &b| {
                     self.reqs[a as usize]
@@ -1324,7 +1297,8 @@ impl<'a> Sim<'a> {
         }
         let now = self.queue.now_s();
         let mix_idx = self.reqs[members[0] as usize].mix_idx as usize;
-        let curve: &ServiceCurve = self.per_model[mix_idx].curve;
+        let info = &self.per_model[mix_idx];
+        let (curve, base_s) = (info.curve, info.base_s);
         let mut service_s = curve.batch_s(members.len());
         // Busy meter at launch: the GPU is idle here, so `busy_s` equals
         // completed busy seconds. The delta against each member's arrival
@@ -1335,11 +1309,10 @@ impl<'a> Sim<'a> {
         let busy_done_now = self.busy_s[gpu];
         for &slot in &members {
             let st = &mut self.reqs[slot as usize];
-            st.status = Status::Running;
             let wait = (now - st.arrival_s).max(0.0);
             st.queue_wait_s = (busy_done_now - st.busy_done_at_arrival).clamp(0.0, wait);
             st.hold_wait_s = wait - st.queue_wait_s;
-            self.queued_work_s[gpu] -= st.base_s;
+            self.queued_work_s[gpu] -= base_s;
             let q = &mut self.gpu_queues[gpu];
             let pos = q.iter().position(|&x| x == slot).expect("queued member");
             q.remove(pos);
@@ -1388,18 +1361,13 @@ impl<'a> Sim<'a> {
         let arrival_id = self.arrivals;
         self.arrivals += 1;
         assert!(mix_idx < self.per_model.len(), "stream mix index out of range");
+        self.model_arrivals[mix_idx] += 1;
         let info = &self.per_model[mix_idx];
-        let model = info.model;
         let deadline_s = now + info.slo_delta_s;
         let base_s = info.base_s;
-        info.requests_c.inc();
-        if let Some(fl) = self.flight.as_mut() {
-            fl.on_arrival(now);
-        }
         if let Some(cap) = self.cfg.max_queue {
             if self.queued_count >= cap {
                 self.dropped += 1;
-                self.drops_c.inc();
                 if let Some(fl) = self.flight.as_mut() {
                     fl.on_drop(now);
                 }
@@ -1419,15 +1387,12 @@ impl<'a> Sim<'a> {
                 .map_or(0.0, |b| (b.finish_s - now).max(0.0));
         {
             let st = &mut self.reqs[slot as usize];
-            st.model = model;
             st.mix_idx = mix_idx as u32;
             st.gpu = gpu as u32;
             st.arrival_id = arrival_id;
             st.arrival_s = now;
             st.deadline_s = deadline_s;
             st.depth_at_arrival = depth_at_arrival;
-            st.base_s = base_s;
-            st.status = Status::Queued;
             st.busy_done_at_arrival = busy_done_at_arrival;
         }
         self.gpu_queues[gpu].push_back(slot);
@@ -1443,12 +1408,11 @@ impl<'a> Sim<'a> {
     fn on_depart(&mut self, gpu: usize) {
         let batch = self.running[gpu].take().expect("depart from idle gpu");
         let size = batch.ids.len();
+        let attrib = self.cfg.slo_policy.is_some();
         for i in 0..size {
             let slot = batch.ids[i];
-            let st = &mut self.reqs[slot as usize];
-            st.status = Status::Done;
-            let model = st.model;
-            let mix_idx = st.mix_idx as usize;
+            let st = &self.reqs[slot as usize];
+            let mix_idx = st.mix_idx;
             let arrival_id = st.arrival_id;
             let arrival_s = st.arrival_s;
             let deadline_s = st.deadline_s;
@@ -1458,43 +1422,24 @@ impl<'a> Sim<'a> {
             self.in_system -= 1;
             self.free_slot(slot);
 
-            let wait_s = batch.start_s - arrival_s;
             let latency_s = batch.finish_s - arrival_s;
             let on_time = batch.finish_s <= deadline_s;
+            self.to_fold.done.push(Done {
+                wait_s: batch.start_s - arrival_s,
+                latency_s,
+                finish_s: batch.finish_s,
+                mix_idx,
+                batch: size as u32,
+                on_time,
+            });
             // Needed only by attribution, a retained exemplar or a record.
             let execute_s = || conserving_execute_s(queue_s, hold_s, latency_s);
-
-            if !on_time {
-                self.per_model[mix_idx].slo_miss_c.inc();
+            if attrib {
+                self.to_fold.phases.push([queue_s, hold_s, execute_s()]);
             }
-            if let Some(hm) = self.health.as_mut() {
-                hm.engine.record(batch.finish_s, on_time);
-            }
-
-            self.to_fold.done.push(Done { wait_s, latency_s, mix_idx: mix_idx as u32 });
-            let ms = &mut self.stats.per_model[mix_idx];
-            if let Some(ph) = ms.phases.as_mut() {
-                let phases = [queue_s, hold_s, execute_s()];
-                ph.add_sums(phases);
-                self.stats.phases.as_mut().expect("attribution is on").add_sums(phases);
-                self.to_fold.phases.push(phases);
-            }
-            if ms.first_done_seq == u64::MAX {
-                ms.first_done_seq = self.stats.completed;
-            }
-            ms.completed += 1;
-            ms.on_time += u64::from(on_time);
-            ms.wait_sum_s += wait_s;
-            ms.latency_sum_s += latency_s;
-            ms.batch_sum += size as u64;
-            self.stats.completed += 1;
-            self.stats.on_time += u64::from(on_time);
-            self.stats.wait_sum_s += wait_s;
-            self.stats.latency_sum_s += latency_s;
-            self.stats.batch_sum += size as u64;
-            self.stats.exemplars.observe(latency_s, arrival_id, || RequestRecord {
+            let record = || RequestRecord {
                 id: arrival_id,
-                model,
+                model: self.per_model[mix_idx as usize].model,
                 arrival_s,
                 start_s: batch.start_s,
                 finish_s: batch.finish_s,
@@ -1505,26 +1450,13 @@ impl<'a> Sim<'a> {
                 queue_s,
                 hold_s,
                 execute_s: execute_s(),
-            });
+            };
+            self.exemplars.observe(latency_s, arrival_id, record);
             if let Some(fl) = self.flight.as_mut() {
                 fl.on_complete(batch.finish_s, latency_s, on_time);
             }
-
             if self.cfg.full_records {
-                self.records.push(RequestRecord {
-                    id: arrival_id,
-                    model,
-                    arrival_s,
-                    start_s: batch.start_s,
-                    finish_s: batch.finish_s,
-                    deadline_s,
-                    gpu,
-                    batch: size,
-                    depth_at_arrival,
-                    queue_s,
-                    hold_s,
-                    execute_s: execute_s(),
-                });
+                self.records.push(record());
             }
         }
         let mut ids = batch.ids;
@@ -1534,31 +1466,27 @@ impl<'a> Sim<'a> {
     }
 
     fn on_abandon(&mut self, slot: u32, gen: u32) {
-        {
-            let st = &self.reqs[slot as usize];
-            // A stale timer: the request already departed (or abandoned)
-            // and the slot may have been recycled since.
-            if st.gen != gen || st.status != Status::Queued {
-                return;
-            }
+        let st = &self.reqs[slot as usize];
+        // A stale timer: the request already departed (or abandoned) and
+        // the slot may have been recycled since.
+        if st.gen != gen {
+            return;
         }
-        let now = self.queue.now_s();
-        let gpu = self.reqs[slot as usize].gpu as usize;
-        let pos = self.gpu_queues[gpu]
-            .iter()
-            .position(|&x| x == slot)
-            .expect("queued request is on its gpu queue");
+        let gpu = st.gpu as usize;
+        // Not on its GPU's queue: the request is running and can no
+        // longer give up.
+        let Some(pos) = self.gpu_queues[gpu].iter().position(|&x| x == slot) else {
+            return;
+        };
         self.gpu_queues[gpu].remove(pos);
         self.queued_count -= 1;
-        let st = &mut self.reqs[slot as usize];
-        st.status = Status::Abandoned;
-        let base_s = st.base_s;
+        let now = self.queue.now_s();
         let waited = now - st.arrival_s;
+        let base_s = self.per_model[st.mix_idx as usize].base_s;
         self.queued_work_s[gpu] = (self.queued_work_s[gpu] - base_s).max(0.0);
         self.in_system -= 1;
         self.abandoned += 1;
         self.abandoned_wait_s += waited;
-        self.abandons_c.inc();
         if let Some(fl) = self.flight.as_mut() {
             fl.on_abandon(now, gpu, waited);
         }
@@ -1653,15 +1581,12 @@ pub(crate) fn run(
         .iter()
         .map(|(model, _)| {
             let curve = profile.curve(*model).expect("checked above");
-            let labels = [("model", model_short_name(*model))];
             ModelInfo {
                 model: *model,
                 curve,
                 base_s: curve.base_s(),
                 draw_w: curve.draw_w,
                 slo_delta_s: cfg.slo.slo_s(curve),
-                requests_c: registry.counter_with("serve_requests_total", &labels),
-                slo_miss_c: registry.counter_with("serve_slo_miss_total", &labels),
             }
         })
         .collect();
@@ -1681,29 +1606,28 @@ pub(crate) fn run(
         busy_s: vec![0.0; cfg.gpus],
         energy_j: vec![0.0; cfg.gpus],
         model_busy_s: vec![0.0; cfg.mix.entries().len()],
+        model_arrivals: vec![0; cfg.mix.entries().len()],
         rr_next: 0,
         arrivals: 0,
         dropped: 0,
         abandoned: 0,
         abandoned_wait_s: 0.0,
         records: Vec::new(),
-        stats: ServeStats::new(&cfg.mix, cfg.attrib),
+        exemplars: Exemplars::new(),
         // A departure can push a whole launched batch past SINK_BATCH.
         to_fold: Batch::with_capacity(
             SINK_BATCH + cfg.scheduler.batch_cap().min(SINK_BATCH),
-            cfg.attrib,
+            cfg.slo_policy.is_some(),
         ),
         batch_h: registry
             .histogram("serve_batch_size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
-        drops_c: registry.counter("serve_drops_total"),
-        abandons_c: registry.counter("serve_abandons_total"),
         area_requests_s: 0.0,
         last_event_s: 0.0,
         in_system: 0,
         in_flight_at_horizon: 0,
         horizon_snapped: false,
         flight,
-        health: cfg.slo_policy.clone().map(HealthMonitor::new),
+        health: cfg.slo_policy.as_ref().map(|policy| HealthMonitor::new(policy.window_s)),
     };
 
     schedule_arrival(&mut sim.queue);
@@ -1748,7 +1672,9 @@ pub(crate) fn run(
         }
         (any_events, sink.finish(&mut sim.to_fold))
     });
-    folds.into_stats(&mut sim.stats);
+    let Folds { mut stats, burn, .. } = folds;
+    stats.flush();
+    stats.exemplars = sim.exemplars;
 
     // Gauges are instantaneous: setting them once after the loop leaves
     // the same final values as the per-event updates the slow path did.
@@ -1783,11 +1709,22 @@ pub(crate) fn run(
 
     debug_assert_eq!(sim.in_system, 0, "drain left requests in the system");
 
-    let health = sim.health.take().map(|mut hm| {
+    // The counters are added once, from the run's exact counts.
+    for ((info, &arrivals), m) in sim.per_model.iter().zip(&sim.model_arrivals).zip(&stats.per_model)
+    {
+        let labels = [("model", model_short_name(info.model))];
+        registry.counter_with("serve_requests_total", &labels).add(arrivals);
+        registry.counter_with("serve_slo_miss_total", &labels).add(m.completed - m.on_time);
+    }
+    registry.counter("serve_drops_total").add(sim.dropped);
+    registry.counter("serve_abandons_total").add(sim.abandoned);
+
+    let health = sim.health.take().zip(burn).map(|(mut hm, mut burn)| {
         hm.finish(end_s);
+        burn.finish(end_s);
         let report = HealthReport {
-            policy: hm.engine.policy().clone(),
-            alerts: hm.engine.events().to_vec(),
+            policy: burn.policy().clone(),
+            alerts: burn.events().to_vec(),
             ratchet: hm.ratchet.events().to_vec(),
         };
         // Alert/ratchet transitions become flight-recorder instants and
@@ -1829,7 +1766,7 @@ pub(crate) fn run(
         );
         report
     });
-    if cfg.attrib {
+    if cfg.slo_policy.is_some() {
         registry.describe(
             "serve_phase_s",
             "per-request latency attribution by phase (queue, hold, execute)",
@@ -1838,7 +1775,7 @@ pub(crate) fn run(
 
     let result = SimResult {
         records: sim.records,
-        stats: sim.stats,
+        stats,
         arrivals: sim.arrivals,
         dropped: sim.dropped,
         abandoned: sim.abandoned,
@@ -2211,7 +2148,7 @@ mod tests {
             SchedulerKind::Static { batch: 8, wait_s: 0.25 },
             SchedulerKind::Dynamic { max_batch: 16 },
         ] {
-            let cfg = ScenarioCfg { attrib: true, ..scenario(scheduler, 5.0, 120.0) };
+            let cfg = scenario(scheduler, 5.0, 120.0).with_health(0.95);
             let r = simulate(&cfg, &batching_profile(0.5), &Registry::new());
             assert!(r.records.len() > 100, "{scheduler:?}: thin run");
             for rec in r.records.iter().chain(r.stats.exemplars.worst()) {
@@ -2250,7 +2187,7 @@ mod tests {
         let base = scenario(SchedulerKind::Dynamic { max_batch: 8 }, 5.0, 150.0);
         let plain = simulate(&base, &batching_profile(0.5), &Registry::new());
         let instrumented_cfg = base.clone().with_health(0.95);
-        assert!(instrumented_cfg.attrib && instrumented_cfg.slo_policy.is_some());
+        assert!(instrumented_cfg.slo_policy.is_some());
         let instrumented = simulate(&instrumented_cfg, &batching_profile(0.5), &Registry::new());
         assert_eq!(plain.records, instrumented.records);
         assert_eq!(plain.busy_s, instrumented.busy_s);
@@ -2265,10 +2202,7 @@ mod tests {
     /// bound against the exact per-phase order statistics.
     #[test]
     fn phase_sketch_p99_respects_rank_bound() {
-        let cfg = ScenarioCfg {
-            attrib: true,
-            ..scenario(SchedulerKind::Dynamic { max_batch: 16 }, 20.0, 300.0)
-        };
+        let cfg = scenario(SchedulerKind::Dynamic { max_batch: 16 }, 20.0, 300.0).with_health(0.95);
         let r = simulate(&cfg, &batching_profile(0.2), &Registry::new());
         assert!(r.records.len() > 2_000, "want a dense run, got {}", r.records.len());
         let ph = r.stats.phases.as_ref().expect("attrib on");
@@ -2298,7 +2232,7 @@ mod tests {
     #[test]
     fn hold_phase_separates_static_from_fifo() {
         let profile = batching_profile(0.5);
-        let fifo_cfg = ScenarioCfg { attrib: true, ..scenario(SchedulerKind::Fifo, 3.0, 200.0) };
+        let fifo_cfg = scenario(SchedulerKind::Fifo, 3.0, 200.0).with_health(0.95);
         let fifo = simulate(&fifo_cfg, &profile, &Registry::new());
         let fifo_ph = fifo.stats.phases.as_ref().unwrap();
         assert!(
@@ -2308,10 +2242,8 @@ mod tests {
             fifo_ph.queue_sum_s
         );
 
-        let static_cfg = ScenarioCfg {
-            attrib: true,
-            ..scenario(SchedulerKind::Static { batch: 8, wait_s: 0.25 }, 3.0, 200.0)
-        };
+        let static_cfg =
+            scenario(SchedulerKind::Static { batch: 8, wait_s: 0.25 }, 3.0, 200.0).with_health(0.95);
         let st = simulate(&static_cfg, &profile, &Registry::new());
         let st_ph = st.stats.phases.as_ref().unwrap();
         assert!(
@@ -2566,8 +2498,7 @@ mod tests {
 
     #[test]
     fn hand_off_is_invisible_on_an_external_stream() {
-        let mut cfg = stream_shape(SchedulerKind::Static { batch: 4, wait_s: 0.5 }, 2.0);
-        cfg.attrib = true;
+        let cfg = stream_shape(SchedulerKind::Static { batch: 4, wait_s: 0.5 }, 2.0).with_health(0.95);
         assert_hand_off_is_invisible(&cfg, false, true);
     }
 
@@ -2599,7 +2530,14 @@ mod tests {
             // Mix index 7 is out of range for a two-model mix.
             let mut batch = Batch::with_capacity(4, false);
             for _ in 0..2 * SINK_QUEUE_DEPTH + 2 {
-                batch.done.push(Done { wait_s: 0.0, latency_s: 1.0, mix_idx: 7 });
+                batch.done.push(Done {
+                    wait_s: 0.0,
+                    latency_s: 1.0,
+                    finish_s: 1.0,
+                    mix_idx: 7,
+                    batch: 1,
+                    on_time: true,
+                });
                 sink.absorb(&mut batch);
             }
             let _ = sink.finish(&mut batch);

@@ -12,10 +12,12 @@
 //!   machinery the roofline profiler uses
 //!   ([`FlightRecorder::to_chrome_trace_object`]).
 //! - **Windowed time series** ([`ServeWindow`] over
-//!   [`mmg_telemetry::WindowedSeries`]): per-window arrival/completion
-//!   counts, SLO attainment, queue-depth integral, per-GPU busy time and
-//!   a latency [`QuantileSketch`] — mergeable across seeds and worker
-//!   pools, backing the `serve-timeline` experiment.
+//!   [`mmg_telemetry::WindowedSeries`]): per-window completion and
+//!   on-time counts, queue-depth integral, per-GPU busy time, busy-span
+//!   energy and a latency [`QuantileSketch`] — exactly what the trace
+//!   export's counter tracks and the `serve-timeline` experiment read,
+//!   mergeable across seeds and worker pools. Drops, abandons and
+//!   launches are scheduler instants and batch spans, not window counts.
 //! - **Lifecycle exemplars** ([`Exemplars`]): the four worst-latency
 //!   request lifecycles, retained exactly. These are always on (they
 //!   live in [`crate::ServeStats`]) so tail latency stays explainable in
@@ -167,21 +169,14 @@ pub struct SchedEvent {
     pub kind: SchedKind,
 }
 
-/// Per-window aggregates of the serving timeline.
+/// Per-window aggregates of the serving timeline: what the trace
+/// export's counter tracks and `serve-timeline` read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeWindow {
-    /// Requests that arrived in the window (admitted or not).
-    pub arrivals: u64,
     /// Requests that completed in the window.
     pub completed: u64,
     /// Completions that met their deadline.
     pub on_time: u64,
-    /// Arrivals rejected by admission control.
-    pub dropped: u64,
-    /// Queued requests that abandoned.
-    pub abandoned: u64,
-    /// Batches launched in the window.
-    pub launches: u64,
     /// `∫ n(t) dt` restricted to the window — divide by the window
     /// width for the time-average in-system depth.
     pub depth_time_s: f64,
@@ -200,12 +195,8 @@ pub struct ServeWindow {
 impl Default for ServeWindow {
     fn default() -> Self {
         ServeWindow {
-            arrivals: 0,
             completed: 0,
             on_time: 0,
-            dropped: 0,
-            abandoned: 0,
-            launches: 0,
             depth_time_s: 0.0,
             busy_per_gpu_s: Vec::new(),
             energy_j: 0.0,
@@ -216,12 +207,8 @@ impl Default for ServeWindow {
 
 impl WindowValue for ServeWindow {
     fn merge(&mut self, other: &Self) {
-        self.arrivals += other.arrivals;
         self.completed += other.completed;
         self.on_time += other.on_time;
-        self.dropped += other.dropped;
-        self.abandoned += other.abandoned;
-        self.launches += other.launches;
         self.depth_time_s += other.depth_time_s;
         self.energy_j += other.energy_j;
         if self.busy_per_gpu_s.len() < other.busy_per_gpu_s.len() {
@@ -299,18 +286,6 @@ impl FlightRecorder {
         self.idle_w = Some(idle_w);
     }
 
-    /// The configuration this recorder was built with.
-    #[must_use]
-    pub fn cfg(&self) -> &FlightCfg {
-        &self.cfg
-    }
-
-    /// Cluster size the recorder was built for.
-    #[must_use]
-    pub fn gpus(&self) -> usize {
-        self.gpus
-    }
-
     fn push_instant(&mut self, ev: SchedEvent) {
         if self.instants.len() < self.cfg.max_instants {
             self.instants.push(ev);
@@ -321,17 +296,11 @@ impl FlightRecorder {
 
     // -- hooks driven by the simulator event loop --------------------------
 
-    pub(crate) fn on_arrival(&mut self, t_s: f64) {
-        self.series.observe_at(t_s, |w| w.arrivals += 1);
-    }
-
     pub(crate) fn on_drop(&mut self, t_s: f64) {
-        self.series.observe_at(t_s, |w| w.dropped += 1);
         self.push_instant(SchedEvent { t_s, gpu: CLUSTER_LANE, kind: SchedKind::Drop });
     }
 
     pub(crate) fn on_abandon(&mut self, t_s: f64, gpu: usize, waited_s: f64) {
-        self.series.observe_at(t_s, |w| w.abandoned += 1);
         self.push_instant(SchedEvent {
             t_s,
             gpu: gpu as u32,
@@ -386,7 +355,6 @@ impl FlightRecorder {
         draw_w: f64,
     ) {
         let gpus = self.gpus;
-        self.series.observe_at(start_s, |w| w.launches += 1);
         self.series.observe_span(start_s, finish_s, |w, overlap_s| {
             if w.busy_per_gpu_s.len() < gpus {
                 w.busy_per_gpu_s.resize(gpus, 0.0);
@@ -806,10 +774,8 @@ mod tests {
     #[test]
     fn window_totals_match_run_aggregates() {
         let (r, fl) = record(3.0, 120.0);
-        let arrivals: u64 = fl.series.iter().map(|(_, _, w)| w.arrivals).sum();
         let completed: u64 = fl.series.iter().map(|(_, _, w)| w.completed).sum();
         let on_time: u64 = fl.series.iter().map(|(_, _, w)| w.on_time).sum();
-        assert_eq!(arrivals, r.arrivals);
         assert_eq!(completed, r.stats.completed);
         assert_eq!(on_time, r.stats.on_time);
         // Busy seconds split across windows sum back to the exact per-GPU
@@ -842,8 +808,6 @@ mod tests {
                 fl.batches.iter().filter(|b| b.gpu == g).map(|b| b.start_s).collect();
             assert!(starts.windows(2).all(|w| w[0] <= w[1]));
         }
-        let launches: u64 = fl.series.iter().map(|(_, _, w)| w.launches).sum();
-        assert_eq!(launches, fl.batches.len() as u64 + fl.batches_dropped);
     }
 
     #[test]

@@ -43,9 +43,9 @@
 //! byte-identical across processes and thread counts. Each event loop
 //! runs on one thread and all randomness flows from seeded
 //! [`rand::rngs::StdRng`] streams. The one helper thread, which folds a
-//! cluster run's completions into its sketches and histograms past 2^16
-//! completions, sees the same values in the same order as the loop's
-//! own thread would (see [`cluster`]).
+//! cluster run's completions into its stats, histograms and burn-rate
+//! engine past 2^16 completions, sees the same values in the same order
+//! as the loop's own thread would (see [`cluster`]).
 
 #![deny(missing_docs)]
 

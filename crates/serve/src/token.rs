@@ -454,8 +454,6 @@ struct Seq {
     output: u32,
     prefilled: u32,
     decoded: u32,
-    resident_tokens: u64,
-    reserved_bytes: u64,
 }
 
 struct GpuState {
@@ -485,7 +483,6 @@ struct TokenSim<'a> {
     decode_members: Vec<u32>,
     prefill_work: Vec<(u32, u32, u32)>,
     has_prompt_kv: bool,
-    end_s: f64,
 }
 
 impl<'a> TokenSim<'a> {
@@ -530,15 +527,16 @@ impl<'a> TokenSim<'a> {
             decode_members: Vec::new(),
             prefill_work: Vec::new(),
             has_prompt_kv: !curve.prefill_s.is_empty(),
-            end_s: 0.0,
         }
     }
 
     fn run(mut self, registry: &Registry) -> (TokenSimResult, Option<FlightRecorder>) {
         self.drive();
-        self.end_s = self.end_s.max(self.cfg.duration_s);
+        // The run ends at its last event, or at the horizon if that is
+        // later.
+        let end_s = self.queue.now_s().max(self.cfg.duration_s);
         self.stats.phases.flush();
-        self.publish(registry);
+        self.publish(registry, end_s);
         let result = TokenSimResult {
             model: self.cfg.model,
             gpus: self.cfg.gpus,
@@ -549,7 +547,7 @@ impl<'a> TokenSim<'a> {
             stats: self.stats,
             kv: self.gpus.iter().map(|g| g.ledger.clone()).collect(),
             busy_s: self.gpus.iter().map(|g| g.busy_s).collect(),
-            end_s: self.end_s,
+            end_s,
         };
         (result, self.flight)
     }
@@ -558,7 +556,6 @@ impl<'a> TokenSim<'a> {
     fn drive(&mut self) {
         self.schedule_next_arrival();
         while let Some((t, ev)) = self.queue.pop() {
-            self.end_s = self.end_s.max(t);
             match ev {
                 Event::Arrival => self.on_arrival(t),
                 Event::Step { gpu } => {
@@ -579,6 +576,15 @@ impl<'a> TokenSim<'a> {
         }
     }
 
+    /// KV bytes a sequence holds: its prefilled prompt (when the model
+    /// keeps prompt KV) and its decoded tokens.
+    fn resident_bytes(&self, seq: &Seq) -> u64 {
+        let prefilled = if self.has_prompt_kv { seq.prefilled } else { 0 };
+        (u64::from(prefilled) + u64::from(seq.decoded)) * self.curve.kv_bytes_per_token
+    }
+
+    /// KV bytes a running sequence holds reserved: the admission demand
+    /// it was admitted with, which depends only on its lengths.
     fn admission_demand(&self, seq: &Seq) -> u64 {
         let prompt = self.prompt_kv_tokens(seq);
         let total = match self.cfg.admission {
@@ -590,9 +596,6 @@ impl<'a> TokenSim<'a> {
 
     fn on_arrival(&mut self, t: f64) {
         self.stats.arrivals += 1;
-        if let Some(f) = self.flight.as_mut() {
-            f.on_arrival(t);
-        }
         let prompt = self.prompt_len.sample() as u32;
         let output = self
             .curve
@@ -606,8 +609,6 @@ impl<'a> TokenSim<'a> {
             output,
             prefilled: if self.has_prompt_kv { 0 } else { prompt },
             decoded: 0,
-            resident_tokens: 0,
-            reserved_bytes: 0,
         };
         // A sequence whose full footprint can never fit is dropped at
         // the door — admitting it would deadlock the preemption loop.
@@ -706,10 +707,8 @@ impl<'a> TokenSim<'a> {
         let mut ctx_sum: u64 = 0;
         for &(s, from, to) in &self.prefill_work {
             iter_s += self.curve.prefill_chunk_s(from as usize, to as usize);
-            let q = &mut self.slots[s as usize];
-            q.prefilled = to;
+            self.slots[s as usize].prefilled = to;
             let grown = (to - from) as u64;
-            q.resident_tokens += grown;
             growth_bytes += grown * bpt;
             self.stats.prefilled_tokens += grown;
         }
@@ -721,7 +720,6 @@ impl<'a> TokenSim<'a> {
             ctx_sum += prompt_kv + q.decoded as u64;
             let new = tokens_per_step.min(q.output - q.decoded);
             q.decoded += new;
-            q.resident_tokens += new as u64;
             growth_bytes += new as u64 * bpt;
             decode_tokens += new as u64;
             awaiting_first_token |= q.first_token_s < 0.0;
@@ -744,7 +742,7 @@ impl<'a> TokenSim<'a> {
             let resident: u64 = self.gpus[gpu]
                 .running
                 .iter()
-                .map(|&s| self.slots[s as usize].resident_tokens * bpt)
+                .map(|&s| self.resident_bytes(&self.slots[s as usize]))
                 .sum();
             debug_assert_eq!(resident, self.gpus[gpu].ledger.resident_bytes);
         }
@@ -794,9 +792,10 @@ impl<'a> TokenSim<'a> {
                 continue;
             }
             self.gpus[gpu].running.remove(i);
+            let (resident, reserved) = (self.resident_bytes(&q), self.admission_demand(&q));
             let ledger = &mut self.gpus[gpu].ledger;
-            ledger.free(q.resident_tokens * self.curve.kv_bytes_per_token);
-            ledger.unreserve(q.reserved_bytes);
+            ledger.free(resident);
+            ledger.unreserve(reserved);
             let queue_s = q.admitted_s - q.arrival_s;
             let ttft_s = q.first_token_s - q.arrival_s;
             let tpot_s = (now - q.first_token_s) / f64::from((q.output - 1).max(1));
@@ -835,7 +834,6 @@ impl<'a> TokenSim<'a> {
             self.gpus[gpu].waiting.pop_front();
             self.gpus[gpu].ledger.reserve(demand);
             let q = &mut self.slots[slot as usize];
-            q.reserved_bytes = demand;
             if q.admitted_s < 0.0 {
                 q.admitted_s = now;
                 wait_max = wait_max.max(now - q.arrival_s);
@@ -849,27 +847,27 @@ impl<'a> TokenSim<'a> {
     /// sequence is never preempted, which guarantees forward progress
     /// (its full footprint fits the budget by the arrival-time check).
     fn preempt_youngest(&mut self, gpu: usize) {
-        let g = &mut self.gpus[gpu];
         assert!(
-            g.running.len() > 1,
+            self.gpus[gpu].running.len() > 1,
             "single sequence cannot outgrow the budget (oversized arrivals are dropped)"
         );
-        let slot = g.running.pop().expect("non-empty running set");
-        let q = &mut self.slots[slot as usize];
-        g.ledger.free(q.resident_tokens * self.curve.kv_bytes_per_token);
-        g.ledger.unreserve(q.reserved_bytes);
+        let slot = self.gpus[gpu].running.pop().expect("non-empty running set");
+        let q = &self.slots[slot as usize];
+        let (resident, reserved) = (self.resident_bytes(q), self.admission_demand(q));
+        let g = &mut self.gpus[gpu];
+        g.ledger.free(resident);
+        g.ledger.unreserve(reserved);
         g.ledger.count_preemption();
         // Eviction-and-recompute: all progress is lost; the sequence
         // re-enters at the head of the queue and replays prefill and
         // decode (TTFT keeps the first delivery instant).
-        q.resident_tokens = 0;
-        q.reserved_bytes = 0;
+        let q = &mut self.slots[slot as usize];
         q.decoded = 0;
         q.prefilled = if self.has_prompt_kv { 0 } else { q.prompt };
         g.waiting.push_front(slot);
     }
 
-    fn publish(&self, registry: &Registry) {
+    fn publish(&self, registry: &Registry, end_s: f64) {
         let model = model_short_name(self.cfg.model);
         let labels: &[(&str, &str)] = &[("model", model)];
         registry.describe("serve_token_requests_total", "token-serving arrivals");
@@ -923,7 +921,7 @@ impl<'a> TokenSim<'a> {
                 .set(g.ledger.resident_bytes as f64);
             registry
                 .gauge_with("serve_token_gpu_utilization", glabels)
-                .set(g.busy_s / self.end_s.max(1e-9));
+                .set(g.busy_s / end_s.max(1e-9));
         }
     }
 }
@@ -1321,5 +1319,94 @@ pub(crate) mod tests {
         let mut cfg = base_cfg(TokenBatching::Continuous { max_batch: 16 }, 1);
         cfg.duration_s = f64::INFINITY;
         let _ = simulate_token(&cfg, &toy_curve(), AMPLE, &Registry::new());
+    }
+
+    mod against_the_cluster_des {
+        use super::*;
+        use crate::cluster::{simulate, ScenarioCfg, SchedulerKind, SloSpec};
+        use crate::profile::{ServiceCurve, ServiceProfile};
+        use proptest::prelude::*;
+
+        /// Image tokens Muse emits, all in one parallel decode step.
+        const GRID: usize = 256;
+
+        /// A Muse curve whose every iteration takes `step_s`: one batch
+        /// knot, one context knot, no prefill, the whole grid per step.
+        fn one_step_curve(step_s: f64) -> TokenServiceCurve {
+            TokenServiceCurve {
+                model: ModelId::Muse,
+                batch_knots: vec![1],
+                ctx_knots: vec![1],
+                step_s: vec![vec![step_s]],
+                prefill_s: Vec::new(),
+                tokens_per_step: GRID,
+                fixed_output_tokens: Some(GRID),
+                kv_bytes_per_token: 1 << 10,
+                weight_bytes: 0,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// On one GPU with a batch cap of 1, requests that finish in
+            /// one decode iteration make the token DES a FIFO queue with
+            /// a constant service time: on the same arrival stream it must
+            /// agree exactly with the cluster DES serving that time.
+            #[test]
+            fn token_des_matches_the_cluster_des_as_a_fifo_queue(
+                seed in 0u64..1_000_000,
+                load in 0.3f64..1.2,
+                step_s in 0.001f64..2.0,
+                diurnal in 0usize..2,
+                expected in 200.0f64..3_000.0,
+            ) {
+                let rate = load / step_s;
+                let arrival = if diurnal == 1 {
+                    ArrivalProcess::diurnal(rate)
+                } else {
+                    ArrivalProcess::poisson(rate)
+                };
+                let duration_s = expected / rate;
+                let token_cfg = TokenScenarioCfg {
+                    gpus: 1,
+                    model: ModelId::Muse,
+                    arrival,
+                    batching: TokenBatching::Continuous { max_batch: 1 },
+                    priority: PhasePriority::Decode,
+                    admission: KvAdmission::Prompt,
+                    chunk_tokens: 64,
+                    prompt: LengthDist::new(32.0, 0.5, 1, 256),
+                    output: LengthDist::fixed(GRID),
+                    slo: TokenSlo { ttft_s: f64::INFINITY, tpot_s: f64::INFINITY },
+                    duration_s,
+                    max_requests: None,
+                    seed,
+                };
+                let tok =
+                    simulate_token(&token_cfg, &one_step_curve(step_s), 1 << 40, &Registry::new());
+                let cluster_cfg = ScenarioCfg::new(
+                    1,
+                    RequestMix::single(ModelId::Muse),
+                    arrival,
+                    SchedulerKind::Fifo,
+                    SloSpec::None,
+                    duration_s,
+                    seed,
+                );
+                let profile = ServiceProfile::new(vec![ServiceCurve::constant(ModelId::Muse, step_s)]);
+                let cl = simulate(&cluster_cfg, &profile, &Registry::new());
+
+                prop_assert!(cl.arrivals > 0);
+                prop_assert_eq!(tok.stats.arrivals, cl.arrivals);
+                prop_assert_eq!(tok.stats.completed, cl.stats.completed);
+                let phases = &tok.stats.phases;
+                prop_assert_eq!(phases.queue_sum_s, cl.stats.wait_sum_s);
+                prop_assert_eq!(phases.e2e_sum_s, cl.stats.latency_sum_s);
+                prop_assert!(phases.e2e == cl.stats.latency_sketch, "e2e sketch differs");
+                prop_assert_eq!(&tok.busy_s, &cl.busy_s);
+                prop_assert_eq!(tok.end_s, cl.end_s.max(duration_s));
+            }
+        }
     }
 }
