@@ -1710,8 +1710,8 @@ pub(crate) fn run(
     debug_assert_eq!(sim.in_system, 0, "drain left requests in the system");
 
     // The counters are added once, from the run's exact counts.
-    for ((info, &arrivals), m) in sim.per_model.iter().zip(&sim.model_arrivals).zip(&stats.per_model)
-    {
+    let per_model = sim.per_model.iter().zip(&sim.model_arrivals).zip(&stats.per_model);
+    for ((info, &arrivals), m) in per_model {
         let labels = [("model", model_short_name(info.model))];
         registry.counter_with("serve_requests_total", &labels).add(arrivals);
         registry.counter_with("serve_slo_miss_total", &labels).add(m.completed - m.on_time);
@@ -2242,8 +2242,8 @@ mod tests {
             fifo_ph.queue_sum_s
         );
 
-        let static_cfg =
-            scenario(SchedulerKind::Static { batch: 8, wait_s: 0.25 }, 3.0, 200.0).with_health(0.95);
+        let static_scheduler = SchedulerKind::Static { batch: 8, wait_s: 0.25 };
+        let static_cfg = scenario(static_scheduler, 3.0, 200.0).with_health(0.95);
         let st = simulate(&static_cfg, &profile, &Registry::new());
         let st_ph = st.stats.phases.as_ref().unwrap();
         assert!(
@@ -2498,7 +2498,8 @@ mod tests {
 
     #[test]
     fn hand_off_is_invisible_on_an_external_stream() {
-        let cfg = stream_shape(SchedulerKind::Static { batch: 4, wait_s: 0.5 }, 2.0).with_health(0.95);
+        let scheduler = SchedulerKind::Static { batch: 4, wait_s: 0.5 };
+        let cfg = stream_shape(scheduler, 2.0).with_health(0.95);
         assert_hand_off_is_invisible(&cfg, false, true);
     }
 

@@ -1394,7 +1394,8 @@ pub(crate) mod tests {
                     duration_s,
                     seed,
                 );
-                let profile = ServiceProfile::new(vec![ServiceCurve::constant(ModelId::Muse, step_s)]);
+                let curve = ServiceCurve::constant(ModelId::Muse, step_s);
+                let profile = ServiceProfile::new(vec![curve]);
                 let cl = simulate(&cluster_cfg, &profile, &Registry::new());
 
                 prop_assert!(cl.arrivals > 0);
