@@ -1710,9 +1710,8 @@ pub(crate) fn run(
     debug_assert_eq!(sim.in_system, 0, "drain left requests in the system");
 
     // The counters are added once, from the run's exact counts.
-    let per_model = sim.per_model.iter().zip(&sim.model_arrivals).zip(&stats.per_model);
-    for ((info, &arrivals), m) in per_model {
-        let labels = [("model", model_short_name(info.model))];
+    for (m, &arrivals) in stats.per_model.iter().zip(&sim.model_arrivals) {
+        let labels = [("model", model_short_name(m.model))];
         registry.counter_with("serve_requests_total", &labels).add(arrivals);
         registry.counter_with("serve_slo_miss_total", &labels).add(m.completed - m.on_time);
     }
