@@ -985,4 +985,204 @@ mod tests {
         let bad = [bursty(3.0, 0.0, 10.0), bursty(3.0, 5.0, -1.0), bursty(3.0, f64::NAN, 10.0)];
         assert_refused(bursty(3.0, 5.0, 10.0), &bad, BURSTY_NEEDS);
     }
+
+    /// Bit pins of the arrival streams every serving engine draws: each
+    /// stream's `(time bits, mix index)` sequence hashed with 64-bit
+    /// FNV-1a. A change to how uniforms are drawn, transformed or
+    /// consumed moves a digest; a faster draw of the same values does
+    /// not.
+    mod pinned_streams {
+        use super::*;
+
+        /// Arrivals hashed per stream (the capped streams hand out
+        /// fewer, then continue past their cap).
+        const ARRIVALS: usize = 100_000;
+
+        /// 64-bit FNV-1a over little-endian words.
+        struct Fnv(u64);
+
+        impl Fnv {
+            fn new() -> Self {
+                Fnv(0xcbf2_9ce4_8422_2325)
+            }
+
+            fn word(&mut self, w: u64) {
+                for b in w.to_le_bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+
+            fn arrival(&mut self, (t, m): (f64, usize)) {
+                self.word(t.to_bits());
+                self.word(m as u64);
+            }
+        }
+
+        fn processes() -> [(&'static str, ArrivalProcess); 4] {
+            [
+                ("poisson", ArrivalProcess::poisson(40.0)),
+                ("bursty", ArrivalProcess::bursty(40.0)),
+                ("diurnal", ArrivalProcess::diurnal(40.0)),
+                ("phased", ArrivalProcess::diurnal(40.0).with_phase(-37.5)),
+            ]
+        }
+
+        fn mixes() -> [(&'static str, RequestMix); 3] {
+            [
+                ("one", RequestMix::single(ModelId::Muse)),
+                ("two", RequestMix::parse("sd:8,parti:2").unwrap()),
+                ("three", RequestMix::parse("sd:5,parti:3,llama:2").unwrap()),
+            ]
+        }
+
+        fn stream(process: ArrivalProcess, mix: RequestMix, cap: Option<u64>) -> RegionStream {
+            RegionStream::seeded(process, mix, 11, 12, cap)
+        }
+
+        /// Fails with every digest that moved, printed as the table
+        /// entry that would pin it.
+        fn assert_pinned(got: &[(String, u64)], want: &[(&str, u64)]) {
+            let moved: Vec<String> = got
+                .iter()
+                .zip(want)
+                .filter(|((name, g), (w_name, w))| name != w_name || g != w)
+                .map(|((name, g), _)| format!("(\"{name}\", 0x{g:016x}),"))
+                .collect();
+            assert_eq!(got.len(), want.len(), "digest count");
+            assert!(moved.is_empty(), "moved digests:\n{}", moved.join("\n"));
+        }
+
+        #[test]
+        fn seeded_streams_are_pinned() {
+            let mut got = Vec::new();
+            for (p_name, process) in processes() {
+                for (m_name, mix) in mixes() {
+                    let mut s = stream(process, mix, None);
+                    let mut h = Fnv::new();
+                    for _ in 0..ARRIVALS {
+                        h.arrival(s.next());
+                    }
+                    got.push((format!("{p_name}/{m_name}"), h.0));
+                }
+            }
+            assert_pinned(
+                &got,
+                &[
+                    ("poisson/one", 0x3baf_a3c3_74af_5d68),
+                    ("poisson/two", 0x5f51_ef54_333a_880d),
+                    ("poisson/three", 0xdd26_752e_089d_b04a),
+                    ("bursty/one", 0xe823_c2a3_c765_e6da),
+                    ("bursty/two", 0xa27a_c884_4ac7_a9f3),
+                    ("bursty/three", 0xdbcb_49a8_c979_95c8),
+                    ("diurnal/one", 0x668d_907b_e329_31bd),
+                    ("diurnal/two", 0x68b1_76ee_74f1_d2e0),
+                    ("diurnal/three", 0x1af0_bb89_126b_cf8b),
+                    ("phased/one", 0x8c11_df92_8560_216e),
+                    ("phased/two", 0xb734_6fbf_0c01_c86b),
+                    ("phased/three", 0xf205_68d0_e3d4_a820),
+                ],
+            );
+        }
+
+        #[test]
+        fn windowed_and_capped_streams_are_pinned() {
+            // Irregular window widths, so cuts land anywhere in a block.
+            const WIDTHS: [f64; 5] = [0.013, 0.5, 1.0 / 3.0, 2.0, 0.07];
+            let mut got = Vec::new();
+            for (p_name, process) in processes() {
+                let mix = mixes()[2].1.clone();
+                let mut s = stream(process, mix.clone(), None);
+                let mut h = Fnv::new();
+                let (mut end, mut handed) = (0.0, 0);
+                for w in 0.. {
+                    end += WIDTHS[w % WIDTHS.len()];
+                    let mut in_window = 0;
+                    while let Some(a) = s.next_before(end) {
+                        assert!(a.0 < end, "{p_name}: {} handed out past {end}", a.0);
+                        h.arrival(a);
+                        in_window += 1;
+                    }
+                    h.word(in_window);
+                    handed += in_window;
+                    if handed >= ARRIVALS as u64 {
+                        break;
+                    }
+                }
+                got.push((format!("{p_name}/windows"), h.0));
+                for cap in [0, 255, 256, 257, 513] {
+                    let mut s = stream(process, mix.clone(), Some(cap));
+                    let mut h = Fnv::new();
+                    let capped = std::iter::from_fn(|| s.next_before(f64::INFINITY))
+                        .inspect(|&a| h.arrival(a))
+                        .count();
+                    assert_eq!(capped as u64, cap, "{p_name}: cap {cap}");
+                    for _ in 0..ARRIVALS {
+                        h.arrival(s.next());
+                    }
+                    got.push((format!("{p_name}/cap{cap}"), h.0));
+                }
+            }
+            assert_pinned(
+                &got,
+                &[
+                    ("poisson/windows", 0x3a4c_6456_9d23_5ea6),
+                    ("poisson/cap0", 0xdd26_752e_089d_b04a),
+                    ("poisson/cap255", 0xa27a_a108_fe9a_72f9),
+                    ("poisson/cap256", 0x5943_354d_c1ed_c706),
+                    ("poisson/cap257", 0xd23b_c988_8b2a_2381),
+                    ("poisson/cap513", 0x2db6_ce9c_fd95_0348),
+                    ("bursty/windows", 0x8d85_d3b0_cab9_cf95),
+                    ("bursty/cap0", 0xdbcb_49a8_c979_95c8),
+                    ("bursty/cap255", 0x0ad6_09b8_c369_6b34),
+                    ("bursty/cap256", 0x5519_b697_03b0_f666),
+                    ("bursty/cap257", 0x0e0f_1d05_9f18_fb70),
+                    ("bursty/cap513", 0xd52d_7e6a_6246_1c54),
+                    ("diurnal/windows", 0xfe2c_be2c_838b_ddf7),
+                    ("diurnal/cap0", 0x1af0_bb89_126b_cf8b),
+                    ("diurnal/cap255", 0x53e0_c2ba_0330_084e),
+                    ("diurnal/cap256", 0x846c_3995_4c12_fa47),
+                    ("diurnal/cap257", 0xf6f3_feb9_4630_4424),
+                    ("diurnal/cap513", 0x04c1_03cf_f8a8_726c),
+                    ("phased/windows", 0x7e59_a630_f31d_82c4),
+                    ("phased/cap0", 0xf205_68d0_e3d4_a820),
+                    ("phased/cap255", 0x504a_bcab_3d13_dfbe),
+                    ("phased/cap256", 0xaba1_b9df_2945_3c08),
+                    ("phased/cap257", 0x4589_084a_a8f7_fe52),
+                    ("phased/cap513", 0xe8e0_5dc4_47c1_4b6b),
+                ],
+            );
+        }
+
+        #[test]
+        fn next_after_from_unchained_times_is_pinned() {
+            let mut got = Vec::new();
+            for (p_name, process) in processes() {
+                let mut g = ArrivalGen::new(process, 13);
+                let mut h = Fnv::new();
+                let mut last = 0.0;
+                for k in 0..ARRIVALS as u64 {
+                    // Jumps back and forth over [0, 100) s; every third
+                    // call chains from the last return instead, and every
+                    // fifth repeats the query before it.
+                    let t = match k % 15 {
+                        0 | 3 | 6 | 9 | 12 => last,
+                        5 | 10 => ((k - 1) * 7919 % 10007) as f64 * 0.01,
+                        _ => (k * 7919 % 10007) as f64 * 0.01,
+                    };
+                    last = g.next_after(t);
+                    h.word(last.to_bits());
+                }
+                got.push((format!("{p_name}/unchained"), h.0));
+            }
+            assert_pinned(
+                &got,
+                &[
+                    ("poisson/unchained", 0xb35f_24b6_5993_f434),
+                    ("bursty/unchained", 0xe559_0902_eda6_64e9),
+                    ("diurnal/unchained", 0xa134_4d6f_3ea0_b071),
+                    ("phased/unchained", 0xd53b_5786_7dc7_dfbd),
+                ],
+            );
+        }
+    }
 }
