@@ -26,7 +26,8 @@
 //! - [`workload`] — Poisson / bursty (Markov-modulated) / diurnal
 //!   arrival processes, the weighted model [`RequestMix`], and
 //!   [`RegionStream`], the one seeded `(time, model)` request stream
-//!   every engine below draws its arrivals from.
+//!   every engine below draws its arrivals from, its uniforms drawn in
+//!   blocks of 256.
 //! - [`profile`] — [`ServiceProfile`]: per-model batch-size cost curves
 //!   queried from the real profiler.
 //! - [`cluster`] — routers (round-robin, least-work, model-affinity),

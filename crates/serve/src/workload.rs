@@ -20,10 +20,9 @@ use rand::SeedableRng;
 /// and [`crate::FleetCfg::validate`] refuse a scenario above it.
 pub const MAX_EXPECTED_ARRIVALS: f64 = 1e10;
 
-/// Refuses a run whose arrival process has a mean rate that is not
-/// positive and finite or a shape [`ArrivalGen::new`] refuses (see
-/// [`ArrivalProcess::check_shape`]), or whose expected arrival count —
-/// mean rate × horizon, or `max_requests` when that is smaller — exceeds
+/// Refuses a run whose arrival process [`ArrivalGen::new`] refuses (see
+/// [`ArrivalProcess::check`]), or whose expected arrival count — mean
+/// rate × horizon, or `max_requests` when that is smaller — exceeds
 /// [`MAX_EXPECTED_ARRIVALS`]. `lower` names the flags that shrink it.
 pub(crate) fn check_expected_arrivals(
     process: ArrivalProcess,
@@ -31,14 +30,8 @@ pub(crate) fn check_expected_arrivals(
     max_requests: Option<u64>,
     lower: &str,
 ) -> Result<(), String> {
-    // Spelled to reject NaN too. An infinite rate never lets simulated
-    // time reach the horizon.
-    let rate_rps = process.mean_rate_rps();
-    if !(rate_rps.is_finite() && rate_rps > 0.0) {
-        return Err(format!("arrival rate must be positive and finite, got {rate_rps}"));
-    }
-    process.check_shape()?;
-    let mut expected = rate_rps * horizon_s;
+    process.check()?;
+    let mut expected = process.mean_rate_rps() * horizon_s;
     if let Some(cap) = max_requests {
         expected = expected.min(cap as f64);
     }
@@ -151,16 +144,21 @@ impl ArrivalProcess {
         }
     }
 
-    /// Checks the shape [`ArrivalGen`] samples: a bursty process needs a
-    /// burst factor of at least 1 and positive burst and idle durations,
-    /// a diurnal one an amplitude in `[0, 1)`, a positive period and a
-    /// finite phase.
+    /// Checks the process [`ArrivalGen`] samples: every process needs a
+    /// positive and finite mean rate, a bursty one a burst factor of at
+    /// least 1 and positive burst and idle durations, a diurnal one an
+    /// amplitude in `[0, 1)`, a positive period and a finite phase.
     ///
     /// # Errors
     ///
-    /// Names the shape's requirements and the process that misses them.
-    pub(crate) fn check_shape(&self) -> Result<(), String> {
-        // Each test names what must hold, so NaN fails it.
+    /// Names the requirements and the rate or process that misses them.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        // Each test names what must hold, so NaN fails it. An infinite
+        // rate draws every gap as 0, so simulated time never advances.
+        let rate_rps = self.mean_rate_rps();
+        if !(rate_rps.is_finite() && rate_rps > 0.0) {
+            return Err(format!("arrival rate must be positive and finite, got {rate_rps}"));
+        }
         let (holds, needs) = match *self {
             ArrivalProcess::Poisson { .. } => return Ok(()),
             ArrivalProcess::Bursty { burst_factor, mean_burst_s, mean_idle_s, .. } => (
@@ -199,12 +197,27 @@ impl ArrivalProcess {
     }
 }
 
+/// Uniforms an [`ArrivalGen`] and a [`RegionStream`]'s mix draw per
+/// refill of their blocks. Even, so a diurnal candidate's pair of draws
+/// never straddles two blocks.
+const BLOCK: usize = 256;
+
 /// Stateful arrival-time sampler for one [`ArrivalProcess`].
+///
+/// It draws its uniforms 256 at a time, in the order a draw per need
+/// would take them, and takes their logs in a separate tight pass, so
+/// an arrival only reads the block. Every value is the same IEEE
+/// operation on the same uniform as a draw per need would make, so the
+/// sample path is a pure function of the process, the seed and the
+/// query times, bit for bit.
 #[derive(Debug)]
 pub struct ArrivalGen {
     process: ArrivalProcess,
     rng: StdRng,
-    uniform: Uniform<f64>,
+    /// The current block, each uniform transformed by `refill`, and the
+    /// slot the next draw reads (`BLOCK` once the block is spent).
+    draws: Box<[f64; BLOCK]>,
+    next: usize,
     /// Bursty state: currently in the burst phase, and when it ends.
     in_burst: bool,
     phase_end_s: f64,
@@ -215,26 +228,67 @@ impl ArrivalGen {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive rates or degenerate shape parameters.
+    /// Panics on a mean rate that is not positive and finite or a
+    /// degenerate shape, with the message the scenario configs'
+    /// `validate` returns for it.
     #[must_use]
     pub fn new(process: ArrivalProcess, seed: u64) -> Self {
-        assert!(process.mean_rate_rps() > 0.0, "arrival rate must be positive");
-        if let Err(e) = process.check_shape() {
+        if let Err(e) = process.check() {
             panic!("{e}");
         }
         ArrivalGen {
             process,
             rng: StdRng::seed_from_u64(seed),
-            uniform: Uniform::new(f64::EPSILON, 1.0),
+            draws: Box::new([0.0; BLOCK]),
+            next: BLOCK,
             in_burst: false,
             phase_end_s: 0.0,
         }
     }
 
-    /// One exponential variate with the given rate.
-    fn exp(&mut self, rate: f64) -> f64 {
-        let u: f64 = self.uniform.sample(&mut self.rng);
-        -u.ln() / rate
+    /// Fills the block with the next [`BLOCK`] uniforms in `[ε, 1)`,
+    /// transformed for the process: a Poisson slot holds its gap
+    /// `-ln(u) / rate`, a bursty slot `-ln(u)` (the caller divides by the
+    /// phase's rate), and a diurnal candidate's pair of slots its
+    /// thinning step `ln(e) · (1 / peak)`, then its acceptance draw `u`.
+    #[inline(never)]
+    fn refill(&mut self) {
+        let unit = Uniform::new(f64::EPSILON, 1.0);
+        for d in self.draws.iter_mut() {
+            *d = unit.sample(&mut self.rng);
+        }
+        match self.process {
+            ArrivalProcess::Poisson { rate_rps } => {
+                for d in self.draws.iter_mut() {
+                    *d = -d.ln() / rate_rps;
+                }
+            }
+            ArrivalProcess::Bursty { .. } => {
+                for d in self.draws.iter_mut() {
+                    *d = -d.ln();
+                }
+            }
+            ArrivalProcess::Diurnal { rate_rps, amplitude, .. } => {
+                let inv_peak = 1.0 / (rate_rps * (1.0 + amplitude));
+                for pair in self.draws.chunks_exact_mut(2) {
+                    pair[0] = pair[0].ln() * inv_peak;
+                }
+            }
+        }
+        self.next = 0;
+    }
+
+    /// The next `N` slots of the block, refilling it first when spent.
+    /// `N` divides [`BLOCK`] and every draw of a process takes the same
+    /// `N`, so a group never straddles two blocks.
+    #[inline]
+    fn take<const N: usize>(&mut self) -> [f64; N] {
+        if self.next == BLOCK {
+            self.refill();
+        }
+        let i = self.next;
+        self.next += N;
+        self.draws[i..i + N].try_into().expect("a group never straddles two blocks")
     }
 
     /// Burst-phase and quiet-phase rates for the bursty process. The
@@ -247,10 +301,16 @@ impl ArrivalGen {
         (hi, lo)
     }
 
-    /// The first arrival strictly after virtual time `t_s`.
+    /// The first arrival after virtual time `t_s`. It is never earlier
+    /// than `t_s`, and equal to it when the gap drawn is below half an
+    /// ulp of `t_s`; the DES engines order such ties by sequence number.
+    #[inline]
     pub fn next_after(&mut self, t_s: f64) -> f64 {
         match self.process {
-            ArrivalProcess::Poisson { rate_rps } => t_s + self.exp(rate_rps),
+            ArrivalProcess::Poisson { .. } => {
+                let [gap] = self.take();
+                t_s + gap
+            }
             ArrivalProcess::Bursty { rate_rps, burst_factor, mean_burst_s, mean_idle_s } => {
                 let (hi, lo) = Self::bursty_rates(rate_rps, burst_factor, mean_burst_s, mean_idle_s);
                 let mut t = t_s;
@@ -261,36 +321,36 @@ impl ArrivalGen {
                         // from the phase boundary is exact.
                         self.in_burst = !self.in_burst;
                         let mean = if self.in_burst { mean_burst_s } else { mean_idle_s };
-                        self.phase_end_s = t + self.exp(1.0 / mean);
+                        let [neg_ln] = self.take();
+                        self.phase_end_s = t + neg_ln / (1.0 / mean);
                     }
                     let rate = if self.in_burst { hi } else { lo };
                     if rate <= 0.0 {
                         t = self.phase_end_s;
                         continue;
                     }
-                    let candidate = t + self.exp(rate);
+                    let [neg_ln] = self.take();
+                    let candidate = t + neg_ln / rate;
                     if candidate <= self.phase_end_s {
                         return candidate;
                     }
                     t = self.phase_end_s;
                 }
             }
-            ArrivalProcess::Diurnal { rate_rps, amplitude, period_s, phase_s } => {
+            ArrivalProcess::Diurnal { amplitude, period_s, phase_s, .. } => {
                 // Thinning (Lewis–Shedler) against the peak rate. This
                 // loop is on the fleet fast lane's critical path, so the
                 // divisions are hoisted to reciprocals and the sine
                 // argument is range-reduced to one cycle (floor + small
                 // argument) instead of handing libm a huge angle.
-                let inv_peak = 1.0 / (rate_rps * (1.0 + amplitude));
                 let inv_period = 1.0 / period_s;
                 let one_plus_a = 1.0 + amplitude;
                 let mut t = t_s;
                 loop {
-                    let e: f64 = self.uniform.sample(&mut self.rng);
-                    t -= e.ln() * inv_peak;
+                    let [step, u] = self.take();
+                    t -= step;
                     let cycles = (t + phase_s) * inv_period;
                     let s = (2.0 * std::f64::consts::PI * (cycles - cycles.floor())).sin();
-                    let u: f64 = self.uniform.sample(&mut self.rng);
                     // Accept iff u·peak < λ(t); both sides divided by the
                     // base rate.
                     if u * one_plus_a < 1.0 + amplitude * s {
@@ -523,16 +583,26 @@ impl RequestMix {
     /// index into [`RequestMix::entries`]: the engines address
     /// pre-resolved per-model state (telemetry handles, service curves)
     /// by that index without re-scanning the mix.
+    ///
+    /// The pick is the first entry whose weight exceeds what is left of
+    /// `u × total` after subtracting the weights before it, or the last
+    /// entry. It is counted without a data-dependent branch: once the
+    /// remainder falls below an entry's weight it turns negative and
+    /// stays below every later one, so the entries it passes are exactly
+    /// those before the pick.
     #[must_use]
+    #[inline]
     pub fn sample_index(&self, u: f64) -> usize {
         let mut remaining = u.clamp(0.0, 1.0) * self.total_weight;
-        for (i, (_, w)) in self.entries.iter().enumerate() {
-            if remaining < *w {
-                return i;
-            }
+        let mut passed = 0;
+        for (_, w) in &self.entries[..self.entries.len() - 1] {
+            // Not `>=`: a NaN remainder passes every entry.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let past = !(remaining < *w);
+            passed += usize::from(past);
             remaining -= w;
         }
-        self.entries.len() - 1
+        passed
     }
 }
 
@@ -541,12 +611,19 @@ impl RequestMix {
 /// from a mix RNG of its own. It always holds its next arrival, so a
 /// caller that stops at a window's end leaves that arrival parked for
 /// its next window.
+///
+/// Like the times, the mix indices are drawn 256 at a time, each from
+/// the uniform a draw per arrival would have taken, so the stream is bit
+/// for bit the one a draw per arrival makes.
 #[derive(Debug)]
 pub struct RegionStream {
     gen: ArrivalGen,
     mix: RequestMix,
     mix_rng: StdRng,
-    unit: Uniform<f64>,
+    /// The current block of mix indices (a mix has at most one entry
+    /// per suite model), and the slot the next arrival reads.
+    picks: Box<[u8; BLOCK]>,
+    next_pick: usize,
     /// The next arrival, drawn and not yet handed out.
     head: (f64, usize),
     /// Arrivals `next_before` may still hand out (the request cap).
@@ -572,7 +649,8 @@ impl RegionStream {
             gen: ArrivalGen::new(process, time_seed),
             mix,
             mix_rng: StdRng::seed_from_u64(mix_seed),
-            unit: Uniform::new(0.0, 1.0),
+            picks: Box::new([0; BLOCK]),
+            next_pick: BLOCK,
             head: (0.0, 0),
             left: cap.unwrap_or(u64::MAX),
         };
@@ -581,27 +659,42 @@ impl RegionStream {
         stream
     }
 
-    /// The next `(arrival time, mix index)`, past any end or cap. Times
-    /// are strictly increasing; the stream never ends (callers clip at
-    /// their horizon, so an `Iterator` impl — which must be fused and
-    /// fallible — would fit worse than this infallible method).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> (f64, usize) {
-        let t_s = self.gen.next_after(self.head.0);
+    /// Fills the block with the next [`BLOCK`] mix indices.
+    #[inline(never)]
+    fn refill_picks(&mut self) {
         // A single-model mix needs no draw: the mix RNG feeds nothing
         // else, so skipping it changes no arrival.
-        let mix_idx = if self.mix.entries().len() == 1 {
-            0
-        } else {
-            let u: f64 = self.unit.sample(&mut self.mix_rng);
-            self.mix.sample_index(u)
-        };
+        if self.mix.entries().len() > 1 {
+            let unit = Uniform::new(0.0, 1.0);
+            for p in self.picks.iter_mut() {
+                let idx = self.mix.sample_index(unit.sample(&mut self.mix_rng));
+                *p = u8::try_from(idx).expect("a mix holds at most one entry per suite model");
+            }
+        }
+        self.next_pick = 0;
+    }
+
+    /// The next `(arrival time, mix index)`, past any end or cap. Times
+    /// never decrease (see [`ArrivalGen::next_after`]); the stream never
+    /// ends (callers clip at their horizon, so an `Iterator` impl — which
+    /// must be fused and fallible — would fit worse than this infallible
+    /// method).
+    #[allow(clippy::should_implement_trait)]
+    #[inline]
+    pub fn next(&mut self) -> (f64, usize) {
+        let t_s = self.gen.next_after(self.head.0);
+        if self.next_pick == BLOCK {
+            self.refill_picks();
+        }
+        let mix_idx = usize::from(self.picks[self.next_pick]);
+        self.next_pick += 1;
         std::mem::replace(&mut self.head, (t_s, mix_idx))
     }
 
     /// The next arrival if it falls in `[.., end_s)` and the request cap
     /// allows one more; otherwise `None`, and the arrival stays parked
     /// for the next call.
+    #[inline]
     pub(crate) fn next_before(&mut self, end_s: f64) -> Option<(f64, usize)> {
         if self.head.0 < end_s && self.left > 0 {
             self.left -= 1;
@@ -615,6 +708,7 @@ impl RegionStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mean_rate(process: ArrivalProcess, horizon_s: f64, seed: u64) -> f64 {
         let mut g = ArrivalGen::new(process, seed);
@@ -784,6 +878,54 @@ mod tests {
         assert_eq!(mix.sample_index(0.999), 1);
     }
 
+    /// The pick as the walk it was before the branch-free count: the
+    /// reference `sample_index` must equal.
+    fn walked_index(mix: &RequestMix, u: f64) -> usize {
+        let mut remaining = u.clamp(0.0, 1.0) * mix.total_weight;
+        for (i, (_, w)) in mix.entries.iter().enumerate() {
+            if remaining < *w {
+                return i;
+            }
+            remaining -= w;
+        }
+        mix.entries.len() - 1
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn the_branch_free_pick_equals_the_walk(
+            exps in proptest::collection::vec(0.0f64..1.0, 1..9),
+            lowest in -300.0f64..300.0,
+            span in 0.0f64..600.0,
+            draws in proptest::collection::vec(0.0f64..1.0, 16..17),
+        ) {
+            // Weights from 1e-300 to 1e300, spread over `span` decades:
+            // the total of at most 8 stays finite.
+            let entries: Vec<(ModelId, f64)> = exps
+                .iter()
+                .zip(ModelId::ALL)
+                .map(|(x, id)| (id, 10f64.powf((lowest + x * span).clamp(-300.0, 300.0))))
+                .collect();
+            let mix = RequestMix::new(entries);
+            prop_assert!(mix.total_weight.is_finite());
+            // 0, 1, NaN, random draws, and every exact cumulative weight
+            // as a share of the total with its neighbouring floats.
+            let mut us = vec![0.0, 1.0, f64::NAN];
+            us.extend(&draws);
+            let mut cumulative = 0.0;
+            for (_, w) in &mix.entries {
+                cumulative += w;
+                let share = cumulative / mix.total_weight;
+                us.extend([share.next_down(), share, share.next_up()]);
+            }
+            for u in us {
+                prop_assert_eq!(mix.sample_index(u), walked_index(&mix, u), "u {}", u);
+            }
+        }
+    }
+
     #[test]
     fn region_stream_windows_hand_out_the_whole_stream_in_order() {
         let mix = RequestMix::parse("sd:8,parti:2").unwrap();
@@ -884,6 +1026,24 @@ mod tests {
             assert_eq!(s.sample(), 256);
         }
         assert!((LengthDist::fixed(256).mean() - 256.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive and finite, got inf")]
+    fn an_infinite_poisson_rate_panics() {
+        let _ = ArrivalGen::new(ArrivalProcess::poisson(f64::INFINITY), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive and finite, got inf")]
+    fn an_infinite_bursty_rate_panics() {
+        let _ = ArrivalGen::new(ArrivalProcess::bursty(f64::INFINITY), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive and finite, got inf")]
+    fn an_infinite_diurnal_rate_panics() {
+        let _ = ArrivalGen::new(ArrivalProcess::diurnal(f64::INFINITY), 1);
     }
 
     #[test]
