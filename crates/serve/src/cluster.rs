@@ -300,7 +300,9 @@ impl ScenarioCfg {
     /// Zero GPUs; a horizon that is not positive, or is infinite without
     /// a request cap; a static batcher's wait that is not finite; a
     /// patience ([`ScenarioCfg::abandon_after_s`]) that is negative or
-    /// not finite; a mean arrival rate that is not positive and finite;
+    /// not finite; a health policy the burn-rate engine refuses
+    /// ([`SloPolicy::check`]); a mean arrival rate that is not positive
+    /// and finite or an arrival shape [`crate::ArrivalGen::new`] refuses;
     /// or more expected arrivals than [`crate::MAX_EXPECTED_ARRIVALS`].
     pub fn validate(&self) -> Result<(), String> {
         if self.gpus == 0 {
@@ -325,6 +327,9 @@ impl ScenarioCfg {
                     "abandonment patience must be non-negative and finite, got {patience_s}"
                 ));
             }
+        }
+        if let Some(policy) = &self.slo_policy {
+            policy.check()?;
         }
         check_expected_arrivals(
             self.arrival,
@@ -1501,9 +1506,9 @@ impl<'a> Sim<'a> {
 /// # Panics
 ///
 /// Panics with the message of [`ScenarioCfg::validate`] if the scenario
-/// fails it (a non-positive or NaN arrival rate panics first, in
-/// [`crate::ArrivalGen::new`]), or if the scenario references a model the
-/// profile has no curve for.
+/// fails it (an arrival process [`crate::ArrivalGen::new`] refuses
+/// panics first, there, with the same message), or if the scenario
+/// references a model the profile has no curve for.
 #[must_use]
 pub fn simulate(cfg: &ScenarioCfg, profile: &ServiceProfile, registry: &Registry) -> SimResult {
     run(cfg, profile, registry, None, &mut scenario_stream(cfg), 0.0, None).0
@@ -1883,6 +1888,37 @@ mod tests {
             let err = cfg.validate().unwrap_err();
             assert!(err.contains("abandonment patience"), "{patience_s}: {err}");
         }
+    }
+
+    /// The scenario with its health policy edited by `edit`, and what
+    /// `validate` says about it.
+    fn with_policy(edit: impl FnOnce(&mut SloPolicy)) -> Result<(), String> {
+        let mut cfg = scenario(SchedulerKind::Fifo, 2.0, 100.0).with_health(0.95);
+        assert_eq!(cfg.validate(), Ok(()));
+        edit(cfg.slo_policy.as_mut().expect("with_health sets a policy"));
+        cfg.validate()
+    }
+
+    #[test]
+    fn validate_refuses_an_slo_objective_outside_0_1() {
+        for objective in [0.0, 1.0, -0.5, 1.5, f64::NAN] {
+            let err = with_policy(|p| p.objective = objective).unwrap_err();
+            assert!(err.starts_with("SLO objective must be in (0, 1), got"), "{objective}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_an_slo_base_window_that_is_not_positive() {
+        for window_s in [0.0, -1.0, f64::NAN] {
+            let err = with_policy(|p| p.window_s = window_s).unwrap_err();
+            assert!(err.starts_with("SLO base window must be positive, got"), "{window_s}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_an_slo_policy_without_rules() {
+        let err = with_policy(|p| p.rules.clear()).unwrap_err();
+        assert_eq!(err, "SLO policy needs at least one burn-rate rule");
     }
 
     #[test]

@@ -122,6 +122,26 @@ impl SloPolicy {
     pub fn budget(&self) -> f64 {
         1.0 - self.objective
     }
+
+    /// Checks what [`BurnRateEngine::new`] needs: an objective in
+    /// `(0, 1)`, a positive base window and at least one rule.
+    ///
+    /// # Errors
+    ///
+    /// Names the first requirement the policy misses, with its value.
+    pub fn check(&self) -> Result<(), String> {
+        // Spelled so NaN fails too.
+        if !(self.objective > 0.0 && self.objective < 1.0) {
+            return Err(format!("SLO objective must be in (0, 1), got {}", self.objective));
+        }
+        if self.window_s.is_nan() || self.window_s <= 0.0 {
+            return Err(format!("SLO base window must be positive, got {}", self.window_s));
+        }
+        if self.rules.is_empty() {
+            return Err("SLO policy needs at least one burn-rate rule".into());
+        }
+        Ok(())
+    }
 }
 
 /// Fire/clear transition of an alerting rule or detector.
@@ -191,16 +211,14 @@ impl BurnRateEngine {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < objective < 1`, `window_s > 0`, and the policy
-    /// has at least one rule.
+    /// Panics with [`SloPolicy::check`]'s message unless
+    /// `0 < objective < 1`, `window_s > 0`, and the policy has at least
+    /// one rule.
     #[must_use]
     pub fn new(policy: SloPolicy) -> Self {
-        assert!(
-            policy.objective > 0.0 && policy.objective < 1.0,
-            "objective must be in (0, 1)"
-        );
-        assert!(policy.window_s > 0.0, "base window must be positive");
-        assert!(!policy.rules.is_empty(), "policy needs at least one rule");
+        if let Err(e) = policy.check() {
+            panic!("{e}");
+        }
         let rule_windows: Vec<RuleWindows> = policy
             .rules
             .iter()
@@ -470,6 +488,12 @@ mod tests {
                 max_burn: burn,
             }],
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "SLO objective must be in (0, 1), got 1.5")]
+    fn the_engine_panics_with_the_check_message() {
+        let _ = BurnRateEngine::new(policy(1.5, 5.0));
     }
 
     #[test]
