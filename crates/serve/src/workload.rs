@@ -312,51 +312,64 @@ impl ArrivalGen {
                 t_s + gap
             }
             ArrivalProcess::Bursty { rate_rps, burst_factor, mean_burst_s, mean_idle_s } => {
-                let (hi, lo) = Self::bursty_rates(rate_rps, burst_factor, mean_burst_s, mean_idle_s);
-                let mut t = t_s;
-                loop {
-                    if t >= self.phase_end_s {
-                        // Phase transition; exponential sojourns make the
-                        // carried-over candidate memoryless, so redrawing
-                        // from the phase boundary is exact.
-                        self.in_burst = !self.in_burst;
-                        let mean = if self.in_burst { mean_burst_s } else { mean_idle_s };
-                        let [neg_ln] = self.take();
-                        self.phase_end_s = t + neg_ln / (1.0 / mean);
-                    }
-                    let rate = if self.in_burst { hi } else { lo };
-                    if rate <= 0.0 {
-                        t = self.phase_end_s;
-                        continue;
-                    }
-                    let [neg_ln] = self.take();
-                    let candidate = t + neg_ln / rate;
-                    if candidate <= self.phase_end_s {
-                        return candidate;
-                    }
-                    t = self.phase_end_s;
-                }
+                let rates = Self::bursty_rates(rate_rps, burst_factor, mean_burst_s, mean_idle_s);
+                self.next_bursty(t_s, rates, mean_burst_s, mean_idle_s)
             }
             ArrivalProcess::Diurnal { amplitude, period_s, phase_s, .. } => {
-                // Thinning (Lewis–Shedler) against the peak rate. This
-                // loop is on the fleet fast lane's critical path, so the
-                // divisions are hoisted to reciprocals and the sine
-                // argument is range-reduced to one cycle (floor + small
-                // argument) instead of handing libm a huge angle.
-                let inv_period = 1.0 / period_s;
-                let one_plus_a = 1.0 + amplitude;
-                let mut t = t_s;
-                loop {
-                    let [step, u] = self.take();
-                    t -= step;
-                    let cycles = (t + phase_s) * inv_period;
-                    let s = (2.0 * std::f64::consts::PI * (cycles - cycles.floor())).sin();
-                    // Accept iff u·peak < λ(t); both sides divided by the
-                    // base rate.
-                    if u * one_plus_a < 1.0 + amplitude * s {
-                        return t;
-                    }
-                }
+                self.next_diurnal(t_s, amplitude, period_s, phase_s)
+            }
+        }
+    }
+
+    // The two loops below stay out of line, so `next_after`'s Poisson
+    // path is small enough to inline into the engines' arrival loops.
+
+    #[inline(never)]
+    fn next_bursty(&mut self, t_s: f64, (hi, lo): (f64, f64), burst_s: f64, idle_s: f64) -> f64 {
+        let mut t = t_s;
+        loop {
+            if t >= self.phase_end_s {
+                // Phase transition; exponential sojourns make the
+                // carried-over candidate memoryless, so redrawing from
+                // the phase boundary is exact.
+                self.in_burst = !self.in_burst;
+                let mean = if self.in_burst { burst_s } else { idle_s };
+                let [neg_ln] = self.take();
+                self.phase_end_s = t + neg_ln / (1.0 / mean);
+            }
+            let rate = if self.in_burst { hi } else { lo };
+            if rate <= 0.0 {
+                t = self.phase_end_s;
+                continue;
+            }
+            let [neg_ln] = self.take();
+            let candidate = t + neg_ln / rate;
+            if candidate <= self.phase_end_s {
+                return candidate;
+            }
+            t = self.phase_end_s;
+        }
+    }
+
+    #[inline(never)]
+    fn next_diurnal(&mut self, t_s: f64, amplitude: f64, period_s: f64, phase_s: f64) -> f64 {
+        // Thinning (Lewis–Shedler) against the peak rate. This loop is on
+        // the fleet fast lane's critical path, so the divisions are
+        // hoisted to reciprocals and the sine argument is range-reduced
+        // to one cycle (floor + small argument) instead of handing libm
+        // a huge angle.
+        let inv_period = 1.0 / period_s;
+        let one_plus_a = 1.0 + amplitude;
+        let mut t = t_s;
+        loop {
+            let [step, u] = self.take();
+            t -= step;
+            let cycles = (t + phase_s) * inv_period;
+            let s = (2.0 * std::f64::consts::PI * (cycles - cycles.floor())).sin();
+            // Accept iff u·peak < λ(t); both sides divided by the base
+            // rate.
+            if u * one_plus_a < 1.0 + amplitude * s {
+                return t;
             }
         }
     }
