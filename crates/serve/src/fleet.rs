@@ -36,7 +36,11 @@
 //! needs no event queue at all: round-robin preserves arrival order per
 //! GPU, FIFO serves one request per batch, so each request's start is
 //! `max(arrival, gpu_free)` — a single pass over the arrival stream at
-//! tens of millions of requests per second. The fast lane reproduces
+//! tens of millions of requests per second: the committed single-core
+//! snapshot read ~24M simulated requests/s (`BENCH_2026-08-08.json`),
+//! and mmgbench's `fleet-fifo`, the same 100M-request fleet sharded
+//! over 2 workers, reads a median of 61.6M on a 2-vCPU Xeon VM, most
+//! of it spent drawing arrivals (one `ln` each). The fast lane reproduces
 //! the general DES sample path exactly (same start/finish arithmetic;
 //! an equivalence test pins it) and carries GPU free-times across
 //! window boundaries, so it is a *continuous* DES per cluster. Other
