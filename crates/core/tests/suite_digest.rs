@@ -5,6 +5,14 @@
 //! file, so tier-1 and the benchmark read one pin: a change that moves any
 //! simulated figure fails `cargo test`, and re-pinning happens in one
 //! place.
+//!
+//! The same run also pins the suite's telemetry: the Prometheus text of
+//! the registry `run_suite` merges every experiment into (counters,
+//! histogram buckets and `_sum`s, gauges) hashes to
+//! [`TELEMETRY_DIGEST`]. Memo replay writes all of those, and the `--jobs`
+//! determinism tests only compare runs with each other, so this is the
+//! pin that sees a replay change that moves them the same way at every
+//! job count.
 
 use std::sync::Arc;
 
@@ -12,6 +20,10 @@ use mmg_core::{run_suite, ExperimentId};
 use mmg_gpu::DeviceSpec;
 use mmg_profiler::CostMemo;
 use mmg_telemetry::Registry;
+
+/// FNV-1a of the suite's `render_prometheus()` text. `repro all
+/// --metrics` writes the same families at `--jobs 1` and `--jobs 2`.
+const TELEMETRY_DIGEST: u64 = 0x9bc6_7188_fab9_3195;
 
 /// 64-bit FNV-1a, as mmgbench's `digest`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -48,13 +60,15 @@ fn fnv1a_matches_the_reference_vectors() {
 #[test]
 fn every_suite_figure_matches_the_pinned_digest() {
     // `run_suite` renders each experiment exactly as `run_experiment`
-    // does; two workers only shorten the wall time.
+    // does and merges their registries in experiment order; two workers
+    // only shorten the wall time.
+    let registry = Registry::new();
     let reports = run_suite(
         &ExperimentId::ALL,
         &DeviceSpec::a100_80gb(),
         2,
         &Arc::new(CostMemo::new()),
-        &Registry::new(),
+        &registry,
     );
     let got = fnv1a(reports.join("\n").as_bytes());
     let pinned = pinned_suite_digest();
@@ -63,5 +77,11 @@ fn every_suite_figure_matches_the_pinned_digest() {
         "repro all's reports hash to {got:#018x}, not the pinned {pinned:#018x}: a simulated \
          figure moved. If that is intended, re-pin the digest in mmgbench/src/workloads.rs and \
          say why in CHANGES.md"
+    );
+    let telemetry = fnv1a(registry.render_prometheus().as_bytes());
+    assert_eq!(
+        telemetry, TELEMETRY_DIGEST,
+        "the suite's Prometheus text hashes to {telemetry:#018x}, not the pinned \
+         {TELEMETRY_DIGEST:#018x}: a counter, histogram or gauge moved"
     );
 }
