@@ -118,6 +118,41 @@ impl Histogram {
         inner.sum_bits.store((cur + v).to_bits(), Ordering::Relaxed);
     }
 
+    /// Records every value of `values`, in order, leaving the same
+    /// buckets, count and sum bits as one [`Histogram::observe`] per
+    /// value: the sum takes each value in turn, so its rounding matches.
+    /// It pays one atomic add per touched bucket and one for the count
+    /// instead of two per value. A lone writer, like `observe`'s sum.
+    pub fn observe_batch(&self, values: impl IntoIterator<Item = f64>) {
+        /// Buckets counted on the stack; any past them count directly.
+        const LOCAL: usize = 32;
+        let inner = &self.0;
+        let mut local = [0u64; LOCAL];
+        let mut count = 0u64;
+        let mut sum = f64::from_bits(inner.sum_bits.load(Ordering::Relaxed));
+        for v in values {
+            let idx = inner.edges.partition_point(|&edge| edge < v);
+            match local.get_mut(idx) {
+                Some(n) => *n += 1,
+                None => {
+                    inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            sum += v;
+            count += 1;
+        }
+        if count == 0 {
+            return;
+        }
+        for (bucket, &n) in inner.buckets.iter().zip(&local) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        inner.count.fetch_add(count, Ordering::Relaxed);
+        inner.sum_bits.store(sum.to_bits(), Ordering::Relaxed);
+    }
+
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -911,6 +946,33 @@ mod tests {
         let p50 = h.quantile(0.5);
         assert!((10.0..=20.0).contains(&p50), "p50 {p50}");
         assert!((h.mean() - 15.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_batch_observe_matches_one_observe_per_value() {
+        // Values on bucket edges, between them, past the last edge, and
+        // ones whose running sum rounds differently in another order.
+        let edges = time_buckets_us();
+        let mut values = vec![1.0, edges[3], edges[28], 1.2e7, 5e9, 0.1, 0.2, 0.3, 1e-17];
+        values.extend((0..40).map(|i| 0.37 * f64::from(i) + 1e-9));
+        // 40 edges: buckets past the batch's stack counts take the
+        // direct path.
+        let wide: Vec<f64> = (1..=40).map(f64::from).collect();
+        for edges in [edges, wide] {
+            let (one, batch) = (Registry::new(), Registry::new());
+            let (h1, hb) = (one.histogram("t_us", &edges), batch.histogram("t_us", &edges));
+            // A non-zero starting sum, so the batch must add onto it.
+            h1.observe(0.7);
+            hb.observe(0.7);
+            for &v in &values {
+                h1.observe(v);
+            }
+            hb.observe_batch(values.iter().copied());
+            hb.observe_batch(std::iter::empty());
+            assert_eq!(hb.count(), h1.count());
+            assert_eq!(hb.sum().to_bits(), h1.sum().to_bits());
+            assert_eq!(batch.render_prometheus(), one.render_prometheus());
+        }
     }
 
     #[test]
