@@ -5,19 +5,22 @@
 //! step, and sweeps re-profile near-identical graphs point by point.
 //! [`ShardedLru`] gives those callers a concurrent, bounded cache: keys
 //! hash to one of a fixed number of shards, each shard is an independently
-//! locked `HashMap`, and eviction inside a shard is least-recently-used by
-//! a global access tick.
+//! locked `HashMap` with its own access tick and hit and miss counts, and
+//! eviction inside a shard is least-recently-used by that tick. A lookup
+//! touches only its shard's lock and the fields behind it, so worker
+//! threads hitting the map share no counter.
 //!
-//! A key is hashed once per call: the same SipHash value picks the shard
-//! and keys the shard's map (through a pass-through hasher), with the
-//! rare keys that share a hash kept in a short list compared by `Eq`.
-//! Values are handed out as `Arc<V>` so hits never clone the payload, and
-//! the map never blocks readers of *other* shards while one shard evicts.
+//! A key is hashed once per call, a machine word at a time by a
+//! multiply-rotate hasher: the keys are shapes the simulator builds
+//! itself, so SipHash's resistance to chosen colliding keys buys nothing
+//! here. The low bits of that value pick the shard and the rest key the
+//! shard's map (through a pass-through hasher), with the rare keys that
+//! share a hash kept in a short list compared by `Eq`. Values are handed
+//! out as `Arc<V>` so hits never clone the payload, and the map never
+//! blocks readers of *other* shards while one shard evicts.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of independently locked shards. A small power of two: enough to
@@ -49,20 +52,104 @@ impl Hasher for PassThrough {
     }
 }
 
+/// Hashes a key a word at a time: each integer the key writes is folded
+/// in with one rotate, xor and multiply, and byte slices are read eight
+/// bytes per step. `finish` rotates the well-mixed high bits of the last
+/// product down to where [`locate`](ShardedLru::locate) reads the shard.
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    /// An odd constant with well-spread bits (2^64 / golden ratio).
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("chunks are 8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+}
+
+/// A key's hash: the one value that picks its shard and keys that
+/// shard's map.
+fn hash_of<K: Hash>(key: &K) -> u64 {
+    let mut h = WordHasher::default();
+    key.hash(&mut h);
+    h.finish()
+}
+
+/// The shard a hash belongs to: its low bits.
+fn shard_of(hash: u64) -> usize {
+    (hash % SHARDS as u64) as usize
+}
+
 /// The entries whose keys share one shard-local hash: almost always one.
 type Bucket<K, V> = Vec<(K, Slot<V>)>;
 
-/// One locked shard: shard-local hash → bucket, plus the entry count.
+/// One locked shard: shard-local hash → bucket, the entry count, and
+/// the shard's access tick and lookup outcomes.
 #[derive(Debug)]
 struct Shard<K, V> {
     map: HashMap<u64, Bucket<K, V>, BuildHasherDefault<PassThrough>>,
     len: usize,
+    /// Taken by every hit and insert in this shard. Eviction compares
+    /// only this shard's entries, so a per-shard tick orders them as a
+    /// map-wide one would.
+    tick: u64,
+    hits: u64,
+    misses: u64,
 }
 
 impl<K: Eq, V> Shard<K, V> {
+    fn new() -> Self {
+        Shard { map: HashMap::default(), len: 0, tick: 0, hits: 0, misses: 0 }
+    }
+
     fn slot_mut(&mut self, hash: u64, key: &K) -> Option<&mut Slot<V>> {
         let bucket = self.map.get_mut(&hash)?;
         bucket.iter_mut().find(|(k, _)| k == key).map(|(_, slot)| slot)
+    }
+
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
     }
 
     /// Drops the least-recently-used entry.
@@ -101,9 +188,6 @@ impl<K: Eq, V> Shard<K, V> {
 pub struct ShardedLru<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     capacity_per_shard: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl<K: Hash + Eq, V> ShardedLru<K, V> {
@@ -112,13 +196,8 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         ShardedLru {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(Shard { map: HashMap::default(), len: 0 }))
-                .collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             capacity_per_shard: capacity.div_ceil(SHARDS).max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -127,10 +206,8 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     /// dropping them loses nothing and keeps them from crowding the map's
     /// buckets.
     fn locate(&self, key: &K) -> (&Mutex<Shard<K, V>>, u64) {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        let hash = h.finish();
-        (&self.shards[(hash as usize) % SHARDS], hash / SHARDS as u64)
+        let hash = hash_of(key);
+        (&self.shards[shard_of(hash)], hash / SHARDS as u64)
     }
 
     /// Looks up `key`, refreshing its recency on a hit. Also counts the
@@ -139,14 +216,17 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
         let (shard, hash) = self.locate(key);
         let mut shard = shard.lock().expect("memo shard poisoned");
+        let tick = shard.tick + 1;
         match shard.slot_mut(hash, key) {
             Some(slot) => {
-                slot.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&slot.value))
+                slot.last_used = tick;
+                let value = Arc::clone(&slot.value);
+                shard.tick = tick;
+                shard.hits += 1;
+                Some(value)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                shard.misses += 1;
                 None
             }
         }
@@ -158,10 +238,7 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
         let value = Arc::new(value);
         let (shard, hash) = self.locate(&key);
         let mut shard = shard.lock().expect("memo shard poisoned");
-        let slot = Slot {
-            value: Arc::clone(&value),
-            last_used: self.tick.fetch_add(1, Ordering::Relaxed),
-        };
+        let slot = Slot { value: Arc::clone(&value), last_used: shard.next_tick() };
         if let Some(old) = shard.slot_mut(hash, &key) {
             *old = slot;
             return value;
@@ -174,13 +251,15 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
         value
     }
 
+    /// Sums `field` over every shard, each read under its lock.
+    fn sum_shards(&self, field: impl Fn(&Shard<K, V>) -> u64) -> u64 {
+        self.shards.iter().map(|s| field(&s.lock().expect("memo shard poisoned"))).sum()
+    }
+
     /// Entries currently resident across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").len)
-            .sum()
+        self.sum_shards(|s| s.len as u64) as usize
     }
 
     /// Whether the map is empty.
@@ -192,13 +271,13 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     /// Lookups served from the map since construction (or `clear`).
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.sum_shards(|s| s.hits)
     }
 
     /// Lookups that found nothing.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.sum_shards(|s| s.misses)
     }
 
     /// `hits / (hits + misses)`, or 0 before the first lookup.
@@ -216,12 +295,8 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     /// Drops every entry and zeroes the hit/miss statistics.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock().expect("memo shard poisoned");
-            shard.map.clear();
-            shard.len = 0;
+            *shard.lock().expect("memo shard poisoned") = Shard::new();
         }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -254,11 +329,7 @@ mod tests {
         // One entry per shard: every colliding insert evicts.
         let lru: ShardedLru<u32, u32> = ShardedLru::new(1);
         // Find two keys in the same shard.
-        let shard_idx = |k: &u32| {
-            let mut h = DefaultHasher::new();
-            k.hash(&mut h);
-            (h.finish() as usize) % SHARDS
-        };
+        let shard_idx = |k: &u32| shard_of(hash_of(k));
         let a = 0u32;
         let b = (1..1000).find(|k| shard_idx(k) == shard_idx(&a)).unwrap();
         let c = (b + 1..2000).find(|k| shard_idx(k) == shard_idx(&a)).unwrap();
@@ -274,11 +345,7 @@ mod tests {
     #[test]
     fn recency_is_refreshed_by_get() {
         let lru: ShardedLru<u32, u32> = ShardedLru::new(SHARDS * 2);
-        let shard_idx = |k: &u32| {
-            let mut h = DefaultHasher::new();
-            k.hash(&mut h);
-            (h.finish() as usize) % SHARDS
-        };
+        let shard_idx = |k: &u32| shard_of(hash_of(k));
         let a = 0u32;
         let b = (1..1000).find(|k| shard_idx(k) == shard_idx(&a)).unwrap();
         let c = (b + 1..2000).find(|k| shard_idx(k) == shard_idx(&a)).unwrap();
@@ -353,6 +420,29 @@ mod tests {
         assert!(lru.is_empty());
         assert_eq!((lru.hits(), lru.misses()), (0, 0));
         assert!(lru.get(&Colliding(3)).is_none());
+    }
+
+    #[test]
+    fn lookups_from_two_threads_are_all_counted() {
+        let lru: ShardedLru<u64, u64> = ShardedLru::new(256);
+        for k in 0..32u64 {
+            lru.insert(k, k);
+        }
+        // Both threads walk keys 0..64, so each hits the 32 resident keys
+        // and misses the rest, on every shard, at the same time.
+        let per_thread = 64 * 200u64;
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let lru = &lru;
+                s.spawn(move || {
+                    for i in 0..per_thread {
+                        let _ = lru.get(&((i + t * 7) % 64));
+                    }
+                });
+            }
+        });
+        assert_eq!(lru.hits() + lru.misses(), 2 * per_thread);
+        assert_eq!(lru.hits(), per_thread, "half of each thread's keys are resident");
     }
 
     #[test]
