@@ -1,6 +1,5 @@
 //! The performance-plane executor.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -15,9 +14,54 @@ use mmg_telemetry::{Counter, Registry};
 use crate::memo::{synthetic_op_deltas, CostMemo, MemoKey, OpCostEntry};
 use crate::{AttnCallInfo, KernelRecord, ModuleHook, OpEvent, Timeline};
 
-/// Cached counter handles for one replayed memo entry, keyed by the
-/// entry's `Arc` address (the held `Arc` keeps the address alive).
-type ReplayHandles = HashMap<usize, (Arc<OpCostEntry>, Vec<Counter>)>;
+/// One counter of a profiler's replay table.
+#[derive(Debug, Default)]
+struct ReplaySlot {
+    /// The counter in the profiler's registry, resolved (and created at
+    /// zero, as a cold op creates it) the first time a flush meets it.
+    counter: Option<Counter>,
+    /// Summed deltas of the entries being flushed.
+    pending: u64,
+}
+
+/// Counter handles for memo replay, indexed by the process-wide counter
+/// slot of each name (`OpCostEntry::slots`), so a flush adds by index
+/// without a name lookup.
+#[derive(Debug, Default)]
+struct ReplayTable {
+    slots: Vec<ReplaySlot>,
+    /// Slots whose `pending` was raised since the last flush.
+    touched: Vec<usize>,
+}
+
+impl ReplayTable {
+    /// Adds every counter delta of `entry` to its slot's pending sum.
+    fn add(&mut self, entry: &OpCostEntry, registry: &Registry) {
+        for (&slot, (name, delta)) in entry.slots.iter().zip(&entry.counter_deltas) {
+            let slot = slot as usize;
+            if slot >= self.slots.len() {
+                self.slots.resize_with(slot + 1, ReplaySlot::default);
+            }
+            let s = &mut self.slots[slot];
+            s.counter.get_or_insert_with(|| registry.counter_handle(name));
+            if *delta > 0 {
+                if s.pending == 0 {
+                    self.touched.push(slot);
+                }
+                s.pending = s.pending.wrapping_add(*delta);
+            }
+        }
+    }
+
+    /// Adds each pending sum to its counter, once, and clears it.
+    fn apply(&mut self) {
+        for slot in self.touched.drain(..) {
+            let s = &mut self.slots[slot];
+            let sum = std::mem::take(&mut s.pending);
+            s.counter.as_ref().expect("a pending slot is resolved").add(sum);
+        }
+    }
+}
 
 /// Walks graphs and produces timelines.
 ///
@@ -57,12 +101,11 @@ pub struct Profiler {
     /// Handle to the engine's `gpu_power_w` gauge; replay restores the
     /// last-launch draw a cold execution would have left.
     power_w: mmg_telemetry::Gauge,
-    /// Per-entry counter handles for memo replay, keyed by the entry's
-    /// `Arc` address (the cached `Arc` keeps the address alive). Lets a
-    /// hit bump its counters lock-free instead of re-parsing metric
-    /// names under the registry lock on every replay. Bounded by the
-    /// number of distinct entries this profiler replays.
-    replay_handles: Mutex<ReplayHandles>,
+    /// Counter handles memo replay adds through, one per counter name
+    /// this profiler has replayed. Shared with
+    /// [`Profiler::without_graph_capture`] copies, which record into
+    /// the same registry.
+    replay: Arc<Mutex<ReplayTable>>,
 }
 
 impl Profiler {
@@ -92,7 +135,7 @@ impl Profiler {
             kernel_time_us: registry
                 .histogram("gpu_kernel_time_us", &mmg_telemetry::time_buckets_us()),
             power_w: registry.gauge("gpu_power_w"),
-            replay_handles: Mutex::new(HashMap::new()),
+            replay: Arc::default(),
         }
     }
 
@@ -186,7 +229,7 @@ impl Profiler {
             device_fingerprint: self.device_fingerprint,
             kernel_time_us: self.kernel_time_us.clone(),
             power_w: self.power_w.clone(),
-            replay_handles: Mutex::new(HashMap::new()),
+            replay: Arc::clone(&self.replay),
         }
     }
 
@@ -198,6 +241,12 @@ impl Profiler {
 
     /// Profiles a graph, delivering each event to the hooks as it is
     /// produced — the analogue of the paper's forward-function hooks.
+    ///
+    /// Memo hits apply their telemetry in batches: the call keeps the
+    /// entries its hits return and flushes them before a cold op starts
+    /// its counter attribution, before any hook sees an event, and
+    /// before it returns. So a hook, a cold op's span and the caller see
+    /// the registry exactly as one replay per op would have left it.
     #[must_use]
     pub fn profile_with_hooks(
         &self,
@@ -205,6 +254,8 @@ impl Profiler {
         hooks: &mut [&mut dyn ModuleHook],
     ) -> Timeline {
         let mut events = Vec::with_capacity(graph.len());
+        // Memo hits whose telemetry has not been applied yet, in op order.
+        let mut replayed = Vec::new();
         for (index, node) in graph.nodes().iter().enumerate() {
             let attn_shape = node.op.attention_shape();
             let attention = attn_shape.as_ref().map(|(shape, kind)| AttnCallInfo {
@@ -228,13 +279,18 @@ impl Profiler {
             if let (Some(memo), Some(key)) = (self.memo.as_deref(), key.as_ref()) {
                 if let Some(entry) = memo.lookup(key) {
                     let event = self.replay_op(index, &node.path, &node.op, &entry, attention);
-                    for h in hooks.iter_mut() {
-                        h.on_op(&event);
+                    replayed.push(entry);
+                    if !hooks.is_empty() {
+                        self.flush_replayed(&mut replayed);
+                        for h in hooks.iter_mut() {
+                            h.on_op(&event);
+                        }
                     }
                     events.push(event);
                     continue;
                 }
             }
+            self.flush_replayed(&mut replayed);
             let started = self.registry.span_capture().then(Instant::now);
             let mark = self.registry.counters_mark();
             let mut kernels = lower_on(
@@ -317,6 +373,7 @@ impl Profiler {
             }
             events.push(event);
         }
+        self.flush_replayed(&mut replayed);
         Timeline::new(events)
     }
 
@@ -337,11 +394,12 @@ impl Profiler {
         }
     }
 
-    /// Memo-hit fast path: reproduces every externally observable effect
-    /// of executing `op` — counters, the kernel-time histogram, a span
-    /// record with the op's counter attribution while the registry
-    /// captures spans, and the [`OpEvent`] — from the stored entry,
-    /// without lowering, roofline evaluation, or cache simulation.
+    /// Memo-hit fast path: builds the [`OpEvent`] of executing `op`, and
+    /// a span record with the op's counter attribution while the
+    /// registry captures spans, from the stored entry, without lowering,
+    /// roofline evaluation, or cache simulation. The entry's counters,
+    /// kernel times and power draw wait for
+    /// [`Profiler::flush_replayed`].
     fn replay_op(
         &self,
         index: usize,
@@ -350,16 +408,8 @@ impl Profiler {
         entry: &Arc<OpCostEntry>,
         attention: Option<AttnCallInfo>,
     ) -> OpEvent {
-        let started = self.registry.span_capture().then(Instant::now);
-        self.apply_replay_deltas(entry);
-        for k in entry.records.iter() {
-            self.kernel_time_us.observe(k.time_s * 1e6);
-        }
-        if let Some(last) = entry.records.last() {
-            self.power_w.set(last.draw_w);
-        }
-        if let Some(started) = started {
-            self.registry.record_span(Arc::clone(path), started, Arc::clone(&entry.visible));
+        if self.registry.span_capture() {
+            self.registry.record_span(Arc::clone(path), Instant::now(), Arc::clone(&entry.visible));
         }
         OpEvent {
             index,
@@ -375,28 +425,30 @@ impl Profiler {
         }
     }
 
-    /// Bumps the registry counters for one replayed entry. The first
-    /// replay of an entry resolves every counter name — including zero
-    /// deltas, so counters the live path registers at zero get created —
-    /// to an atomic handle; subsequent replays add through the cached
-    /// handles without touching the registry lock or parsing names.
-    fn apply_replay_deltas(&self, entry: &Arc<OpCostEntry>) {
-        let mut cache = self.replay_handles.lock().expect("replay handle cache poisoned");
-        let (_, handles) = cache
-            .entry(Arc::as_ptr(entry) as usize)
-            .or_insert_with(|| {
-                let handles = entry
-                    .counter_deltas
-                    .iter()
-                    .map(|(full, _)| self.registry.counter_handle(full))
-                    .collect();
-                (Arc::clone(entry), handles)
-            });
-        for (c, (_, delta)) in handles.iter().zip(&entry.counter_deltas) {
-            if *delta > 0 {
-                c.add(*delta);
-            }
+    /// Applies the telemetry of the memo hits in `replayed`, in op
+    /// order, and empties it, leaving the registry as one replay per
+    /// op would: each counter gets one add of its summed deltas
+    /// (counters a cold op creates at zero are created here too),
+    /// `gpu_kernel_time_us` takes every kernel time in launch order
+    /// through one batch observe, and `gpu_power_w` takes the last
+    /// replayed draw.
+    fn flush_replayed(&self, replayed: &mut Vec<Arc<OpCostEntry>>) {
+        if replayed.is_empty() {
+            return;
         }
+        {
+            let mut table = self.replay.lock().expect("replay table poisoned");
+            for entry in replayed.iter() {
+                table.add(entry, &self.registry);
+            }
+            table.apply();
+        }
+        self.kernel_time_us
+            .observe_batch(replayed.iter().flat_map(|e| e.records.iter()).map(|k| k.time_s * 1e6));
+        if let Some(last) = replayed.iter().rev().find_map(|e| e.records.last()) {
+            self.power_w.set(last.draw_w);
+        }
+        replayed.clear();
     }
 
     /// Replays sampled GEMM and softmax sector streams for one attention
@@ -576,6 +628,84 @@ mod tests {
         // not replay the eager entries.
         assert!(opt.total_time_s() < eager.total_time_s());
         assert_eq!(memo.hits(), 0);
+    }
+
+    /// What a hook can read of its profiler's registry at each event:
+    /// every counter, the kernel-time histogram's count and sum bits,
+    /// and the power gauge's bits.
+    struct RegistryProbe {
+        registry: Registry,
+        seen: Vec<(Vec<(String, u64)>, u64, u64, u64)>,
+    }
+
+    impl ModuleHook for RegistryProbe {
+        fn on_op(&mut self, _: &OpEvent) {
+            let times =
+                self.registry.histogram("gpu_kernel_time_us", &mmg_telemetry::time_buckets_us());
+            self.seen.push((
+                self.registry.counters_snapshot().values().to_vec(),
+                times.count(),
+                times.sum().to_bits(),
+                self.registry.gauge("gpu_power_w").get().to_bits(),
+            ));
+        }
+    }
+
+    #[test]
+    fn batched_replay_is_flushed_before_every_hook_and_cold_op() {
+        let linear = Op::Linear { tokens: 512, in_features: 320, out_features: 1280 };
+        let norm = Op::LayerNorm { rows: 4096, cols: 320 };
+        let mut warm = Graph::new();
+        warm.push("a", linear.clone());
+        warm.push("b", norm.clone());
+        // Hit, hit, miss, hit once `warm` is in the memo.
+        let mut g = warm.clone();
+        g.push(
+            "c",
+            Op::Attention {
+                shape: AttentionShape::self_attn(2, 8, 1024, 40),
+                kind: AttnKind::SpatialSelf,
+            },
+        );
+        g.push("a", linear);
+        // Without a hook the hits flush at the miss and at the return.
+        for hooked in [true, false] {
+            let memo = Arc::new(CostMemo::new());
+            let _ =
+                Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Flash, &Registry::new())
+                    .with_memo(Arc::clone(&memo))
+                    .profile(&warm);
+            let run = |memo: Option<&Arc<CostMemo>>| {
+                let registry = Registry::new();
+                registry.set_span_capture(true);
+                let mut profiler =
+                    Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Flash, &registry);
+                if let Some(memo) = memo {
+                    profiler = profiler.with_memo(Arc::clone(memo));
+                }
+                let mut probe = RegistryProbe { registry: registry.clone(), seen: Vec::new() };
+                let timeline = if hooked {
+                    profiler.profile_with_hooks(&g, &mut [&mut probe])
+                } else {
+                    profiler.profile(&g)
+                };
+                let spans: Vec<_> = registry
+                    .finished_spans()
+                    .into_iter()
+                    .map(|s| (s.path, s.counter_deltas))
+                    .collect();
+                (probe.seen, timeline, spans, registry.render_prometheus())
+            };
+            let hits_before = memo.hits();
+            let replayed = run(Some(&memo));
+            assert_eq!(memo.hits() - hits_before, 3, "hit, hit, miss, hit");
+            let cold = run(None);
+            assert_eq!(replayed.0.len(), if hooked { 4 } else { 0 });
+            assert_eq!(replayed.0, cold.0, "a hook saw a different registry");
+            assert_eq!(replayed.1.events(), cold.1.events());
+            assert_eq!(replayed.2, cold.2, "span attribution moved");
+            assert_eq!(replayed.3, cold.3, "hooked: {hooked}");
+        }
     }
 
     #[test]

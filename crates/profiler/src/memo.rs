@@ -19,11 +19,21 @@
 //!   run — the property test in `tests/proptest_memo.rs` holds the two
 //!   paths to byte equality.
 //!
+//! Replay is batched per profile call. A profiler keeps the entries its
+//! hits return and applies their telemetry in one flush: one add per
+//! counter of its summed deltas, the kernel times through one batch
+//! histogram observe in launch order, and the last replayed draw on the
+//! power gauge. It flushes before a cold op starts its counter
+//! attribution, before any hook sees an event, and before the call
+//! returns, so a call's telemetry lands before any cold op, before any
+//! hook, and by its return; nothing outside the call can tell the batch
+//! from one replay per op.
+//!
 //! The map itself is a [`ShardedLru`], safe to share across the worker
 //! threads of a parallel experiment sweep.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use mmg_attn::AttnImpl;
 use mmg_gpu::{HierarchyStats, ShardedLru};
@@ -118,6 +128,9 @@ pub struct OpCostEntry {
     /// precomputed once at store time so replay attaches it to events
     /// and spans without filtering or cloning.
     pub visible: Arc<Vec<(String, u64)>>,
+    /// The [`counter_slots`] number of each `counter_deltas` name, in
+    /// the same order, so replay sums deltas by index, not by name.
+    pub(crate) slots: Vec<u32>,
 }
 
 impl OpCostEntry {
@@ -134,8 +147,30 @@ impl OpCostEntry {
     ) -> Self {
         let visible =
             Arc::new(counter_deltas.iter().filter(|(_, d)| *d > 0).cloned().collect::<Vec<_>>());
-        OpCostEntry { time_s, energy_j, flops, hbm_bytes, records, counter_deltas, visible }
+        let slots = counter_slots(&counter_deltas);
+        OpCostEntry { time_s, energy_j, flops, hbm_bytes, records, counter_deltas, visible, slots }
     }
+}
+
+/// Numbers the counter names of `deltas` process-wide, in order: a name
+/// keeps the number it first got, and numbers count up from 0. A
+/// profiler's replay table is indexed by these numbers. The names are
+/// the counters a kernel stream can touch, a set the simulator fixes, so
+/// the numbering stays small.
+fn counter_slots(deltas: &[(String, u64)]) -> Vec<u32> {
+    static SLOTS: OnceLock<Mutex<HashMap<String, u32>>> = OnceLock::new();
+    let mut slots = SLOTS.get_or_init(Mutex::default).lock().expect("counter slots poisoned");
+    deltas
+        .iter()
+        .map(|(name, _)| match slots.get(name) {
+            Some(&slot) => slot,
+            None => {
+                let slot = u32::try_from(slots.len()).expect("counter slots fit in u32");
+                slots.insert(name.clone(), slot);
+                slot
+            }
+        })
+        .collect()
 }
 
 /// A shared, bounded memo of operator costs (see module docs).
