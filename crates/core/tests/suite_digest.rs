@@ -7,23 +7,27 @@
 //! place.
 //!
 //! The same run also pins the suite's telemetry: the Prometheus text of
-//! the registry `run_suite` merges every experiment into (counters,
-//! histogram buckets and `_sum`s, gauges) hashes to
-//! [`TELEMETRY_DIGEST`]. Memo replay writes all of those, and the `--jobs`
-//! determinism tests only compare runs with each other, so this is the
-//! pin that sees a replay change that moves them the same way at every
-//! job count.
+//! each experiment's own registry, in experiment order, followed by that
+//! of the registry the run merges them into (counters, histogram buckets
+//! and `_sum`s, gauges), hashes to [`TELEMETRY_DIGEST`]. Memo replay
+//! writes all of those, and the `--jobs` determinism tests only compare
+//! runs with each other, so this is the pin that sees a replay change
+//! that moves them the same way at every job count. The merged text alone
+//! would miss some: its `_sum` adds the experiments' sums at a magnitude
+//! that rounds away their last bits, and its gauges keep only the last
+//! experiment's value.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use mmg_core::{run_suite, ExperimentId};
+use mmg_core::{run_experiment_with, run_suite_with, ExperimentId};
 use mmg_gpu::DeviceSpec;
 use mmg_profiler::CostMemo;
 use mmg_telemetry::Registry;
 
-/// FNV-1a of the suite's `render_prometheus()` text. `repro all
-/// --metrics` writes the same families at `--jobs 1` and `--jobs 2`.
-const TELEMETRY_DIGEST: u64 = 0x9bc6_7188_fab9_3195;
+/// FNV-1a of every experiment registry's `render_prometheus()` text, in
+/// experiment order, then the merged registry's (`repro all --metrics`
+/// writes the merged text, the same at `--jobs 1` and `--jobs 2`).
+const TELEMETRY_DIGEST: u64 = 0xa6d6_8204_f148_9cd9;
 
 /// 64-bit FNV-1a, as mmgbench's `digest`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -59,16 +63,23 @@ fn fnv1a_matches_the_reference_vectors() {
 
 #[test]
 fn every_suite_figure_matches_the_pinned_digest() {
-    // `run_suite` renders each experiment exactly as `run_experiment`
+    // `run_suite_with` renders each experiment exactly as `run_suite`
     // does and merges their registries in experiment order; two workers
     // only shorten the wall time.
     let registry = Registry::new();
-    let reports = run_suite(
+    let texts = Mutex::new(vec![String::new(); ExperimentId::ALL.len()]);
+    let reports = run_suite_with(
         &ExperimentId::ALL,
         &DeviceSpec::a100_80gb(),
         2,
         &Arc::new(CostMemo::new()),
         &registry,
+        |id, ctx| {
+            let report = run_experiment_with(id, ctx);
+            let idx = ExperimentId::ALL.iter().position(|&e| e == id).expect("a suite id");
+            texts.lock().expect("telemetry texts lock")[idx] = ctx.registry.render_prometheus();
+            report
+        },
     );
     let got = fnv1a(reports.join("\n").as_bytes());
     let pinned = pinned_suite_digest();
@@ -78,7 +89,9 @@ fn every_suite_figure_matches_the_pinned_digest() {
          figure moved. If that is intended, re-pin the digest in mmgbench/src/workloads.rs and \
          say why in CHANGES.md"
     );
-    let telemetry = fnv1a(registry.render_prometheus().as_bytes());
+    let mut texts = texts.into_inner().expect("telemetry texts lock");
+    texts.push(registry.render_prometheus());
+    let telemetry = fnv1a(texts.concat().as_bytes());
     assert_eq!(
         telemetry, TELEMETRY_DIGEST,
         "the suite's Prometheus text hashes to {telemetry:#018x}, not the pinned \
