@@ -653,33 +653,34 @@ mod tests {
 
     #[test]
     fn batched_replay_is_flushed_before_every_hook_and_cold_op() {
-        let linear = Op::Linear { tokens: 512, in_features: 320, out_features: 1280 };
-        let norm = Op::LayerNorm { rows: 4096, cols: 320 };
+        // Eager attention lowers to several kernels with uneven times, so
+        // the kernel-time sum reads the order they are observed in.
+        let attn = |seq| Op::Attention {
+            shape: AttentionShape::self_attn(2, 8, seq, 40),
+            kind: AttnKind::SpatialSelf,
+        };
         let mut warm = Graph::new();
-        warm.push("a", linear.clone());
-        warm.push("b", norm.clone());
+        warm.push("a", attn(900));
+        warm.push("b", attn(1700));
         // Hit, hit, miss, hit once `warm` is in the memo.
         let mut g = warm.clone();
-        g.push(
-            "c",
-            Op::Attention {
-                shape: AttentionShape::self_attn(2, 8, 1024, 40),
-                kind: AttnKind::SpatialSelf,
-            },
-        );
-        g.push("a", linear);
+        g.push("c", Op::Linear { tokens: 2048, in_features: 8192, out_features: 8192 });
+        g.push("a", attn(900));
         // Without a hook the hits flush at the miss and at the return.
         for hooked in [true, false] {
             let memo = Arc::new(CostMemo::new());
-            let _ =
-                Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Flash, &Registry::new())
-                    .with_memo(Arc::clone(&memo))
-                    .profile(&warm);
+            let _ = Profiler::with_registry(
+                DeviceSpec::a100_80gb(),
+                AttnImpl::Baseline,
+                &Registry::new(),
+            )
+            .with_memo(Arc::clone(&memo))
+            .profile(&warm);
             let run = |memo: Option<&Arc<CostMemo>>| {
                 let registry = Registry::new();
                 registry.set_span_capture(true);
                 let mut profiler =
-                    Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Flash, &registry);
+                    Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Baseline, &registry);
                 if let Some(memo) = memo {
                     profiler = profiler.with_memo(Arc::clone(memo));
                 }
@@ -700,6 +701,20 @@ mod tests {
             let replayed = run(Some(&memo));
             assert_eq!(memo.hits() - hits_before, 3, "hit, hit, miss, hit");
             let cold = run(None);
+            // The graph must be able to see a flush out of order: its
+            // kernel-time sum moves if the first two ops swap, or if the
+            // miss comes before them.
+            let times: Vec<Vec<f64>> = cold
+                .1
+                .events()
+                .iter()
+                .map(|e| e.kernels.iter().map(|k| k.time_s * 1e6).collect())
+                .collect();
+            let sum = |order: [usize; 4]| {
+                order.iter().flat_map(|&i| &times[i]).fold(0.0f64, |s, &v| s + v).to_bits()
+            };
+            assert_ne!(sum([0, 1, 2, 3]), sum([1, 0, 2, 3]));
+            assert_ne!(sum([0, 1, 2, 3]), sum([2, 0, 1, 3]));
             assert_eq!(replayed.0.len(), if hooked { 4 } else { 0 });
             assert_eq!(replayed.0, cold.0, "a hook saw a different registry");
             assert_eq!(replayed.1.events(), cold.1.events());
