@@ -455,6 +455,16 @@ mod tests {
     }
 
     #[test]
+    fn every_swept_fleet_validates() {
+        let r = result();
+        for policy in policies() {
+            for u in UTILIZATIONS {
+                assert_eq!(fleet_cfg(policy, u, &r.mean_base_s).validate(), Ok(()), "{policy:?}@{u}");
+            }
+        }
+    }
+
+    #[test]
     fn faster_skus_have_shorter_service_times() {
         let r = result();
         let mean = |sku: &str| {

@@ -167,6 +167,35 @@ impl AutoscalerPolicy {
             AutoscalerPolicy::Reactive { churn: Some(_), .. } => "reactive+spot",
         }
     }
+
+    /// Checks the reactive policy's bounds, returning a description of
+    /// the first problem: a `max_gpus` below `max(min_gpus, 1)` (the
+    /// clamp the scaler sizes a cluster with would panic), a
+    /// `target_util` outside `(0, 1]`, or a churn `prob` or `frac`
+    /// outside `[0, 1]`. NaN fails each range.
+    fn check(&self) -> Result<(), String> {
+        let AutoscalerPolicy::Reactive { target_util, min_gpus, max_gpus, churn, .. } = *self
+        else {
+            return Ok(());
+        };
+        let floor = min_gpus.max(1);
+        if max_gpus < floor {
+            return Err(format!(
+                "autoscaler max_gpus {max_gpus} is below max(min_gpus, 1) = {floor}"
+            ));
+        }
+        if !(target_util > 0.0 && target_util <= 1.0) {
+            return Err(format!("autoscaler target_util must be in (0, 1], got {target_util}"));
+        }
+        if let Some(SpotChurn { prob, frac }) = churn {
+            for (name, value) in [("prob", prob), ("frac", frac)] {
+                if !(0.0..=1.0).contains(&value) {
+                    return Err(format!("spot churn {name} must be in [0, 1], got {value}"));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A complete fleet scenario.
@@ -261,6 +290,7 @@ impl FleetCfg {
         {
             return Err("fleet needs a positive window and at least one window".into());
         }
+        self.autoscaler.check()?;
         let lower = "--util, --rate, --duration-s or --requests";
         check_expected_arrivals(self.arrival, self.horizon_s(), None, lower)?;
         self.clusters.iter().enumerate().try_for_each(|(idx, c)| {
@@ -1470,6 +1500,97 @@ mod tests {
             fleet.clusters[1].phase_s = phase_s;
             let err = fleet.validate().unwrap_err();
             assert!(err.starts_with("cluster eu: the arrival process needs"), "{phase_s}: {err}");
+        }
+    }
+
+    /// `test_fleet` with one reactive policy, which `validate` accepts
+    /// until a test breaks one of its bounds.
+    fn reactive_fleet() -> FleetCfg {
+        let fleet = FleetCfg {
+            autoscaler: AutoscalerPolicy::Reactive {
+                target_util: 0.7,
+                min_gpus: 2,
+                max_gpus: 8,
+                lag_windows: 1,
+                warm_pool: 1,
+                churn: Some(SpotChurn { prob: 0.5, frac: 0.25 }),
+            },
+            ..test_fleet(4)
+        };
+        assert_eq!(fleet.validate(), Ok(()));
+        fleet
+    }
+
+    /// The reactive policy of `fleet`, for a test to edit.
+    fn reactive_bounds(
+        fleet: &mut FleetCfg,
+    ) -> (&mut f64, &mut usize, &mut usize, &mut Option<SpotChurn>) {
+        match &mut fleet.autoscaler {
+            AutoscalerPolicy::Reactive { target_util, min_gpus, max_gpus, churn, .. } => {
+                (target_util, min_gpus, max_gpus, churn)
+            }
+            AutoscalerPolicy::Fixed => unreachable!("reactive_fleet builds a reactive policy"),
+        }
+    }
+
+    #[test]
+    fn autoscaler_max_below_min_is_rejected() {
+        let mut fleet = reactive_fleet();
+        let (_, min_gpus, max_gpus, _) = reactive_bounds(&mut fleet);
+        (*min_gpus, *max_gpus) = (4, 2);
+        let err = fleet.validate().unwrap_err();
+        assert_eq!(err, "autoscaler max_gpus 2 is below max(min_gpus, 1) = 4");
+    }
+
+    #[test]
+    fn autoscaler_max_of_zero_is_rejected() {
+        let mut fleet = reactive_fleet();
+        let (_, min_gpus, max_gpus, _) = reactive_bounds(&mut fleet);
+        (*min_gpus, *max_gpus) = (0, 0);
+        let err = fleet.validate().unwrap_err();
+        assert_eq!(err, "autoscaler max_gpus 0 is below max(min_gpus, 1) = 1");
+        // One GPU is the smallest cluster the scaler keeps.
+        let (_, _, max_gpus, _) = reactive_bounds(&mut fleet);
+        *max_gpus = 1;
+        assert_eq!(fleet.validate(), Ok(()));
+    }
+
+    #[test]
+    fn autoscaler_target_util_outside_zero_one_is_rejected() {
+        for util in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            let mut fleet = reactive_fleet();
+            *reactive_bounds(&mut fleet).0 = util;
+            let err = fleet.validate().unwrap_err();
+            assert!(err.starts_with("autoscaler target_util must be in (0, 1]"), "{util}: {err}");
+        }
+        let mut fleet = reactive_fleet();
+        *reactive_bounds(&mut fleet).0 = 1.0;
+        assert_eq!(fleet.validate(), Ok(()));
+    }
+
+    #[test]
+    fn spot_churn_prob_outside_zero_one_is_rejected() {
+        for prob in [-0.1, 1.5, f64::NAN] {
+            let mut fleet = reactive_fleet();
+            *reactive_bounds(&mut fleet).3 = Some(SpotChurn { prob, frac: 0.25 });
+            let err = fleet.validate().unwrap_err();
+            assert!(err.starts_with("spot churn prob must be in [0, 1]"), "{prob}: {err}");
+        }
+    }
+
+    #[test]
+    fn spot_churn_frac_outside_zero_one_is_rejected() {
+        for frac in [2.0, -0.25, f64::NAN] {
+            let mut fleet = reactive_fleet();
+            *reactive_bounds(&mut fleet).3 = Some(SpotChurn { prob: 0.5, frac });
+            let err = fleet.validate().unwrap_err();
+            assert!(err.starts_with("spot churn frac must be in [0, 1]"), "{frac}: {err}");
+        }
+        // Both ends of the range are valid.
+        for (prob, frac) in [(0.0, 0.0), (1.0, 1.0)] {
+            let mut fleet = reactive_fleet();
+            *reactive_bounds(&mut fleet).3 = Some(SpotChurn { prob, frac });
+            assert_eq!(fleet.validate(), Ok(()));
         }
     }
 
