@@ -514,7 +514,9 @@ impl RequestMix {
     ///
     /// # Panics
     ///
-    /// Panics on an empty mix, non-positive weights, or duplicates.
+    /// Panics on an empty mix, non-positive weights, duplicates, or
+    /// weights whose total is not finite (an infinite total makes every
+    /// share zero).
     #[must_use]
     pub fn new(entries: Vec<(ModelId, f64)>) -> Self {
         assert!(!entries.is_empty(), "request mix cannot be empty");
@@ -525,7 +527,8 @@ impl RequestMix {
                 "duplicate mix entry for {id}"
             );
         }
-        let total_weight = entries.iter().map(|(_, w)| w).sum();
+        let total_weight: f64 = entries.iter().map(|(_, w)| w).sum();
+        assert!(total_weight.is_finite(), "mix weights must have a finite total, got {total_weight}");
         RequestMix { entries, total_weight }
     }
 
@@ -990,6 +993,12 @@ mod tests {
         let err = RequestMix::parse("sd:1e308,parti:1e308").unwrap_err();
         assert!(err.contains("finite total"), "{err}");
         assert!(RequestMix::parse("sd:1e307,parti:1e307").is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "mix weights must have a finite total, got inf")]
+    fn mix_new_refuses_an_infinite_total() {
+        let _ = RequestMix::new(vec![(ModelId::StableDiffusion, 1e308), (ModelId::Parti, 1e308)]);
     }
 
     #[test]
