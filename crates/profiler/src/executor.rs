@@ -630,12 +630,15 @@ mod tests {
         assert_eq!(memo.hits(), 0);
     }
 
-    /// What a hook can read of its profiler's registry at each event:
+    /// What a hook can read of its profiler's registry at one event:
     /// every counter, the kernel-time histogram's count and sum bits,
     /// and the power gauge's bits.
+    type Reading = (Vec<(String, u64)>, u64, u64, u64);
+
+    /// Records a [`Reading`] at each event.
     struct RegistryProbe {
         registry: Registry,
-        seen: Vec<(Vec<(String, u64)>, u64, u64, u64)>,
+        seen: Vec<Reading>,
     }
 
     impl ModuleHook for RegistryProbe {
