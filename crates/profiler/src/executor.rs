@@ -1,6 +1,6 @@
 //! The performance-plane executor.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use mmg_attn::AttnImpl;
@@ -32,6 +32,9 @@ struct ReplayTable {
     slots: Vec<ReplaySlot>,
     /// Slots whose `pending` was raised since the last flush.
     touched: Vec<usize>,
+    /// The buffer a profile call collects its memo hits in, kept here
+    /// between calls so a warm call allocates none.
+    replayed: Vec<Arc<OpCostEntry>>,
 }
 
 impl ReplayTable {
@@ -255,7 +258,7 @@ impl Profiler {
     ) -> Timeline {
         let mut events = Vec::with_capacity(graph.len());
         // Memo hits whose telemetry has not been applied yet, in op order.
-        let mut replayed = Vec::new();
+        let mut replayed = std::mem::take(&mut self.replay_table().replayed);
         for (index, node) in graph.nodes().iter().enumerate() {
             let attn_shape = node.op.attention_shape();
             let attention = attn_shape.as_ref().map(|(shape, kind)| AttnCallInfo {
@@ -374,6 +377,7 @@ impl Profiler {
             events.push(event);
         }
         self.flush_replayed(&mut replayed);
+        self.replay_table().replayed = replayed;
         Timeline::new(events)
     }
 
@@ -425,6 +429,10 @@ impl Profiler {
         }
     }
 
+    fn replay_table(&self) -> MutexGuard<'_, ReplayTable> {
+        self.replay.lock().expect("replay table poisoned")
+    }
+
     /// Applies the telemetry of the memo hits in `replayed`, in op
     /// order, and empties it, leaving the registry as one replay per
     /// op would: each counter gets one add of its summed deltas
@@ -437,7 +445,7 @@ impl Profiler {
             return;
         }
         {
-            let mut table = self.replay.lock().expect("replay table poisoned");
+            let mut table = self.replay_table();
             for entry in replayed.iter() {
                 table.add(entry, &self.registry);
             }
