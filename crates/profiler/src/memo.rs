@@ -19,15 +19,14 @@
 //!   run — the property test in `tests/proptest_memo.rs` holds the two
 //!   paths to byte equality.
 //!
-//! Replay is batched per profile call. A profiler keeps the entries its
-//! hits return and applies their telemetry in one flush: one add per
-//! counter of its summed deltas, the kernel times through one batch
-//! histogram observe in launch order, and the last replayed draw on the
-//! power gauge. It flushes before a cold op starts its counter
-//! attribution, before any hook sees an event, and before the call
-//! returns, so a call's telemetry lands before any cold op, before any
-//! hook, and by its return; nothing outside the call can tell the batch
-//! from one replay per op.
+//! Replay is batched per profile call, under one contract: the
+//! telemetry of a call's hits lands before any cold op starts its
+//! counter attribution, before any hook sees an event, and by the time
+//! the call returns. Until then the profiler keeps the entries its hits
+//! return; one flush then adds each counter's summed deltas once,
+//! observes the kernel times in launch order through one batch histogram
+//! observe, and sets the power gauge to the last replayed draw. Nothing
+//! outside the call can tell the batch from one replay per op.
 //!
 //! The map itself is a [`ShardedLru`], safe to share across the worker
 //! threads of a parallel experiment sweep.
