@@ -129,9 +129,9 @@ type Bucket<K, V> = Vec<(K, Slot<V>)>;
 struct Shard<K, V> {
     map: HashMap<u64, Bucket<K, V>, BuildHasherDefault<PassThrough>>,
     len: usize,
-    /// Taken by every hit and insert in this shard. Eviction compares
-    /// only this shard's entries, so a per-shard tick orders them as a
-    /// map-wide one would.
+    /// Advanced by every lookup and insert in this shard. Eviction
+    /// compares only this shard's entries, so a per-shard tick orders
+    /// them as a map-wide one would.
     tick: u64,
     hits: u64,
     misses: u64,
@@ -216,12 +216,11 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
         let (shard, hash) = self.locate(key);
         let mut shard = shard.lock().expect("memo shard poisoned");
-        let tick = shard.tick + 1;
+        let tick = shard.next_tick();
         match shard.slot_mut(hash, key) {
             Some(slot) => {
                 slot.last_used = tick;
                 let value = Arc::clone(&slot.value);
-                shard.tick = tick;
                 shard.hits += 1;
                 Some(value)
             }
