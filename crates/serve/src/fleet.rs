@@ -257,7 +257,9 @@ impl FleetCfg {
     /// refused, and so is one whose region processes
     /// ([`FleetCfg::region_process`]) an [`crate::ArrivalGen`] could not
     /// sample: an infinite weight leaves every region a NaN or zero rate,
-    /// and a non-finite phase breaks a diurnal region.
+    /// and a non-finite phase breaks a diurnal region. A reactive
+    /// autoscaler is refused when its bounds are out of range (see
+    /// [`AutoscalerPolicy::Reactive`]'s fields).
     pub fn validate(&self) -> Result<(), String> {
         if self.clusters.is_empty() {
             return Err("fleet needs at least one cluster".into());
