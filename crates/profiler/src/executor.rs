@@ -734,6 +734,131 @@ mod tests {
         }
     }
 
+    /// The Prometheus text of a fresh registry after profiling
+    /// [`one_norm`]: the timing family exists from the profiler's
+    /// construction (`gpu_kernels_compute_bound_total 0` and both HELP
+    /// lines), and the op's counters, kernel time and draw land in it.
+    const ONE_NORM_PROM: &str = r#"# HELP gpu_energy_uj_total modeled kernel energy, microjoules
+# TYPE gpu_energy_uj_total counter
+gpu_energy_uj_total 3882
+# HELP gpu_flops_total counter metric gpu_flops_total
+# TYPE gpu_flops_total counter
+gpu_flops_total 33554432
+# HELP gpu_hbm_bytes_total counter metric gpu_hbm_bytes_total
+# TYPE gpu_hbm_bytes_total counter
+gpu_hbm_bytes_total 25165824
+# HELP gpu_kernel_launches_total counter metric gpu_kernel_launches_total
+# TYPE gpu_kernel_launches_total counter
+gpu_kernel_launches_total 1
+# HELP gpu_kernels_compute_bound_total counter metric gpu_kernels_compute_bound_total
+# TYPE gpu_kernels_compute_bound_total counter
+gpu_kernels_compute_bound_total 0
+# HELP gpu_kernels_memory_bound_total counter metric gpu_kernels_memory_bound_total
+# TYPE gpu_kernels_memory_bound_total counter
+gpu_kernels_memory_bound_total 1
+# HELP kernel_energy_uj_total counter metric kernel_energy_uj_total
+# TYPE kernel_energy_uj_total counter
+kernel_energy_uj_total{kind="norm"} 3882
+# HELP kernel_flops_total counter metric kernel_flops_total
+# TYPE kernel_flops_total counter
+kernel_flops_total{kind="norm"} 33554432
+# HELP kernel_hbm_bytes_total counter metric kernel_hbm_bytes_total
+# TYPE kernel_hbm_bytes_total counter
+kernel_hbm_bytes_total{kind="norm"} 25165824
+# HELP kernel_launches_total counter metric kernel_launches_total
+# TYPE kernel_launches_total counter
+kernel_launches_total{kind="norm"} 1
+# HELP kernel_regime_total counter metric kernel_regime_total
+# TYPE kernel_regime_total counter
+kernel_regime_total{kind="norm",regime="memory"} 1
+# HELP gpu_power_w modeled board draw of the last kernel launch, watts
+# TYPE gpu_power_w gauge
+gpu_power_w 237.33526495726494
+# HELP gpu_kernel_time_us histogram metric gpu_kernel_time_us
+# TYPE gpu_kernel_time_us histogram
+gpu_kernel_time_us_bucket{le="1"} 0
+gpu_kernel_time_us_bucket{le="1.7782794100389228"} 0
+gpu_kernel_time_us_bucket{le="3.162277660168379"} 0
+gpu_kernel_time_us_bucket{le="5.62341325190349"} 0
+gpu_kernel_time_us_bucket{le="9.999999999999998"} 0
+gpu_kernel_time_us_bucket{le="17.782794100389225"} 0
+gpu_kernel_time_us_bucket{le="31.622776601683785"} 1
+gpu_kernel_time_us_bucket{le="56.234132519034894"} 1
+gpu_kernel_time_us_bucket{le="99.99999999999997"} 1
+gpu_kernel_time_us_bucket{le="177.82794100389222"} 1
+gpu_kernel_time_us_bucket{le="316.22776601683785"} 1
+gpu_kernel_time_us_bucket{le="562.3413251903489"} 1
+gpu_kernel_time_us_bucket{le="999.9999999999997"} 1
+gpu_kernel_time_us_bucket{le="1778.2794100389222"} 1
+gpu_kernel_time_us_bucket{le="3162.277660168378"} 1
+gpu_kernel_time_us_bucket{le="5623.413251903488"} 1
+gpu_kernel_time_us_bucket{le="9999.999999999995"} 1
+gpu_kernel_time_us_bucket{le="17782.79410038922"} 1
+gpu_kernel_time_us_bucket{le="31622.776601683778"} 1
+gpu_kernel_time_us_bucket{le="56234.13251903488"} 1
+gpu_kernel_time_us_bucket{le="99999.99999999994"} 1
+gpu_kernel_time_us_bucket{le="177827.94100389216"} 1
+gpu_kernel_time_us_bucket{le="316227.76601683773"} 1
+gpu_kernel_time_us_bucket{le="562341.3251903487"} 1
+gpu_kernel_time_us_bucket{le="999999.9999999992"} 1
+gpu_kernel_time_us_bucket{le="1778279.4100389213"} 1
+gpu_kernel_time_us_bucket{le="3162277.6601683768"} 1
+gpu_kernel_time_us_bucket{le="5623413.251903486"} 1
+gpu_kernel_time_us_bucket{le="9999999.999999993"} 1
+gpu_kernel_time_us_bucket{le="+Inf"} 1
+gpu_kernel_time_us_sum 19.427797940166748
+gpu_kernel_time_us_count 1
+"#;
+
+    /// The counter deltas attributed to [`one_norm`]'s op, on its event
+    /// and on its span.
+    const ONE_NORM_DELTAS: [(&str, u64); 10] = [
+        ("gpu_energy_uj_total", 3882),
+        ("gpu_flops_total", 33_554_432),
+        ("gpu_hbm_bytes_total", 25_165_824),
+        ("gpu_kernel_launches_total", 1),
+        ("gpu_kernels_memory_bound_total", 1),
+        ("kernel_energy_uj_total{kind=\"norm\"}", 3882),
+        ("kernel_flops_total{kind=\"norm\"}", 33_554_432),
+        ("kernel_hbm_bytes_total{kind=\"norm\"}", 25_165_824),
+        ("kernel_launches_total{kind=\"norm\"}", 1),
+        ("kernel_regime_total{kind=\"norm\",regime=\"memory\"}", 1),
+    ];
+
+    /// A one-op graph whose op lowers to one memory-bound kernel.
+    fn one_norm() -> Graph {
+        let mut g = Graph::new();
+        g.push("blk.norm", Op::LayerNorm { rows: 4096, cols: 1024 });
+        g
+    }
+
+    #[test]
+    fn one_memory_bound_op_lands_the_pinned_telemetry() {
+        let warm = Arc::new(CostMemo::new());
+        let _ = Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Flash, &Registry::new())
+            .with_memo(Arc::clone(&warm))
+            .profile(&one_norm());
+        let want: Vec<(String, u64)> =
+            ONE_NORM_DELTAS.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+        // No memo, a fresh memo (a miss that stores) and a warm one (a hit).
+        for memo in [None, Some(Arc::new(CostMemo::new())), Some(Arc::clone(&warm))] {
+            let registry = Registry::new();
+            registry.set_span_capture(true);
+            let mut profiler =
+                Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Flash, &registry);
+            if let Some(memo) = memo {
+                profiler = profiler.with_memo(memo);
+            }
+            let timeline = profiler.profile(&one_norm());
+            assert_eq!(*timeline.events()[0].counters, want);
+            let spans = registry.finished_spans();
+            assert_eq!(spans.len(), 1);
+            assert_eq!(*spans[0].counter_deltas, want);
+            assert_eq!(registry.render_prometheus(), ONE_NORM_PROM);
+        }
+        assert_eq!((warm.hits(), warm.misses()), (1, 1));
+    }
+
     #[test]
     fn fp32_is_slower_than_fp16_for_memory_bound() {
         let mut g = Graph::new();

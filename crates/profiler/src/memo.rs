@@ -467,12 +467,41 @@ mod tests {
         let visible: Vec<_> =
             synthetic.iter().filter(|(_, d)| *d > 0).cloned().collect();
         assert_eq!(visible, live);
-        // The zero-FLOP copy keeps its counter in the unfiltered list so
-        // replay can create it.
-        assert!(synthetic
-            .iter()
-            .any(|(n, d)| n == "kernel_flops_total{kind=\"memcpy\"}" && *d == 0));
+        // The unfiltered list, pinned: the zero-FLOP copy keeps its
+        // counter so replay can create it.
+        let pinned: Vec<(String, u64)> =
+            THREE_KERNEL_DELTAS.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+        assert_eq!(synthetic, pinned);
     }
+
+    /// Every counter the three kernels of
+    /// `synthetic_deltas_match_live_recording` charge, with its delta, as
+    /// the per-kernel counter writes of the timing engine and of
+    /// `record_kernel` recorded them (zero deltas included).
+    const THREE_KERNEL_DELTAS: [(&str, u64); 22] = [
+        ("gpu_energy_uj_total", 25114),
+        ("gpu_flops_total", 17_179_869_284),
+        ("gpu_hbm_bytes_total", 17_829_888),
+        ("gpu_kernel_launches_total", 3),
+        ("gpu_kernels_compute_bound_total", 1),
+        ("gpu_kernels_memory_bound_total", 2),
+        ("gpu_wave_quant_idle_slots_total", 21),
+        ("kernel_energy_uj_total{kind=\"gemm\"}", 22147),
+        ("kernel_energy_uj_total{kind=\"memcpy\"}", 330),
+        ("kernel_energy_uj_total{kind=\"softmax\"}", 2637),
+        ("kernel_flops_total{kind=\"gemm\"}", 17_179_869_184),
+        ("kernel_flops_total{kind=\"memcpy\"}", 0),
+        ("kernel_flops_total{kind=\"softmax\"}", 100),
+        ("kernel_hbm_bytes_total{kind=\"gemm\"}", 1_048_576),
+        ("kernel_hbm_bytes_total{kind=\"memcpy\"}", 4096),
+        ("kernel_hbm_bytes_total{kind=\"softmax\"}", 16_777_216),
+        ("kernel_launches_total{kind=\"gemm\"}", 1),
+        ("kernel_launches_total{kind=\"memcpy\"}", 1),
+        ("kernel_launches_total{kind=\"softmax\"}", 1),
+        ("kernel_regime_total{kind=\"gemm\",regime=\"compute\"}", 1),
+        ("kernel_regime_total{kind=\"memcpy\",regime=\"memory\"}", 1),
+        ("kernel_regime_total{kind=\"softmax\",regime=\"memory\"}", 1),
+    ];
 
     #[test]
     fn synthetic_deltas_include_cache_stats() {
