@@ -1,6 +1,6 @@
 //! Roofline-based kernel timing.
 
-use mmg_telemetry::{Counter, Histogram, Registry};
+use mmg_telemetry::Registry;
 use serde::{Deserialize, Serialize};
 
 use crate::DeviceSpec;
@@ -71,66 +71,51 @@ impl KernelTime {
 }
 
 /// Quantizes joules to the whole microjoules the `gpu_energy_uj_total`
-/// counter accumulates. One function shared by the live timing path and
-/// memo replay so the synthetic counter deltas are bitwise identical.
+/// counter accumulates.
 #[must_use]
 pub fn quantize_uj(energy_j: f64) -> u64 {
     (energy_j * 1e6).round() as u64
 }
 
-/// Telemetry handles the engine updates on every modelled launch,
-/// resolved once at construction so the hot path is a few relaxed
-/// atomic ops.
-#[derive(Debug, Clone)]
-struct TimingMetrics {
-    launches: Counter,
-    flops: Counter,
-    hbm_bytes: Counter,
-    memory_bound: Counter,
-    compute_bound: Counter,
-    kernel_time_us: Histogram,
-    energy_uj: Counter,
-    power_w: mmg_telemetry::Gauge,
-}
-
-impl TimingMetrics {
-    fn for_registry(registry: &Registry) -> Self {
-        registry.describe("gpu_energy_uj_total", "modeled kernel energy, microjoules");
-        registry.describe("gpu_power_w", "modeled board draw of the last kernel launch, watts");
-        TimingMetrics {
-            launches: registry.counter("gpu_kernel_launches_total"),
-            flops: registry.counter("gpu_flops_total"),
-            hbm_bytes: registry.counter("gpu_hbm_bytes_total"),
-            memory_bound: registry.counter("gpu_kernels_memory_bound_total"),
-            compute_bound: registry.counter("gpu_kernels_compute_bound_total"),
-            kernel_time_us: registry
-                .histogram("gpu_kernel_time_us", &mmg_telemetry::time_buckets_us()),
-            energy_uj: registry.counter("gpu_energy_uj_total"),
-            power_w: registry.gauge("gpu_power_w"),
-        }
-    }
-}
-
-/// Computes kernel durations against a [`DeviceSpec`].
+/// Computes kernel durations against a [`DeviceSpec`]. Timing writes no
+/// telemetry: a profiler charges each op's kernels to its registry from
+/// the op's cost entry.
 #[derive(Debug, Clone)]
 pub struct TimingEngine {
     spec: DeviceSpec,
-    metrics: TimingMetrics,
 }
 
 impl TimingEngine {
-    /// Creates an engine for a device, recording to the global
-    /// telemetry registry.
+    /// Creates an engine for a device, registering its metric family in
+    /// the global telemetry registry.
     #[must_use]
     pub fn new(spec: DeviceSpec) -> Self {
         TimingEngine::with_registry(spec, &mmg_telemetry::global())
     }
 
-    /// Creates an engine recording to a specific registry (test or
-    /// sweep isolation).
+    /// Creates an engine whose launches are charged to `registry`, and
+    /// registers the timing metric family there: the `gpu_*` launch,
+    /// FLOP, byte, regime and energy counters at zero, the
+    /// `gpu_kernel_time_us` histogram, the `gpu_power_w` gauge and their
+    /// help text. So a profiled registry renders the whole family, a
+    /// regime no kernel landed in included.
     #[must_use]
     pub fn with_registry(spec: DeviceSpec, registry: &Registry) -> Self {
-        TimingEngine { spec, metrics: TimingMetrics::for_registry(registry) }
+        registry.describe("gpu_energy_uj_total", "modeled kernel energy, microjoules");
+        registry.describe("gpu_power_w", "modeled board draw of the last kernel launch, watts");
+        for name in [
+            "gpu_kernel_launches_total",
+            "gpu_flops_total",
+            "gpu_hbm_bytes_total",
+            "gpu_kernels_memory_bound_total",
+            "gpu_kernels_compute_bound_total",
+            "gpu_energy_uj_total",
+        ] {
+            let _ = registry.counter(name);
+        }
+        let _ = registry.histogram("gpu_kernel_time_us", &mmg_telemetry::time_buckets_us());
+        let _ = registry.gauge("gpu_power_w");
+        TimingEngine { spec }
     }
 
     /// The device being simulated.
@@ -186,32 +171,7 @@ impl TimingEngine {
             + (self.spec.hbm_bound_w - self.spec.idle_w) * u_m)
             .min(self.spec.tdp_w);
         let energy_j = body * draw_w + overhead_s * self.spec.idle_w;
-        let time = KernelTime {
-            compute_s,
-            memory_s,
-            overhead_s,
-            total_s: body + overhead_s,
-            draw_w,
-            energy_j,
-        };
-        self.metrics.launches.inc();
-        self.metrics.flops.add(cost.flops);
-        self.metrics.hbm_bytes.add(cost.hbm_bytes);
-        if time.is_memory_bound() {
-            self.metrics.memory_bound.inc();
-        } else {
-            self.metrics.compute_bound.inc();
-        }
-        self.metrics.kernel_time_us.observe(time.total_s * 1e6);
-        self.metrics.energy_uj.add(quantize_uj(energy_j));
-        self.metrics.power_w.set(draw_w);
-        time
-    }
-
-    /// Sums a sequence of kernels (serial dependency, as in one CUDA stream).
-    #[must_use]
-    pub fn sequence_time(&self, costs: &[KernelCost]) -> f64 {
-        costs.iter().map(|c| self.kernel_time(c).total_s).sum()
+        KernelTime { compute_s, memory_s, overhead_s, total_s: body + overhead_s, draw_w, energy_j }
     }
 }
 
@@ -261,35 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn sequence_sums() {
-        let c = KernelCost { flops: 10, hbm_bytes: 10, compute_eff: 1.0, memory_eff: 1.0 };
-        let e = engine();
-        let one = e.kernel_time(&c).total_s;
-        assert!((e.sequence_time(&[c, c, c]) - 3.0 * one).abs() < 1e-12);
-    }
-
-    #[test]
     fn lower_efficiency_means_longer() {
         let hi = KernelCost { flops: 1 << 40, hbm_bytes: 1, compute_eff: 0.9, memory_eff: 1.0 };
         let lo = KernelCost { compute_eff: 0.3, ..hi };
         let e = engine();
         assert!(e.kernel_time(&lo).total_s > 2.5 * e.kernel_time(&hi).total_s);
-    }
-
-    #[test]
-    fn kernel_time_records_telemetry() {
-        let registry = mmg_telemetry::Registry::new();
-        let engine = TimingEngine::with_registry(DeviceSpec::a100_80gb(), &registry);
-        let cost =
-            KernelCost { flops: 1000, hbm_bytes: 4096, compute_eff: 1.0, memory_eff: 1.0 };
-        let _ = engine.kernel_time(&cost);
-        let _ = engine.kernel_time(&cost);
-        assert_eq!(registry.counter("gpu_kernel_launches_total").get(), 2);
-        assert_eq!(registry.counter("gpu_flops_total").get(), 2000);
-        assert_eq!(registry.counter("gpu_hbm_bytes_total").get(), 8192);
-        let hist = registry.histogram("gpu_kernel_time_us", &mmg_telemetry::time_buckets_us());
-        assert_eq!(hist.count(), 2);
-        assert!(hist.quantile(0.99) > 0.0);
     }
 
     #[test]
@@ -382,26 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn energy_counter_and_power_gauge_record() {
-        let registry = mmg_telemetry::Registry::new();
-        let engine = TimingEngine::with_registry(DeviceSpec::a100_80gb(), &registry);
-        let cost =
-            KernelCost { flops: 1 << 38, hbm_bytes: 1 << 30, compute_eff: 0.9, memory_eff: 0.9 };
-        let t = engine.kernel_time(&cost);
-        let u = engine.kernel_time(&cost);
-        assert_eq!(
-            registry.counter("gpu_energy_uj_total").get(),
-            quantize_uj(t.energy_j) + quantize_uj(u.energy_j)
-        );
-        assert_eq!(registry.gauge("gpu_power_w").get(), u.draw_w);
-    }
-
-    #[test]
     fn launch_overhead_dominates_microkernels() {
         // Many tiny kernels cost ~overhead each — the decode-phase effect.
         let c = KernelCost { flops: 1000, hbm_bytes: 1000, compute_eff: 1.0, memory_eff: 1.0 };
         let e = engine();
-        let t1000 = e.sequence_time(&vec![c; 1000]);
+        let t1000: f64 = (0..1000).map(|_| e.kernel_time(&c).total_s).sum();
         assert!(t1000 > 5e-3, "1000 launches cost at least 6ms of overhead+floor");
     }
 }

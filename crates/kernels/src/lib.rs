@@ -37,5 +37,5 @@ pub mod memory_bound;
 
 mod desc;
 
-pub use desc::{record_kernel, record_kernel_named, KernelDesc, KernelKind};
+pub use desc::{KernelDesc, KernelKind};
 pub use fuse::fuse_epilogue;

@@ -3,10 +3,10 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use mmg_attn::AttnImpl;
+use mmg_attn::{AttentionShape, AttnImpl};
 use mmg_gpu::{DeviceSpec, HierarchyStats, TimingEngine};
-use mmg_graph::optimize::{self, OptConfig, OptStats};
-use mmg_graph::{lower::lower_on, AttnKind, Graph};
+use mmg_graph::optimize::{self, OptConfig};
+use mmg_graph::{lower::lower_on, AttnKind, Graph, Op};
 use mmg_kernels::access::{AttentionKernel, VideoAttentionAccess};
 use mmg_kernels::conv::ConvAlgorithm;
 use mmg_telemetry::{Counter, Registry};
@@ -18,23 +18,24 @@ use crate::{AttnCallInfo, KernelRecord, ModuleHook, OpEvent, Timeline};
 #[derive(Debug, Default)]
 struct ReplaySlot {
     /// The counter in the profiler's registry, resolved (and created at
-    /// zero, as a cold op creates it) the first time a flush meets it.
+    /// zero) the first time a flush meets it.
     counter: Option<Counter>,
     /// Summed deltas of the entries being flushed.
     pending: u64,
 }
 
-/// Counter handles for memo replay, indexed by the process-wide counter
-/// slot of each name (`OpCostEntry::slots`), so a flush adds by index
-/// without a name lookup.
+/// Counter handles that ops' entries land their telemetry through,
+/// indexed by the process-wide counter slot of each name
+/// (`OpCostEntry::slots`), so a flush adds by index without a name
+/// lookup.
 #[derive(Debug, Default)]
 struct ReplayTable {
     slots: Vec<ReplaySlot>,
     /// Slots whose `pending` was raised since the last flush.
     touched: Vec<usize>,
-    /// The buffer a profile call collects its memo hits in, kept here
+    /// The buffer a profile call collects its ops' entries in, kept here
     /// between calls so a warm call allocates none.
-    replayed: Vec<Arc<OpCostEntry>>,
+    buffer: Vec<Arc<OpCostEntry>>,
 }
 
 impl ReplayTable {
@@ -98,14 +99,14 @@ pub struct Profiler {
     memo: Option<Arc<CostMemo>>,
     /// Hash of the device spec, precomputed for memo keys.
     device_fingerprint: u64,
-    /// Handle to the engine's `gpu_kernel_time_us` histogram, so memo
-    /// replay can observe stored kernel times without the engine.
+    /// Handle to the engine's `gpu_kernel_time_us` histogram, which a
+    /// flush observes entries' kernel times into.
     kernel_time_us: mmg_telemetry::Histogram,
-    /// Handle to the engine's `gpu_power_w` gauge; replay restores the
-    /// last-launch draw a cold execution would have left.
+    /// Handle to the engine's `gpu_power_w` gauge, which a flush sets to
+    /// the last launch's draw.
     power_w: mmg_telemetry::Gauge,
-    /// Counter handles memo replay adds through, one per counter name
-    /// this profiler has replayed. Shared with
+    /// Counter handles ops' entries land through, one per counter name
+    /// this profiler has charged. Shared with
     /// [`Profiler::without_graph_capture`] copies, which record into
     /// the same registry.
     replay: Arc<Mutex<ReplayTable>>,
@@ -181,11 +182,11 @@ impl Profiler {
 
     /// Attaches a shared operator-cost memo. Ops whose canonical
     /// [`MemoKey`] has been profiled before — by this profiler or any
-    /// other sharing the memo — replay their stored cost and telemetry
-    /// instead of re-running lowering, roofline timing, and cache
-    /// simulation. Replay leaves the registry (counters, histogram, and
-    /// span attribution) identical to a cold computation, so memoized
-    /// and unmemoized runs produce byte-identical artifacts.
+    /// other sharing the memo — reuse the stored [`OpCostEntry`] instead
+    /// of re-running lowering, roofline timing, and cache simulation.
+    /// A hit lands the same entry a cold op builds, through the same
+    /// flush, so memoized and unmemoized runs produce byte-identical
+    /// artifacts (counters, histogram, gauge and span attribution).
     #[must_use]
     pub fn with_memo(mut self, memo: Arc<CostMemo>) -> Self {
         self.memo = Some(memo);
@@ -245,11 +246,11 @@ impl Profiler {
     /// Profiles a graph, delivering each event to the hooks as it is
     /// produced — the analogue of the paper's forward-function hooks.
     ///
-    /// Memo hits apply their telemetry in batches: the call keeps the
-    /// entries its hits return and flushes them before a cold op starts
-    /// its counter attribution, before any hook sees an event, and
-    /// before it returns. So a hook, a cold op's span and the caller see
-    /// the registry exactly as one replay per op would have left it.
+    /// Every op lands its telemetry from its [`OpCostEntry`]: a memo hit
+    /// from the stored entry, a cold op from the one it builds. The call
+    /// keeps the entries in op order and flushes them before any hook
+    /// sees an event and before it returns, so a hook and the caller see
+    /// the registry exactly as one op at a time would have left it.
     #[must_use]
     pub fn profile_with_hooks(
         &self,
@@ -257,219 +258,148 @@ impl Profiler {
         hooks: &mut [&mut dyn ModuleHook],
     ) -> Timeline {
         let mut events = Vec::with_capacity(graph.len());
-        // Memo hits whose telemetry has not been applied yet, in op order.
-        let mut replayed = std::mem::take(&mut self.replay_table().replayed);
+        // Entries whose telemetry has not landed yet, in op order.
+        let mut pending = std::mem::take(&mut self.replay_table().buffer);
         for (index, node) in graph.nodes().iter().enumerate() {
-            let attn_shape = node.op.attention_shape();
-            let attention = attn_shape.as_ref().map(|(shape, kind)| AttnCallInfo {
-                kind: *kind,
-                seq_q: shape.seq_q,
-                seq_kv: shape.seq_kv,
-                batch: shape.batch,
-                heads: shape.heads,
-            });
-            let key = self.memo.as_ref().map(|_| {
-                MemoKey::for_op(
-                    &node.op,
-                    self.attn,
-                    self.elem_bytes,
-                    self.conv_algo,
-                    self.cache_probes,
-                    self.opt,
-                    self.device_fingerprint,
-                )
-            });
-            if let (Some(memo), Some(key)) = (self.memo.as_deref(), key.as_ref()) {
-                if let Some(entry) = memo.lookup(key) {
-                    let event = self.replay_op(index, &node.path, &node.op, &entry, attention);
-                    replayed.push(entry);
-                    if !hooks.is_empty() {
-                        self.flush_replayed(&mut replayed);
-                        for h in hooks.iter_mut() {
-                            h.on_op(&event);
-                        }
-                    }
-                    events.push(event);
-                    continue;
-                }
-            }
-            self.flush_replayed(&mut replayed);
             let started = self.registry.span_capture().then(Instant::now);
-            let mark = self.registry.counters_mark();
-            let mut kernels = lower_on(
-                &node.op,
-                self.attn,
-                self.elem_bytes,
-                self.conv_algo,
-                self.engine.spec().sm_count as usize,
-            );
-            let opt_stats =
-                optimize::apply(&mut kernels, &self.opt, self.engine.spec());
-            self.record_opt_stats(opt_stats);
-            let mut records = Vec::with_capacity(kernels.len());
-            let mut time_s = 0.0;
-            let mut energy_j = 0.0;
-            let mut flops = 0u64;
-            let mut hbm = 0u64;
-            for k in &kernels {
-                let kt = if k.captured {
-                    self.engine.kernel_time_captured(&k.cost)
-                } else {
-                    self.engine.kernel_time(&k.cost)
-                };
-                mmg_kernels::record_kernel(&self.registry, k, &kt);
-                time_s += kt.total_s;
-                energy_j += kt.energy_j;
-                flops += k.cost.flops;
-                hbm += k.cost.hbm_bytes;
-                records.push(KernelRecord {
-                    kind: k.kind.to_string(),
-                    label: k.label.clone(),
-                    time_s: kt.total_s,
-                    compute_s: kt.compute_s,
-                    memory_s: kt.memory_s,
-                    flops: k.cost.flops,
-                    hbm_bytes: k.cost.hbm_bytes,
-                    wave_quant_idle_slots: k.wave_quant_idle_slots,
-                    draw_w: kt.draw_w,
-                    energy_j: kt.energy_j,
-                });
-            }
-            let mut cache_stats = None;
-            if self.cache_probes > 0 {
-                if let Some((shape, kind)) = &attn_shape {
-                    cache_stats = Some(self.simulate_attention_caches(shape, *kind));
+            let attn_shape = node.op.attention_shape();
+            let entry = match self.memo.as_deref() {
+                Some(memo) => {
+                    let key = MemoKey::for_op(
+                        &node.op,
+                        self.attn,
+                        self.elem_bytes,
+                        self.conv_algo,
+                        self.cache_probes,
+                        self.opt,
+                        self.device_fingerprint,
+                    );
+                    match memo.lookup(&key) {
+                        Some(entry) => entry,
+                        None => memo.store(key, self.cost_op(&node.op, attn_shape.as_ref())),
+                    }
                 }
-            }
-            let records = Arc::new(records);
-            if let (Some(memo), Some(key)) = (self.memo.as_deref(), key) {
-                memo.store(
-                    key,
-                    OpCostEntry::new(
-                        time_s,
-                        energy_j,
-                        flops,
-                        hbm,
-                        Arc::clone(&records),
-                        synthetic_op_deltas(&records, cache_stats, opt_stats),
-                    ),
-                );
-            }
-            let counters = Arc::new(mark.delta_since(&self.registry));
+                None => Arc::new(self.cost_op(&node.op, attn_shape.as_ref())),
+            };
             if let Some(started) = started {
-                self.registry.record_span(Arc::clone(&node.path), started, Arc::clone(&counters));
+                self.registry.record_span(Arc::clone(&node.path), started, Arc::clone(&entry.visible));
             }
             let event = OpEvent {
                 index,
                 path: Arc::clone(&node.path),
                 category: node.op.category(),
-                time_s,
-                flops,
-                hbm_bytes: hbm,
-                energy_j,
-                kernels: records,
-                attention,
-                counters,
+                time_s: entry.time_s,
+                flops: entry.flops,
+                hbm_bytes: entry.hbm_bytes,
+                energy_j: entry.energy_j,
+                kernels: Arc::clone(&entry.records),
+                attention: attn_shape.map(|(shape, kind)| AttnCallInfo {
+                    kind,
+                    seq_q: shape.seq_q,
+                    seq_kv: shape.seq_kv,
+                    batch: shape.batch,
+                    heads: shape.heads,
+                }),
+                counters: Arc::clone(&entry.visible),
             };
-            for h in hooks.iter_mut() {
-                h.on_op(&event);
+            pending.push(entry);
+            if !hooks.is_empty() {
+                self.flush(&mut pending);
+                for h in hooks.iter_mut() {
+                    h.on_op(&event);
+                }
             }
             events.push(event);
         }
-        self.flush_replayed(&mut replayed);
-        self.replay_table().replayed = replayed;
+        self.flush(&mut pending);
+        self.replay_table().buffer = pending;
         Timeline::new(events)
     }
 
-    /// Records one op's optimization-pass telemetry. Counters are
-    /// created only on a non-zero charge (mirrored by
-    /// `synthetic_op_deltas`, so memo replay stays byte-identical).
-    fn record_opt_stats(&self, stats: OptStats) {
-        if stats.kernels_fused > 0 {
-            self.registry.counter("kernel_fused_total").add(stats.kernels_fused);
+    /// Costs one op from scratch: lowers it, applies the optimization
+    /// passes, times each kernel on the roofline and, for an attention op
+    /// under cache simulation, replays its access streams. Writes no
+    /// telemetry: the entry's counter deltas are what the op charges.
+    fn cost_op(&self, op: &Op, attn_shape: Option<&(AttentionShape, AttnKind)>) -> OpCostEntry {
+        let spec = self.engine.spec();
+        let mut kernels =
+            lower_on(op, self.attn, self.elem_bytes, self.conv_algo, spec.sm_count as usize);
+        let opt_stats = optimize::apply(&mut kernels, &self.opt, spec);
+        let mut records = Vec::with_capacity(kernels.len());
+        let mut time_s = 0.0;
+        let mut energy_j = 0.0;
+        let mut flops = 0u64;
+        let mut hbm = 0u64;
+        for k in &kernels {
+            let kt = if k.captured {
+                self.engine.kernel_time_captured(&k.cost)
+            } else {
+                self.engine.kernel_time(&k.cost)
+            };
+            time_s += kt.total_s;
+            energy_j += kt.energy_j;
+            flops += k.cost.flops;
+            hbm += k.cost.hbm_bytes;
+            records.push(KernelRecord {
+                kind: k.kind.to_string(),
+                label: k.label.clone(),
+                time_s: kt.total_s,
+                compute_s: kt.compute_s,
+                memory_s: kt.memory_s,
+                flops: k.cost.flops,
+                hbm_bytes: k.cost.hbm_bytes,
+                wave_quant_idle_slots: k.wave_quant_idle_slots,
+                draw_w: kt.draw_w,
+                energy_j: kt.energy_j,
+            });
         }
-        if stats.launches_elided > 0 {
-            self.registry.counter("kernel_launches_elided_total").add(stats.launches_elided);
-        }
-        if stats.hbm_bytes_saved > 0 {
-            self.registry
-                .counter("kernel_opt_hbm_bytes_saved_total")
-                .add(stats.hbm_bytes_saved);
-        }
-    }
-
-    /// Memo-hit fast path: builds the [`OpEvent`] of executing `op`, and
-    /// a span record with the op's counter attribution while the
-    /// registry captures spans, from the stored entry, without lowering,
-    /// roofline evaluation, or cache simulation. The entry's counters,
-    /// kernel times and power draw wait for
-    /// [`Profiler::flush_replayed`].
-    fn replay_op(
-        &self,
-        index: usize,
-        path: &Arc<str>,
-        op: &mmg_graph::Op,
-        entry: &Arc<OpCostEntry>,
-        attention: Option<AttnCallInfo>,
-    ) -> OpEvent {
-        if self.registry.span_capture() {
-            self.registry.record_span(Arc::clone(path), Instant::now(), Arc::clone(&entry.visible));
-        }
-        OpEvent {
-            index,
-            path: Arc::clone(path),
-            category: op.category(),
-            time_s: entry.time_s,
-            flops: entry.flops,
-            hbm_bytes: entry.hbm_bytes,
-            energy_j: entry.energy_j,
-            kernels: Arc::clone(&entry.records),
-            attention,
-            counters: Arc::clone(&entry.visible),
-        }
+        let cache_stats = match attn_shape {
+            Some((shape, kind)) if self.cache_probes > 0 => {
+                Some(self.simulate_attention_caches(shape, *kind))
+            }
+            _ => None,
+        };
+        let deltas = synthetic_op_deltas(&records, cache_stats, opt_stats);
+        OpCostEntry::new(time_s, energy_j, flops, hbm, Arc::new(records), deltas)
     }
 
     fn replay_table(&self) -> MutexGuard<'_, ReplayTable> {
         self.replay.lock().expect("replay table poisoned")
     }
 
-    /// Applies the telemetry of the memo hits in `replayed`, in op
-    /// order, and empties it, leaving the registry as one replay per
-    /// op would: each counter gets one add of its summed deltas
-    /// (counters a cold op creates at zero are created here too),
-    /// `gpu_kernel_time_us` takes every kernel time in launch order
-    /// through one batch observe, and `gpu_power_w` takes the last
-    /// replayed draw.
-    fn flush_replayed(&self, replayed: &mut Vec<Arc<OpCostEntry>>) {
-        if replayed.is_empty() {
+    /// Lands the telemetry of the entries in `pending`, in op order, and
+    /// empties it: each counter gets one add of its summed deltas (a
+    /// counter an entry lists at zero is created), `gpu_kernel_time_us`
+    /// takes every kernel time in launch order through one batch observe,
+    /// and `gpu_power_w` takes the last launch's draw.
+    fn flush(&self, pending: &mut Vec<Arc<OpCostEntry>>) {
+        if pending.is_empty() {
             return;
         }
         {
             let mut table = self.replay_table();
-            for entry in replayed.iter() {
+            for entry in pending.iter() {
                 table.add(entry, &self.registry);
             }
             table.apply();
         }
         self.kernel_time_us
-            .observe_batch(replayed.iter().flat_map(|e| e.records.iter()).map(|k| k.time_s * 1e6));
-        if let Some(last) = replayed.iter().rev().find_map(|e| e.records.last()) {
+            .observe_batch(pending.iter().flat_map(|e| e.records.iter()).map(|k| k.time_s * 1e6));
+        if let Some(last) = pending.iter().rev().find_map(|e| e.records.last()) {
             self.power_w.set(last.draw_w);
         }
-        replayed.clear();
+        pending.clear();
     }
 
     /// Replays sampled GEMM and softmax sector streams for one attention
-    /// call through a fresh L1/L2 hierarchy wired to this profiler's
-    /// registry. The call's sequence geometry is mapped back onto the
-    /// video activation layout: temporal attention attends across frames
-    /// per pixel (`seq = frames`, `batch = H·W`), spatial attention
-    /// attends across pixels per frame (`seq = H·W`, `batch = frames`).
-    fn simulate_attention_caches(
-        &self,
-        shape: &mmg_attn::AttentionShape,
-        kind: AttnKind,
-    ) -> HierarchyStats {
+    /// call through a fresh L1/L2 hierarchy and returns their summed
+    /// statistics; the hierarchy counts into a throwaway registry, since
+    /// the op's entry charges them. The call's sequence geometry is
+    /// mapped back onto the video activation layout: temporal attention
+    /// attends across frames per pixel (`seq = frames`, `batch = H·W`),
+    /// spatial attention attends across pixels per frame (`seq = H·W`,
+    /// `batch = frames`).
+    fn simulate_attention_caches(&self, shape: &AttentionShape, kind: AttnKind) -> HierarchyStats {
         let temporal = kind == AttnKind::Temporal;
         let channels = (shape.heads * shape.head_dim).max(1);
         let access = if temporal {
@@ -488,15 +418,11 @@ impl Profiler {
             }
         };
         let spec = self.engine.spec();
+        let scratch = Registry::new();
         let mut total = HierarchyStats::default();
         for kernel in [AttentionKernel::Gemm, AttentionKernel::Softmax] {
-            let stats = access.simulate_with_registry(
-                kernel,
-                temporal,
-                spec,
-                self.cache_probes,
-                &self.registry,
-            );
+            let stats =
+                access.simulate_with_registry(kernel, temporal, spec, self.cache_probes, &scratch);
             total.l1.accesses += stats.l1.accesses;
             total.l1.hits += stats.l1.hits;
             total.l2.accesses += stats.l2.accesses;
@@ -677,7 +603,7 @@ mod tests {
         let mut g = warm.clone();
         g.push("c", Op::Linear { tokens: 2048, in_features: 8192, out_features: 8192 });
         g.push("a", attn(900));
-        // Without a hook the hits flush at the miss and at the return.
+        // Without a hook every op lands at the return.
         for hooked in [true, false] {
             let memo = Arc::new(CostMemo::new());
             let _ = Profiler::with_registry(

@@ -14,19 +14,21 @@
 //!   attention ops), and the [device fingerprint]
 //!   (mmg_gpu::DeviceSpec::fingerprint).
 //! - The [`OpCostEntry`] stores the op's timeline contribution *and* the
-//!   exact telemetry counter deltas a live execution produces, so a memo
-//!   hit can replay them and leave the registry bit-identical to a cold
-//!   run — the property test in `tests/proptest_memo.rs` holds the two
-//!   paths to byte equality.
+//!   counter deltas it charges (`synthetic_op_deltas`, the one
+//!   definition of them). Every op lands its telemetry from its entry —
+//!   a cold op from the one it builds, a hit from the stored one — so a
+//!   hit leaves the registry bit-identical to a cold run; the property
+//!   test in `tests/proptest_memo.rs` holds memoized and memo-less
+//!   profiling to byte equality.
 //!
-//! Replay is batched per profile call, under one contract: the
-//! telemetry of a call's hits lands before any cold op starts its
-//! counter attribution, before any hook sees an event, and by the time
-//! the call returns. Until then the profiler keeps the entries its hits
-//! return; one flush then adds each counter's summed deltas once,
-//! observes the kernel times in launch order through one batch histogram
-//! observe, and sets the power gauge to the last replayed draw. Nothing
-//! outside the call can tell the batch from one replay per op.
+//! Telemetry lands in batches per profile call, under one contract: an
+//! op's telemetry lands before any hook sees an event and before the
+//! call returns. Until then the profiler keeps the entries, cold and hit
+//! alike, in op order; one flush then adds each counter's summed deltas
+//! once, observes the kernel times in launch order through one batch
+//! histogram observe, and sets the power gauge to the last launch's
+//! draw. Nothing outside the call can tell the batch from one op at a
+//! time.
 //!
 //! The map itself is a [`ShardedLru`], safe to share across the worker
 //! threads of a parallel experiment sweep.
@@ -95,13 +97,15 @@ impl MemoKey {
     }
 }
 
-/// Everything a memo hit must reproduce about an operator's execution.
+/// One operator's cost and telemetry: what its event, its span and its
+/// counters are built from, whether the op was costed now or found in
+/// the memo.
 ///
 /// The per-kernel records and the visible delta list are behind `Arc`s
-/// so the replay fast path can hand them to [`crate::OpEvent`]s and
-/// span records by reference count — a 50-step denoising loop replays
-/// the same UNet entries hundreds of thousands of times, and deep-
-/// cloning the string-heavy vectors each hit dominated replay cost.
+/// so the profiler can hand them to [`crate::OpEvent`]s and span records
+/// by reference count — a 50-step denoising loop hits the same UNet
+/// entries hundreds of thousands of times, and deep-cloning the
+/// string-heavy vectors each hit dominated replay cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpCostEntry {
     /// Summed kernel time, seconds.
@@ -114,21 +118,18 @@ pub struct OpCostEntry {
     pub hbm_bytes: u64,
     /// Per-kernel records, in launch order.
     pub records: Arc<Vec<KernelRecord>>,
-    /// Every counter a live execution of this op touches, as
-    /// `(full metric name, delta)` sorted the way
-    /// [`mmg_telemetry::CounterSnapshot::delta_since`] sorts them.
-    /// Zero deltas are *kept*: replay applies them so counters the live
-    /// path would create at zero (e.g. `kernel_flops_total` of a copy
-    /// kernel) exist in the registry; event/span attribution filters
-    /// them out via [`OpCostEntry::visible`].
+    /// Every counter this op charges, as `(full metric name, delta)`
+    /// sorted by name and labels, the order a registry lists its
+    /// counters in. Zero deltas are *kept*: landing them creates the
+    /// counter at zero (e.g. `kernel_flops_total` of a copy kernel);
+    /// event and span attribution use [`OpCostEntry::visible`].
     pub counter_deltas: Vec<(String, u64)>,
-    /// The non-zero subset of `counter_deltas`, in the exact form
-    /// [`mmg_telemetry::CounterSnapshot::delta_since`] reports —
-    /// precomputed once at store time so replay attaches it to events
-    /// and spans without filtering or cloning.
+    /// The non-zero subset of `counter_deltas`: the op's attribution on
+    /// its event and span, precomputed once so each op attaches it
+    /// without filtering or cloning.
     pub visible: Arc<Vec<(String, u64)>>,
     /// The [`counter_slots`] number of each `counter_deltas` name, in
-    /// the same order, so replay sums deltas by index, not by name.
+    /// the same order, so a flush sums deltas by index, not by name.
     pub(crate) slots: Vec<u32>,
 }
 
@@ -209,9 +210,9 @@ impl CostMemo {
         self.lru.get(key)
     }
 
-    /// Stores an entry computed by a miss path.
-    pub fn store(&self, key: MemoKey, entry: OpCostEntry) {
-        let _ = self.lru.insert(key, entry);
+    /// Stores an entry computed by a miss path and hands it back shared.
+    pub fn store(&self, key: MemoKey, entry: OpCostEntry) -> Arc<OpCostEntry> {
+        self.lru.insert(key, entry)
     }
 
     /// Lookups served from the memo.
@@ -250,14 +251,14 @@ impl CostMemo {
     }
 }
 
-/// Reconstructs, without touching a registry, the counter-delta list for
-/// one op executed in isolation: the timing-engine counters, the
-/// per-kind kernel counters, and (for attention ops with cache
-/// simulation) the L1/L2 counters. Sorted by `(name, labels)` exactly
-/// like the snapshot machinery; zero deltas are kept so replay can
-/// recreate counters the live path registers at zero (the
-/// `delta_since`-equivalent filtered form lives in
-/// [`OpCostEntry::visible`]).
+/// The counter deltas one op charges, given its kernel records, its
+/// cache statistics and its pass statistics: the one definition of an
+/// op's telemetry. It covers the `gpu_*` launch, FLOP, byte, regime,
+/// energy and wave-quantization counters, the per-kind `kernel_*`
+/// counters, the pass counters and (for attention ops under cache
+/// simulation) the L1/L2 counters. Sorted by `(name, labels)`; zero
+/// deltas are kept so landing the list creates each counter it names
+/// (the non-zero form is [`OpCostEntry::visible`]).
 pub(crate) fn synthetic_op_deltas(
     records: &[KernelRecord],
     cache: Option<HierarchyStats>,
@@ -267,8 +268,7 @@ pub(crate) fn synthetic_op_deltas(
     let mut bump = |name: &str, labels: String, delta: u64| {
         *map.entry((name.to_string(), labels)).or_default() += delta;
     };
-    // Pass counters follow the live guard: created only on a non-zero
-    // charge (see `record_opt_stats` in the executor).
+    // Pass counters exist only once a pass charges them.
     if opt_stats.kernels_fused > 0 {
         bump("kernel_fused_total", String::new(), opt_stats.kernels_fused);
     }
@@ -280,17 +280,15 @@ pub(crate) fn synthetic_op_deltas(
     }
     for k in records {
         let memory_bound = k.memory_s > k.compute_s;
-        // Live recording creates this counter only on a non-zero charge
-        // (`record_kernel` guards the add), so mirror that here rather
-        // than emitting a zero-valued creation directive.
+        // Only a ragged final wave creates this counter.
         if k.wave_quant_idle_slots > 0 {
             bump("gpu_wave_quant_idle_slots_total", String::new(), k.wave_quant_idle_slots);
         }
         bump("gpu_kernel_launches_total", String::new(), 1);
         bump("gpu_flops_total", String::new(), k.flops);
         bump("gpu_hbm_bytes_total", String::new(), k.hbm_bytes);
-        // Energy is bumped unconditionally live (the counter exists even
-        // for a zero-quantum kernel), so keep the zero here too.
+        // Charged even at zero: the counter exists for a zero-quantum
+        // kernel too.
         bump("gpu_energy_uj_total", String::new(), mmg_gpu::quantize_uj(k.energy_j));
         let regime = if memory_bound {
             bump("gpu_kernels_memory_bound_total", String::new(), 1);
@@ -421,63 +419,50 @@ mod tests {
 
     #[test]
     fn synthetic_deltas_match_live_recording() {
-        // Drive the real per-kernel counter paths (timing engine +
-        // record_kernel) on a fresh registry, building records from the
-        // engine's own outputs, and check the synthetic list reproduces
-        // the snapshot deltas byte for byte.
+        // Records built from the timing engine's own outputs; the pinned
+        // list is what per-kernel live recording charged for them.
         let costs = [
             // Compute-bound GEMM.
             ("gemm", mmg_gpu::KernelCost { flops: 1 << 34, hbm_bytes: 1 << 20, compute_eff: 0.9, memory_eff: 0.9 }),
             // Memory-bound softmax.
             ("softmax", mmg_gpu::KernelCost { flops: 100, hbm_bytes: 1 << 24, compute_eff: 1.0, memory_eff: 0.8 }),
-            // Zero-FLOP copy: kernel_flops_total{kind="memcpy"} must be omitted.
+            // Zero-FLOP copy: kernel_flops_total{kind="memcpy"} is charged 0.
             ("memcpy", mmg_gpu::KernelCost::memory_only(4096, 0.9)),
         ];
-        let registry = mmg_telemetry::Registry::new();
-        let engine =
-            mmg_gpu::TimingEngine::with_registry(mmg_gpu::DeviceSpec::a100_80gb(), &registry);
-        let snap = registry.counters_snapshot();
-        let mut records = Vec::new();
-        for (kind, cost) in &costs {
-            let t = engine.kernel_time(cost);
-            mmg_kernels::record_kernel_named(
-                &registry,
-                kind,
-                cost.flops,
-                cost.hbm_bytes,
-                mmg_gpu::quantize_uj(t.energy_j),
-                t.is_memory_bound(),
-                7,
-            );
-            records.push(KernelRecord {
-                kind: (*kind).to_string(),
-                label: format!("{kind}_test"),
-                time_s: t.total_s,
-                compute_s: t.compute_s,
-                memory_s: t.memory_s,
-                flops: cost.flops,
-                hbm_bytes: cost.hbm_bytes,
-                wave_quant_idle_slots: 7,
-                draw_w: t.draw_w,
-                energy_j: t.energy_j,
-            });
-        }
-        let live = snap.delta_since(&registry);
-        let synthetic = synthetic_op_deltas(&records, None, OptStats::default());
-        let visible: Vec<_> =
-            synthetic.iter().filter(|(_, d)| *d > 0).cloned().collect();
-        assert_eq!(visible, live);
+        let engine = mmg_gpu::TimingEngine::with_registry(
+            mmg_gpu::DeviceSpec::a100_80gb(),
+            &mmg_telemetry::Registry::new(),
+        );
+        let records: Vec<KernelRecord> = costs
+            .iter()
+            .map(|(kind, cost)| {
+                let t = engine.kernel_time(cost);
+                KernelRecord {
+                    kind: (*kind).to_string(),
+                    label: format!("{kind}_test"),
+                    time_s: t.total_s,
+                    compute_s: t.compute_s,
+                    memory_s: t.memory_s,
+                    flops: cost.flops,
+                    hbm_bytes: cost.hbm_bytes,
+                    wave_quant_idle_slots: 7,
+                    draw_w: t.draw_w,
+                    energy_j: t.energy_j,
+                }
+            })
+            .collect();
         // The unfiltered list, pinned: the zero-FLOP copy keeps its
-        // counter so replay can create it.
+        // counter so landing the list creates it.
         let pinned: Vec<(String, u64)> =
             THREE_KERNEL_DELTAS.iter().map(|&(n, d)| (n.to_string(), d)).collect();
-        assert_eq!(synthetic, pinned);
+        assert_eq!(synthetic_op_deltas(&records, None, OptStats::default()), pinned);
     }
 
     /// Every counter the three kernels of
-    /// `synthetic_deltas_match_live_recording` charge, with its delta, as
-    /// the per-kernel counter writes of the timing engine and of
-    /// `record_kernel` recorded them (zero deltas included).
+    /// `synthetic_deltas_match_live_recording` charge, with its delta,
+    /// zero deltas included: the list that per-kernel counter writes in
+    /// the timing engine and the kernel descriptors recorded before an
+    /// op's entry became the only source of its telemetry.
     const THREE_KERNEL_DELTAS: [(&str, u64); 22] = [
         ("gpu_energy_uj_total", 25114),
         ("gpu_flops_total", 17_179_869_284),

@@ -7,7 +7,7 @@
 //!   instrumented code pays one atomic op per event and never takes a
 //!   lock after registration.
 //! - **Spans** ([`Registry::record_span`]) record one finished scope
-//!   with its wall time and the *delta of every counter* over the scope,
+//!   with its wall time and the counter deltas the caller charged to it,
 //!   so a trace row can say "this UNet block moved 3.1 MB through HBM and
 //!   hit L1 12 000 times". Span capture is off until
 //!   [`Registry::set_span_capture`] turns it on, so runs whose outputs
@@ -302,16 +302,15 @@ pub struct SpanRecord {
     pub start_us: f64,
     /// Span duration in microseconds.
     pub dur_us: f64,
-    /// Counter increments observed while the span was open, full metric
-    /// name → delta; zero-delta counters are omitted. Shared (`Arc`) so
-    /// replay paths that stamp thousands of identical spans — e.g. the
-    /// profiler memo serving a 50-step denoising loop — can attach the
-    /// same delta list without cloning every string.
+    /// Counter increments charged to the scope, full metric name →
+    /// delta; zero-delta counters are omitted. Shared (`Arc`) so paths
+    /// that stamp thousands of identical spans — e.g. the profiler memo
+    /// serving a 50-step denoising loop — can attach the same delta list
+    /// without cloning every string.
     pub counter_deltas: Arc<Vec<(String, u64)>>,
 }
 
-/// Point-in-time view of every counter in a registry. Subtract two
-/// snapshots (or use [`CounterSnapshot::delta_since`]) for attribution.
+/// Point-in-time view of every counter in a registry.
 #[derive(Debug, Clone)]
 pub struct CounterSnapshot {
     values: Vec<(String, u64)>,
@@ -323,44 +322,6 @@ impl CounterSnapshot {
     #[must_use]
     pub fn values(&self) -> &[(String, u64)] {
         &self.values
-    }
-
-    /// Counter increments between this snapshot and the registry's
-    /// current state. Counters created after the snapshot count from
-    /// zero; zero deltas are omitted.
-    #[must_use]
-    pub fn delta_since(&self, registry: &Registry) -> Vec<(String, u64)> {
-        let before: BTreeMap<&str, u64> =
-            self.values.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        registry.deltas_since(|key, _| before.get(full_name(key).as_str()).copied().unwrap_or(0))
-    }
-}
-
-/// Name-free point-in-time view of every counter in a registry: each
-/// counter's cell and value, in name order. Taking one formats no
-/// names, and [`CounterMark::delta_since`] formats only the names of
-/// counters that moved, so per-op attribution on a registry with many
-/// counters takes this form rather than a [`CounterSnapshot`].
-#[derive(Debug, Clone)]
-pub struct CounterMark {
-    cells: Vec<(Arc<AtomicU64>, u64)>,
-}
-
-impl CounterMark {
-    /// Counter increments between this mark and the registry's current
-    /// state, exactly as [`CounterSnapshot::delta_since`] reports them.
-    #[must_use]
-    pub fn delta_since(&self, registry: &Registry) -> Vec<(String, u64)> {
-        // A registry never drops a counter, so the marked cells still
-        // appear in name order; any other cell was created since.
-        let mut marked = self.cells.iter().peekable();
-        registry.deltas_since(|_, cell| match marked.peek() {
-            Some((c, value)) if Arc::ptr_eq(c, cell) => {
-                marked.next();
-                *value
-            }
-            _ => 0,
-        })
     }
 }
 
@@ -512,8 +473,7 @@ impl Registry {
     }
 
     /// Appends a span that opened at `started` and closes now, carrying
-    /// `counter_deltas` (as [`CounterSnapshot::delta_since`] reports
-    /// them) verbatim. `start_us` counts from this registry's epoch and
+    /// `counter_deltas` (`(full metric name, delta)` pairs) verbatim. `start_us` counts from this registry's epoch and
     /// `dur_us` is the time since `started`, so a span costs one clock
     /// read here on top of the caller's `Instant::now()`. Does nothing
     /// while span capture is off.
@@ -537,26 +497,12 @@ impl Registry {
         }
     }
 
-    /// Adds `deltas` — `(full metric name, increment)` pairs as produced
-    /// by [`CounterSnapshot::delta_since`] or found in
-    /// [`SpanRecord::counter_deltas`] — onto this registry's counters.
-    /// Full names round-trip exactly: `name{label="v"}` lands on the
-    /// counter registered as `counter_with("name", &[("label", "v")])`.
-    pub fn apply_counter_deltas(&self, deltas: &[(String, u64)]) {
-        let mut map = self.inner.counters.lock().expect("counter registry poisoned");
-        for (full, delta) in deltas {
-            let key = parse_full_name(full);
-            map.entry(key).or_default().fetch_add(*delta, Ordering::Relaxed);
-        }
-    }
-
     /// Resolves a full metric name — `name` or `name{label="v"}`, the
-    /// form [`CounterSnapshot::delta_since`] reports — to its [`Counter`]
-    /// handle, creating the counter at zero if absent. Replay paths that
-    /// apply the same delta list many times resolve handles once with
-    /// this and then [`Counter::add`] lock-free, instead of paying
-    /// [`Registry::apply_counter_deltas`]'s registry lock and name parse
-    /// on every application.
+    /// form [`CounterSnapshot::values`] lists — to its [`Counter`]
+    /// handle, creating the counter at zero if absent. Paths that apply
+    /// the same delta list many times resolve handles once with this and
+    /// then [`Counter::add`] lock-free, instead of paying the registry
+    /// lock and name parse on every application.
     #[must_use]
     pub fn counter_handle(&self, full: &str) -> Counter {
         let key = parse_full_name(full);
@@ -650,33 +596,6 @@ impl Registry {
                 .map(|(key, v)| (full_name(key), v.load(Ordering::Relaxed)))
                 .collect(),
         }
-    }
-
-    /// Point-in-time values of every counter, without their names: the
-    /// cheap form of [`Registry::counters_snapshot`] for attribution.
-    #[must_use]
-    pub fn counters_mark(&self) -> CounterMark {
-        let map = self.inner.counters.lock().expect("counter registry poisoned");
-        CounterMark {
-            cells: map.values().map(|v| (Arc::clone(v), v.load(Ordering::Relaxed))).collect(),
-        }
-    }
-
-    /// The delta rule of both snapshot forms: every counter, in name
-    /// order, whose current value exceeds `before`'s reading of it, as
-    /// `(full name, increment)`. Only those counters' names are
-    /// formatted.
-    fn deltas_since(
-        &self,
-        mut before: impl FnMut(&Key, &Arc<AtomicU64>) -> u64,
-    ) -> Vec<(String, u64)> {
-        let map = self.inner.counters.lock().expect("counter registry poisoned");
-        map.iter()
-            .filter_map(|(key, cell)| {
-                let delta = cell.load(Ordering::Relaxed) - before(key, cell);
-                (delta > 0).then(|| (full_name(key), delta))
-            })
-            .collect()
     }
 
     /// All spans finished so far while span capture was on, in
@@ -976,21 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_ignores_untouched_counters() {
-        let r = Registry::new();
-        let a = r.counter("a");
-        let _b = r.counter("b");
-        let snap = r.counters_snapshot();
-        a.add(2);
-        let late = r.counter("late");
-        late.inc();
-        assert_eq!(
-            snap.delta_since(&r),
-            vec![("a".to_string(), 2), ("late".to_string(), 1)]
-        );
-    }
-
-    #[test]
     fn prometheus_rendering_shape() {
         let r = Registry::new();
         r.counter("gpu_l1_hits_total").add(42);
@@ -1149,28 +1053,13 @@ mod tests {
     }
 
     #[test]
-    fn apply_counter_deltas_round_trips_full_names() {
-        let r = Registry::new();
-        r.counter("plain").add(3);
-        r.counter_with("labelled", &[("kind", "gemm"), ("a", "b")]).add(2);
-        let deltas = CounterSnapshot { values: vec![] }.delta_since(&r);
-        let replay = Registry::new();
-        replay.apply_counter_deltas(&deltas);
-        assert_eq!(replay.counters_snapshot().values(), r.counters_snapshot().values());
-        // Applying twice doubles, proving it lands on the same keys.
-        replay.apply_counter_deltas(&deltas);
-        assert_eq!(replay.counter("plain").get(), 6);
-        assert_eq!(replay.counter_with("labelled", &[("a", "b"), ("kind", "gemm")]).get(), 4);
-    }
-
-    #[test]
     fn counter_handle_resolves_full_names() {
         let r = Registry::new();
         r.counter_with("labelled", &[("kind", "gemm")]).add(2);
         let h = r.counter_handle("labelled{kind=\"gemm\"}");
         h.add(3);
         assert_eq!(r.counter_with("labelled", &[("kind", "gemm")]).get(), 5);
-        // Unknown names create the counter at zero, like apply_counter_deltas.
+        // Unknown names create the counter at zero.
         let created = r.counter_handle("fresh_total");
         assert_eq!(r.counter("fresh_total").get(), 0);
         created.inc();
@@ -1240,32 +1129,6 @@ mod tests {
         parent.merge_from(&child);
         let expect_us = started.duration_since(parent.inner.epoch).as_secs_f64() * 1e6;
         assert_eq!(parent.finished_spans()[0].start_us, expect_us);
-    }
-
-    #[test]
-    fn counter_mark_deltas_match_snapshot_deltas() {
-        let r = Registry::new();
-        let a = r.counter("a");
-        r.counter_with("b", &[("kind", "gemm")]).add(4);
-        let _idle = r.counter("idle");
-        let (snap, mark) = (r.counters_snapshot(), r.counters_mark());
-        a.add(2);
-        r.counter_with("b", &[("kind", "gemm")]).inc();
-        // Created after the mark, sorting between marked counters.
-        r.counter("aa_late").inc();
-        let want = vec![
-            ("a".to_string(), 2),
-            ("aa_late".to_string(), 1),
-            ("b{kind=\"gemm\"}".to_string(), 1),
-        ];
-        assert_eq!(snap.delta_since(&r), want);
-        assert_eq!(mark.delta_since(&r), want);
-        // Another registry's mark knows none of these cells, so every
-        // counter counts from zero, as from an empty snapshot.
-        assert_eq!(
-            Registry::new().counters_mark().delta_since(&r),
-            CounterSnapshot { values: vec![] }.delta_since(&r)
-        );
     }
 
     #[test]
