@@ -6,6 +6,8 @@ use mmg_kernels::access::{AttentionKernel, VideoAttentionAccess};
 use mmg_profiler::report::{fmt_pct, render_table};
 use serde::{Deserialize, Serialize};
 
+use crate::engine::ExecContext;
+
 /// Hit rates for one kernel under one attention direction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig12Row {
@@ -48,6 +50,13 @@ impl Fig12Result {
 /// Simulates the kernel access streams through the device cache hierarchy.
 #[must_use]
 pub fn run(spec: &DeviceSpec, max_probes: usize) -> Fig12Result {
+    run_ctx(&ExecContext::shared(spec.clone()), max_probes)
+}
+
+/// [`run`] against an explicit [`ExecContext`]: the cache counters land in
+/// `ctx.registry`.
+#[must_use]
+pub fn run_ctx(ctx: &ExecContext, max_probes: usize) -> Fig12Result {
     let v = VideoAttentionAccess::make_a_video_base();
     let mut rows = Vec::new();
     for (kernel, name) in [
@@ -56,7 +65,8 @@ pub fn run(spec: &DeviceSpec, max_probes: usize) -> Fig12Result {
         (AttentionKernel::Elementwise, "elementwise"),
     ] {
         for (temporal, direction) in [(false, "spatial"), (true, "temporal")] {
-            let stats = v.simulate(kernel, temporal, spec, max_probes);
+            let stats =
+                v.simulate_with_registry(kernel, temporal, &ctx.spec, max_probes, &ctx.registry);
             rows.push(Fig12Row {
                 kernel: name.to_owned(),
                 direction: direction.to_owned(),

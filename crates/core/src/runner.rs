@@ -235,7 +235,7 @@ pub fn run_experiment_with(id: ExperimentId, ctx: &ExecContext) -> String {
         ExperimentId::Fig8 => fig8::render(&fig8::run_ctx(ctx, &fig8::default_sizes())),
         ExperimentId::Fig9 => fig9::render(&fig9::run_ctx(ctx, &fig9::default_sizes())),
         ExperimentId::Fig11 => fig11::render(&fig11::run_ctx(ctx)),
-        ExperimentId::Fig12 => fig12::render(&fig12::run(spec, 200_000)),
+        ExperimentId::Fig12 => fig12::render(&fig12::run_ctx(ctx, 200_000)),
         ExperimentId::Fig13 => fig13::render(&fig13::run(16, &fig13::default_frames())),
         ExperimentId::SecV => secv::render(&secv::run_ctx(ctx, 512)),
         ExperimentId::FlashDec => flashdec::render(&flashdec::run_ctx(ctx)),
@@ -289,7 +289,7 @@ pub fn run_experiment_value_with(id: ExperimentId, ctx: &ExecContext) -> serde_j
         ExperimentId::Fig8 => v(&fig8::run_ctx(ctx, &fig8::default_sizes())),
         ExperimentId::Fig9 => v(&fig9::run_ctx(ctx, &fig9::default_sizes())),
         ExperimentId::Fig11 => v(&fig11::run_ctx(ctx)),
-        ExperimentId::Fig12 => v(&fig12::run(spec, 200_000)),
+        ExperimentId::Fig12 => v(&fig12::run_ctx(ctx, 200_000)),
         ExperimentId::Fig13 => v(&fig13::run(16, &fig13::default_frames())),
         ExperimentId::SecV => v(&secv::run_ctx(ctx, 512)),
         ExperimentId::FlashDec => v(&flashdec::run_ctx(ctx)),
