@@ -940,7 +940,9 @@ pub fn run_cluster(
         energy_j_total += win.energy_j;
 
         let util = win.busy_s / (gpus as f64 * fleet.window_s);
-        series.observe_at(w0, |v| v.merge(&win));
+        // Filed at the window's midpoint: `w0 / window_s` can round to
+        // just below `w`, which would land the totals a row early.
+        series.observe_at(w0 + 0.5 * fleet.window_s, |v| v.merge(&win));
         scaler.end_window(&fleet.autoscaler, w, util);
     }
     latency.flush();
@@ -1273,6 +1275,23 @@ mod tests {
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.on_time, b.on_time);
         assert!((a.busy_s - b.busy_s).abs() < 1e-6);
+    }
+
+    #[test]
+    fn every_window_lands_in_its_own_row() {
+        // At 70/12 s, `(w * window_s) / window_s` truncates below `w` for
+        // some windows, which must still land in row `w`.
+        let mut fleet =
+            one_window_fleet(2, RequestMix::parse("sd").unwrap(), 0.5, false, 200.0, 7);
+        fleet.window_s = 70.0 / 12.0;
+        fleet.windows = 12;
+        let r = run_cluster(&fleet, 0, &three_model_profile(), &Registry::new());
+        assert_eq!(r.series.len(), 12);
+        for (i, (_, _, w)) in r.series.iter().enumerate() {
+            assert_eq!(w.gpu_s, 2.0 * fleet.window_s, "row {i} billed {} GPU-s", w.gpu_s);
+        }
+        let arrivals: u64 = r.series.iter().map(|(_, _, w)| w.arrivals).sum();
+        assert_eq!(arrivals, r.arrivals);
     }
 
     #[test]
