@@ -85,8 +85,9 @@ impl ExecContext {
     }
 
     /// A profiler with kernel-graph optimization passes enabled, wired to
-    /// this context's registry and memo (the [`OptConfig`] participates
-    /// in memo keys, so sharing the memo with eager profilers is safe).
+    /// this context's registry and memo (the [`mmg_graph::OptConfig`]
+    /// participates in memo keys, so sharing the memo with eager
+    /// profilers is safe).
     #[must_use]
     pub fn profiler_opt(&self, attn: AttnImpl, opt: mmg_graph::OptConfig) -> Profiler {
         self.profiler(attn).with_opt_config(opt)

@@ -8,11 +8,12 @@
 //! * A trace-driven, set-associative, LRU [`cache`] model of the L1/L2
 //!   hierarchy, used to reproduce the paper's Nsight Compute cache-hit-rate
 //!   analysis (Fig. 12).
-//! * A roofline-based [`timing`] engine: a kernel's duration is the larger
-//!   of its compute time (FLOPs over effective FLOP/s) and its memory time
-//!   (HBM bytes over effective bandwidth), floored by a minimum kernel
-//!   duration and charged a per-launch overhead. Effective rates are scaled
-//!   by shape-dependent efficiency factors supplied by `mmg-kernels`.
+//! * A roofline-based timing engine ([`TimingEngine`]): a kernel's
+//!   duration is the larger of its compute time (FLOPs over effective
+//!   FLOP/s) and its memory time (HBM bytes over effective bandwidth),
+//!   floored by a minimum kernel duration and charged a per-launch
+//!   overhead. Effective rates are scaled by shape-dependent efficiency
+//!   factors supplied by `mmg-kernels`.
 //!
 //! [`multistream`] adds an event-driven simulation of concurrent kernel
 //! streams sharing the compute and memory pipes, used by the Section V

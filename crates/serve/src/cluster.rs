@@ -379,7 +379,7 @@ pub struct RequestRecord {
     /// waiting to fill a batch). `wait = queue + hold` by construction.
     pub hold_s: f64,
     /// Execution phase: service time of the batch the request rode in.
-    /// Stored as the conserving residual (see [`conserving_execute_s`]),
+    /// Stored as the conserving residual (see `conserving_execute_s`),
     /// so `queue_s + hold_s + execute_s` reproduces
     /// [`RequestRecord::latency_s`] bit-exactly.
     pub execute_s: f64,

@@ -14,16 +14,16 @@
 //! The [`BurnRateEngine`] is driven online by the serving cluster loop:
 //! each request completion is `record`ed as good (met its SLO) or bad,
 //! counts accumulate into fixed-width base windows (the same half-open
-//! `[i·w, (i+1)·w)` convention as [`WindowedSeries`]), and every window
-//! close re-evaluates all rules against a bounded ring of recent
+//! `[i·w, (i+1)·w)` convention as [`crate::WindowedSeries`]), and every
+//! window close re-evaluates all rules against a bounded ring of recent
 //! windows. Everything is plain integer/f64 arithmetic over a
 //! deterministic event stream, so alert timelines are byte-reproducible
 //! — the same guarantee the rest of the simulator makes.
 //!
-//! Unlike [`WindowedSeries`], the evaluation ring never folds: doubling
-//! window widths mid-run would silently change alert semantics. The ring
-//! is bounded by the longest rule window instead, so memory stays O(1)
-//! regardless of horizon. [`BudgetWindow`] still implements
+//! Unlike [`crate::WindowedSeries`], the evaluation ring never folds:
+//! doubling window widths mid-run would silently change alert semantics.
+//! The ring is bounded by the longest rule window instead, so memory
+//! stays O(1) regardless of horizon. [`BudgetWindow`] still implements
 //! [`WindowValue`], so per-seed good/total timelines can be pooled
 //! across replications with the existing series machinery.
 //!
