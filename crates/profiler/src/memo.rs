@@ -460,9 +460,8 @@ mod tests {
 
     /// Every counter the three kernels of
     /// `synthetic_deltas_match_live_recording` charge, with its delta,
-    /// zero deltas included: the list that per-kernel counter writes in
-    /// the timing engine and the kernel descriptors recorded before an
-    /// op's entry became the only source of its telemetry.
+    /// zero deltas included, as live per-kernel counter writes recorded
+    /// them.
     const THREE_KERNEL_DELTAS: [(&str, u64); 22] = [
         ("gpu_energy_uj_total", 25114),
         ("gpu_flops_total", 17_179_869_284),
