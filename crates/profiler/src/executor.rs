@@ -282,7 +282,8 @@ impl Profiler {
                 None => Arc::new(self.cost_op(&node.op, attn_shape.as_ref())),
             };
             if let Some(started) = started {
-                self.registry.record_span(Arc::clone(&node.path), started, Arc::clone(&entry.visible));
+                let deltas = Arc::clone(&entry.visible);
+                self.registry.record_span(Arc::clone(&node.path), started, deltas);
             }
             let event = OpEvent {
                 index,

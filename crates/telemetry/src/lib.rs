@@ -473,10 +473,11 @@ impl Registry {
     }
 
     /// Appends a span that opened at `started` and closes now, carrying
-    /// `counter_deltas` (`(full metric name, delta)` pairs) verbatim. `start_us` counts from this registry's epoch and
-    /// `dur_us` is the time since `started`, so a span costs one clock
-    /// read here on top of the caller's `Instant::now()`. Does nothing
-    /// while span capture is off.
+    /// `counter_deltas` (`(full metric name, delta)` pairs) verbatim.
+    /// `start_us` counts from this registry's epoch and `dur_us` is the
+    /// time since `started`, so a span costs one clock read here on top
+    /// of the caller's `Instant::now()`. Does nothing while span capture
+    /// is off.
     pub fn record_span(
         &self,
         path: Arc<str>,
