@@ -653,6 +653,16 @@ mod tests {
             };
             assert_ne!(sum([0, 1, 2, 3]), sum([1, 0, 2, 3]));
             assert_ne!(sum([0, 1, 2, 3]), sum([2, 0, 1, 3]));
+            // Both runs land through the same flush, so check the order
+            // against the kernel times themselves: the histogram's sum
+            // is their left fold in launch order.
+            let landed = cold
+                .3
+                .lines()
+                .find_map(|l| l.strip_prefix("gpu_kernel_time_us_sum "))
+                .and_then(|v| v.parse::<f64>().ok())
+                .expect("a kernel-time sum");
+            assert_eq!(landed.to_bits(), sum([0, 1, 2, 3]), "kernel times landed out of order");
             assert_eq!(replayed.0.len(), if hooked { 4 } else { 0 });
             assert_eq!(replayed.0, cold.0, "a hook saw a different registry");
             assert_eq!(replayed.1.events(), cold.1.events());
