@@ -17,9 +17,12 @@
 //!   so counter totals and printed output are identical to a serial run
 //!   regardless of worker count or scheduling.
 //!
-//! Memo entries replay the exact telemetry a cold computation records
-//! (see `mmg-profiler`'s memo property test), which is what makes
-//! sharing one memo across workers — and across serial runs — safe.
+//! A profiled op lands its telemetry from its memo entry, whether this
+//! worker computed the entry or found it in the memo, through one flush
+//! per profile call that runs before any hook sees an event and before
+//! the call returns (see `mmg-profiler`'s memo module). That is what
+//! makes sharing one memo across workers — and across serial runs —
+//! safe.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
