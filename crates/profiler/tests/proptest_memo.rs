@@ -7,6 +7,9 @@
 //! identical per-op span attribution, and a byte-identical Prometheus
 //! rendering of the registry — whether entries are computed cold,
 //! replayed within one run, or replayed from a previous run's memo.
+//! A graph profiled in one call must also leave exactly what profiling
+//! its nodes one at a time leaves, memoized or not, so a fault both
+//! paths share still shows.
 
 use std::sync::Arc;
 
@@ -14,7 +17,7 @@ use mmg_attn::{AttentionShape, AttnImpl};
 use mmg_gpu::DeviceSpec;
 use mmg_graph::optimize::{ElemWidth, OptConfig};
 use mmg_graph::{AttnKind, Graph, Op};
-use mmg_profiler::{CostMemo, Profiler, Timeline};
+use mmg_profiler::{CostMemo, ModuleHook, OpEvent, Profiler, Timeline};
 use mmg_telemetry::Registry;
 use proptest::prelude::*;
 
@@ -153,6 +156,52 @@ fn assert_identical(
     }
 }
 
+/// Keeps the registry's Prometheus text as each event reaches it.
+struct Snapshots {
+    registry: Registry,
+    seen: Vec<String>,
+}
+
+impl ModuleHook for Snapshots {
+    fn on_op(&mut self, _: &OpEvent) {
+        self.seen.push(self.registry.render_prometheus());
+    }
+}
+
+/// What profiling a list of graphs in turn leaves behind: the events
+/// (their indices zeroed, since a one-node graph numbers its op 0), the
+/// registry's Prometheus text, every span's path and deltas and, when
+/// hooked, the Prometheus text each hook call saw.
+type Observed = (Vec<OpEvent>, String, Vec<(Arc<str>, Arc<Vec<(String, u64)>>)>, Vec<String>);
+
+/// Profiles `graphs` in order through one profiler on a fresh registry
+/// with span capture on.
+fn observe(
+    graphs: &[Graph],
+    attn: AttnImpl,
+    opt: OptConfig,
+    memo: Option<Arc<CostMemo>>,
+    hooked: bool,
+) -> Observed {
+    let registry = Registry::new();
+    registry.set_span_capture(true);
+    let mut p = Profiler::with_registry(DeviceSpec::a100_80gb(), attn, &registry)
+        .with_cache_sim(4096)
+        .with_opt_config(opt);
+    if let Some(memo) = memo {
+        p = p.with_memo(memo);
+    }
+    let mut hook = Snapshots { registry: registry.clone(), seen: Vec::new() };
+    let mut events = Vec::new();
+    for g in graphs {
+        let t = if hooked { p.profile_with_hooks(g, &mut [&mut hook]) } else { p.profile(g) };
+        events.extend(t.events().iter().map(|e| OpEvent { index: 0, ..e.clone() }));
+    }
+    let spans =
+        registry.finished_spans().into_iter().map(|s| (s.path, s.counter_deltas)).collect();
+    (events, registry.render_prometheus(), spans, hook.seen)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -217,6 +266,45 @@ proptest! {
             for (span, event) in spans.iter().zip(t.events()) {
                 prop_assert_eq!(&span.path, &event.path);
                 prop_assert_eq!(&span.counter_deltas, &event.counters);
+            }
+        }
+    }
+
+    /// A graph profiled in one call leaves what its nodes leave when
+    /// each is profiled as its own one-node graph, in order: the same
+    /// events, registry, spans and, with a hook, the same registry at
+    /// every event. Every op repeats, so a call that lands a repeated
+    /// op's telemetry the wrong number of times or out of order differs.
+    #[test]
+    fn a_graph_profiles_exactly_as_its_nodes_do_one_at_a_time(
+        seeds in proptest::collection::vec(0u64..u64::MAX, 1..5),
+        flash in 0usize..2,
+        opt_seed in 0u64..48,
+    ) {
+        let attn = if flash == 1 { AttnImpl::Flash } else { AttnImpl::Baseline };
+        let opt = opt_from_seed(opt_seed);
+        let g = graph_of(&seeds);
+        let nodes: Vec<Graph> = g
+            .nodes()
+            .iter()
+            .map(|n| {
+                let mut one = Graph::new();
+                one.push(&*n.path, n.op.clone());
+                one
+            })
+            .collect();
+        for memoized in [false, true] {
+            let memo = || memoized.then(|| Arc::new(CostMemo::new()));
+            for hooked in [false, true] {
+                let whole = observe(std::slice::from_ref(&g), attn, opt, memo(), hooked);
+                let apart = observe(&nodes, attn, opt, memo(), hooked);
+                let label = format!("memoized {memoized}, hooked {hooked}");
+                prop_assert_eq!(&whole.0, &apart.0, "{}: events", label);
+                prop_assert_eq!(&whole.1, &apart.1, "{}: registry", label);
+                prop_assert_eq!(whole.2.len(), g.len(), "{}: one span per node", label);
+                prop_assert_eq!(&whole.2, &apart.2, "{}: spans", label);
+                prop_assert_eq!(whole.3.len(), if hooked { g.len() } else { 0 });
+                prop_assert_eq!(&whole.3, &apart.3, "{}: registry at each event", label);
             }
         }
     }
