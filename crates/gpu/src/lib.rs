@@ -35,7 +35,7 @@ pub use cache::{
     CacheConfig, CacheGeometryError, CacheHierarchy, CacheStats, HierarchyStats, ProbeRun,
     SetAssociativeCache,
 };
-pub use memo::ShardedLru;
+pub use memo::{ShardedLru, WordHasher};
 pub use roofline::{Roofline, RooflinePoint};
 pub use specs::DeviceSpec;
 pub use timing::{quantize_uj, KernelCost, KernelTime, TimingEngine};

@@ -55,9 +55,13 @@ impl Hasher for PassThrough {
 /// Hashes a key a word at a time: each integer the key writes is folded
 /// in with one rotate, xor and multiply, and byte slices are read eight
 /// bytes per step. `finish` rotates the well-mixed high bits of the last
-/// product down to where [`locate`](ShardedLru::locate) reads the shard.
+/// product down to the low bits, where [`ShardedLru`] reads a key's shard
+/// and a `HashMap` its bucket.
+///
+/// Public so other maps keyed by shapes the simulator builds can hash as
+/// the memo does, through `BuildHasherDefault<WordHasher>`.
 #[derive(Debug, Default)]
-struct WordHasher(u64);
+pub struct WordHasher(u64);
 
 impl WordHasher {
     /// An odd constant with well-spread bits (2^64 / golden ratio).

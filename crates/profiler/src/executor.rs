@@ -1,10 +1,12 @@
 //! The performance-plane executor.
 
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use mmg_attn::{AttentionShape, AttnImpl};
-use mmg_gpu::{DeviceSpec, HierarchyStats, TimingEngine};
+use mmg_gpu::{DeviceSpec, HierarchyStats, TimingEngine, WordHasher};
 use mmg_graph::optimize::{self, OptConfig};
 use mmg_graph::{lower::lower_on, AttnKind, Graph, Op};
 use mmg_kernels::access::{AttentionKernel, VideoAttentionAccess};
@@ -33,14 +35,17 @@ struct ReplayTable {
     slots: Vec<ReplaySlot>,
     /// Slots whose `pending` was raised since the last flush.
     touched: Vec<usize>,
-    /// The buffer a profile call collects its ops' entries in, kept here
-    /// between calls so a warm call allocates none.
-    buffer: Vec<Arc<OpCostEntry>>,
+    /// The table a profile call resolves its ops in, kept here between
+    /// calls so a warm call allocates per graph, not per op.
+    call: CallTable,
 }
 
 impl ReplayTable {
-    /// Adds every counter delta of `entry` to its slot's pending sum.
-    fn add(&mut self, entry: &OpCostEntry, registry: &Registry) {
+    /// Adds every counter delta of `entry`, times the `nodes` that ran
+    /// its op, to its slot's pending sum. `wrapping_mul` is `nodes`
+    /// repeated `wrapping_add`s, so the sum has the same bits as adding
+    /// the entry once per node.
+    fn add(&mut self, entry: &OpCostEntry, nodes: u64, registry: &Registry) {
         for (&slot, (name, delta)) in entry.slots.iter().zip(&entry.counter_deltas) {
             let slot = slot as usize;
             if slot >= self.slots.len() {
@@ -52,7 +57,7 @@ impl ReplayTable {
                 if s.pending == 0 {
                     self.touched.push(slot);
                 }
-                s.pending = s.pending.wrapping_add(*delta);
+                s.pending = s.pending.wrapping_add(delta.wrapping_mul(nodes));
             }
         }
     }
@@ -64,6 +69,43 @@ impl ReplayTable {
             let sum = std::mem::take(&mut s.pending);
             s.counter.as_ref().expect("a pending slot is resolved").add(sum);
         }
+    }
+}
+
+/// The distinct ops of one profile call. The call's attention, width,
+/// conv, probe, pass and device settings are fixed, so its op alone
+/// names an op's [`MemoKey`]: each distinct op is resolved to an entry
+/// once, and every later node with an equal op takes that entry.
+#[derive(Debug, Default)]
+struct CallTable {
+    /// Each distinct op met so far → its index in `ops`. Keyed by full
+    /// `Op` equality, hashed a word at a time as the memo hashes keys.
+    index: HashMap<Op, usize, BuildHasherDefault<WordHasher>>,
+    /// Each distinct op's entry, and how many of its nodes wait for
+    /// their telemetry to land.
+    ops: Vec<(Arc<OpCostEntry>, u64)>,
+    /// The `ops` index of each node whose telemetry waits, in node order.
+    pending: Vec<usize>,
+}
+
+impl CallTable {
+    /// The `ops` index of `op`'s entry, calling `resolve` for it the
+    /// first time the call meets the op.
+    fn index_of(&mut self, op: &Op, resolve: impl FnOnce() -> Arc<OpCostEntry>) -> usize {
+        if let Some(&i) = self.index.get(op) {
+            return i;
+        }
+        let i = self.ops.len();
+        self.index.insert(op.clone(), i);
+        self.ops.push((resolve(), 0));
+        i
+    }
+
+    /// Empties the table, keeping its buffers.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.ops.clear();
+        self.pending.clear();
     }
 }
 
@@ -184,6 +226,7 @@ impl Profiler {
     /// [`MemoKey`] has been profiled before — by this profiler or any
     /// other sharing the memo — reuse the stored [`OpCostEntry`] instead
     /// of re-running lowering, roofline timing, and cache simulation.
+    /// A profile call probes the memo once per distinct op of its graph.
     /// A hit lands the same entry a cold op builds, through the same
     /// flush, so memoized and unmemoized runs produce byte-identical
     /// artifacts (counters, histogram, gauge and span attribution).
@@ -246,11 +289,15 @@ impl Profiler {
     /// Profiles a graph, delivering each event to the hooks as it is
     /// produced — the analogue of the paper's forward-function hooks.
     ///
-    /// Every op lands its telemetry from its [`OpCostEntry`]: a memo hit
-    /// from the stored entry, a cold op from the one it builds. The call
-    /// keeps the entries in op order and flushes them before any hook
-    /// sees an event and before it returns, so a hook and the caller see
-    /// the registry exactly as one op at a time would have left it.
+    /// Every op lands its telemetry from its [`OpCostEntry`]. The call
+    /// resolves each distinct op once, in a table of its own: through
+    /// one memo lookup or store when a memo is attached, through one
+    /// costing otherwise. Every later node with an equal op takes the
+    /// same entry. A flush lands each pending entry's counter deltas
+    /// once, times its pending nodes, and observes every node's kernel
+    /// times in launch order. It runs before any hook sees an event and
+    /// before the call returns, so a hook and the caller see the
+    /// registry exactly as one op at a time would have left it.
     #[must_use]
     pub fn profile_with_hooks(
         &self,
@@ -258,29 +305,12 @@ impl Profiler {
         hooks: &mut [&mut dyn ModuleHook],
     ) -> Timeline {
         let mut events = Vec::with_capacity(graph.len());
-        // Entries whose telemetry has not landed yet, in op order.
-        let mut pending = std::mem::take(&mut self.replay_table().buffer);
+        let mut call = std::mem::take(&mut self.replay_table().call);
         for (index, node) in graph.nodes().iter().enumerate() {
             let started = self.registry.span_capture().then(Instant::now);
             let attn_shape = node.op.attention_shape();
-            let entry = match self.memo.as_deref() {
-                Some(memo) => {
-                    let key = MemoKey::for_op(
-                        &node.op,
-                        self.attn,
-                        self.elem_bytes,
-                        self.conv_algo,
-                        self.cache_probes,
-                        self.opt,
-                        self.device_fingerprint,
-                    );
-                    match memo.lookup(&key) {
-                        Some(entry) => entry,
-                        None => memo.store(key, self.cost_op(&node.op, attn_shape.as_ref())),
-                    }
-                }
-                None => Arc::new(self.cost_op(&node.op, attn_shape.as_ref())),
-            };
+            let i = call.index_of(&node.op, || self.entry_for(&node.op, attn_shape.as_ref()));
+            let entry = &call.ops[i].0;
             if let Some(started) = started {
                 let deltas = Arc::clone(&entry.visible);
                 self.registry.record_span(Arc::clone(&node.path), started, deltas);
@@ -303,18 +333,45 @@ impl Profiler {
                 }),
                 counters: Arc::clone(&entry.visible),
             };
-            pending.push(entry);
+            call.ops[i].1 += 1;
+            call.pending.push(i);
             if !hooks.is_empty() {
-                self.flush(&mut pending);
+                self.flush(&mut call);
                 for h in hooks.iter_mut() {
                     h.on_op(&event);
                 }
             }
             events.push(event);
         }
-        self.flush(&mut pending);
-        self.replay_table().buffer = pending;
+        self.flush(&mut call);
+        call.clear();
+        self.replay_table().call = call;
         Timeline::new(events)
+    }
+
+    /// The entry of one op: the memo's when it holds the op's key, else
+    /// one costed now (and stored, when a memo is attached).
+    fn entry_for(
+        &self,
+        op: &Op,
+        attn_shape: Option<&(AttentionShape, AttnKind)>,
+    ) -> Arc<OpCostEntry> {
+        let Some(memo) = self.memo.as_deref() else {
+            return Arc::new(self.cost_op(op, attn_shape));
+        };
+        let key = MemoKey::for_op(
+            op,
+            self.attn,
+            self.elem_bytes,
+            self.conv_algo,
+            self.cache_probes,
+            self.opt,
+            self.device_fingerprint,
+        );
+        match memo.lookup(&key) {
+            Some(entry) => entry,
+            None => memo.store(key, self.cost_op(op, attn_shape)),
+        }
     }
 
     /// Costs one op from scratch: lowers it, applies the optimization
@@ -368,28 +425,35 @@ impl Profiler {
         self.replay.lock().expect("replay table poisoned")
     }
 
-    /// Lands the telemetry of the entries in `pending`, in op order, and
-    /// empties it: each counter gets one add of its summed deltas (a
-    /// counter an entry lists at zero is created), `gpu_kernel_time_us`
-    /// takes every kernel time in launch order through one batch observe,
-    /// and `gpu_power_w` takes the last launch's draw.
-    fn flush(&self, pending: &mut Vec<Arc<OpCostEntry>>) {
-        if pending.is_empty() {
+    /// Lands the telemetry of the call's pending nodes and empties its
+    /// pending list: each pending entry adds its counter deltas once,
+    /// times its pending nodes, and each counter gets one add of its
+    /// summed deltas (a counter an entry lists at zero is created);
+    /// `gpu_kernel_time_us` takes every pending node's kernel times in
+    /// launch order through one batch observe, since its sum is a float
+    /// fold; and `gpu_power_w` takes the last launch's draw. Only the
+    /// entries pending since the last flush are visited.
+    fn flush(&self, call: &mut CallTable) {
+        if call.pending.is_empty() {
             return;
         }
         {
             let mut table = self.replay_table();
-            for entry in pending.iter() {
-                table.add(entry, &self.registry);
+            for &i in &call.pending {
+                let (entry, nodes) = &mut call.ops[i];
+                if *nodes > 0 {
+                    table.add(entry, std::mem::take(nodes), &self.registry);
+                }
             }
             table.apply();
         }
+        let entries = || call.pending.iter().map(|&i| &call.ops[i].0);
         self.kernel_time_us
-            .observe_batch(pending.iter().flat_map(|e| e.records.iter()).map(|k| k.time_s * 1e6));
-        if let Some(last) = pending.iter().rev().find_map(|e| e.records.last()) {
+            .observe_batch(entries().flat_map(|e| e.records.iter()).map(|k| k.time_s * 1e6));
+        if let Some(last) = entries().rev().find_map(|e| e.records.last()) {
             self.power_w.set(last.draw_w);
         }
-        pending.clear();
+        call.pending.clear();
     }
 
     /// Replays sampled GEMM and softmax sector streams for one attention
@@ -600,7 +664,8 @@ mod tests {
         let mut warm = Graph::new();
         warm.push("a", attn(900));
         warm.push("b", attn(1700));
-        // Hit, hit, miss, hit once `warm` is in the memo.
+        // Hit, hit, miss once `warm` is in the memo; the last op repeats
+        // the first, so it takes the call's entry without a memo probe.
         let mut g = warm.clone();
         g.push("c", Op::Linear { tokens: 2048, in_features: 8192, out_features: 8192 });
         g.push("a", attn(900));
@@ -637,7 +702,7 @@ mod tests {
             };
             let hits_before = memo.hits();
             let replayed = run(Some(&memo));
-            assert_eq!(memo.hits() - hits_before, 3, "hit, hit, miss, hit");
+            assert_eq!(memo.hits() - hits_before, 2, "hit, hit, miss, then the call's entry");
             let cold = run(None);
             // The graph must be able to see a flush out of order: its
             // kernel-time sum moves if the first two ops swap, or if the

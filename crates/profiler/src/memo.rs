@@ -21,14 +21,24 @@
 //!   test in `tests/proptest_memo.rs` holds memoized and memo-less
 //!   profiling to byte equality.
 //!
+//! A profile call resolves each *distinct* op of its graph once, in a
+//! table of its own: through one memo lookup, or a store after a miss,
+//! when a memo is attached, and through one costing otherwise. The
+//! call's attention, width, conv, probe, pass and device settings are
+//! fixed, so the op alone names its key, and every later node with an
+//! equal op takes the same entry without probing the memo. A memo's
+//! hits and misses therefore count one probe per distinct op per call.
+//!
 //! Telemetry lands in batches per profile call, under one contract: an
 //! op's telemetry lands before any hook sees an event and before the
-//! call returns. Until then the profiler keeps the entries, cold and hit
-//! alike, in op order; one flush then adds each counter's summed deltas
-//! once, observes the kernel times in launch order through one batch
-//! histogram observe, and sets the power gauge to the last launch's
-//! draw. Nothing outside the call can tell the batch from one op at a
-//! time.
+//! call returns. Until then the profiler counts each entry's pending
+//! nodes and keeps the nodes in order. One flush then adds each pending
+//! entry's counter deltas once, times its pending nodes (the same bits
+//! as one add per node, since the sums wrap), and each counter's summed
+//! deltas once. It observes every node's kernel times in launch order
+//! through one batch histogram observe, since the histogram's sum is a
+//! float fold, and sets the power gauge to the last launch's draw.
+//! Nothing outside the call can tell the batch from one op at a time.
 //!
 //! The map itself is a [`ShardedLru`], safe to share across the worker
 //! threads of a parallel experiment sweep.
@@ -103,9 +113,10 @@ impl MemoKey {
 ///
 /// The per-kernel records and the visible delta list are behind `Arc`s
 /// so the profiler can hand them to [`crate::OpEvent`]s and span records
-/// by reference count — a 50-step denoising loop hits the same UNet
-/// entries hundreds of thousands of times, and deep-cloning the
-/// string-heavy vectors each hit dominated replay cost.
+/// by reference count — every node of a 50-step denoising loop that
+/// repeats a UNet op attaches its entry to its event, about a million
+/// events per suite run, and deep-cloning the string-heavy vectors per
+/// event dominated replay cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpCostEntry {
     /// Summed kernel time, seconds.

@@ -11,6 +11,7 @@
 //! its nodes one at a time leaves, memoized or not, so a fault both
 //! paths share still shows.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use mmg_attn::{AttentionShape, AttnImpl};
@@ -85,6 +86,12 @@ fn graph_of(seeds: &[u64]) -> Graph {
         }
     }
     g
+}
+
+/// The number of distinct ops in `g`: the memo probes a profile call
+/// makes, one per distinct op.
+fn distinct_ops(g: &Graph) -> u64 {
+    g.nodes().iter().map(|n| &n.op).collect::<HashSet<_>>().len() as u64
 }
 
 /// Expands a seed into one of the eight pass combinations × three widths.
@@ -218,11 +225,16 @@ proptest! {
         let g = graph_of(&seeds);
         let cold = profile(&g, attn, opt, None);
 
-        // First memoized run: every distinct op misses once (pass 0) and
-        // hits on repetition (pass 1).
+        // First memoized run: every distinct op probes the memo once and
+        // misses (pass 0); its repetitions take the call's entry (pass 1).
+        let distinct = distinct_ops(&g);
         let memo = Arc::new(CostMemo::new());
         let first = profile(&g, attn, opt, Some(Arc::clone(&memo)));
-        prop_assert!(memo.hits() >= seeds.len() as u64, "second pass must hit");
+        prop_assert_eq!(
+            (memo.hits(), memo.misses()),
+            (0, distinct),
+            "one probe per distinct op, each a miss"
+        );
         assert_identical("intra-run", &cold, &first);
 
         // Second run against the warm memo: pure replay.
@@ -230,8 +242,8 @@ proptest! {
         let warm = profile(&g, attn, opt, Some(Arc::clone(&memo)));
         prop_assert_eq!(
             memo.hits(),
-            hits_before + g.len() as u64,
-            "warm run must be all hits"
+            hits_before + distinct,
+            "warm run must hit once per distinct op"
         );
         assert_identical("warm", &cold, &warm);
     }
@@ -252,7 +264,11 @@ proptest! {
         let memo = Arc::new(CostMemo::new());
         let (cold_t, cold_r) = profile_capturing(&g, attn, opt, None, false);
         let (memo_t, memo_r) = profile_capturing(&g, attn, opt, Some(Arc::clone(&memo)), false);
-        prop_assert!(memo.hits() > 0, "the memoized run must replay");
+        prop_assert_eq!(
+            (memo.hits(), memo.misses()),
+            (0, distinct_ops(&g)),
+            "the memoized run must probe once per distinct op and replay its repeats"
+        );
         prop_assert_eq!(cold_t.events(), memo_t.events());
         prop_assert_eq!(cold_r.render_prometheus(), memo_r.render_prometheus());
         prop_assert!(cold_r.finished_spans().is_empty(), "memo-less run kept spans");

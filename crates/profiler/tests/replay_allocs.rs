@@ -1,14 +1,16 @@
 //! Memo replay allocates nothing per op.
 //!
 //! A counting global allocator watches a fully warm pass over Llama2's
-//! stage graphs: every op is a memo hit whose counter handles are
-//! already resolved, so the pass may allocate per graph (the event
-//! vector) and, with span capture on, when the registry's span list
-//! grows, but not per op. The bound holds with capture off (the
-//! default) and on (JSON metrics runs). The file holds a single test so
-//! no other test thread shares the counter.
+//! stage graphs: every distinct op of a graph is a memo hit whose
+//! counter handles are already resolved, and its repeats take the
+//! call's entry, so the pass may allocate per graph (the event vector)
+//! and, with span capture on, when the registry's span list grows, but
+//! not per op. The bound holds with capture off (the default) and on
+//! (JSON metrics runs). The file holds a single test so no other test
+//! thread shares the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,14 +67,24 @@ fn warm_replay_allocations(capture: bool) {
     let pass = || {
         pipeline.stages.iter().map(|s| profiler.profile(&s.graph).events().len()).sum::<usize>()
     };
+    // A profile call probes the memo once per distinct op of its graph.
+    let probes: u64 = pipeline
+        .stages
+        .iter()
+        .map(|s| s.graph.nodes().iter().map(|n| &n.op).collect::<HashSet<_>>().len() as u64)
+        .sum();
     // First pass fills the memo; the second resolves replay handles.
     pass();
     pass();
-    let hits_before = memo.hits();
+    let (hits_before, misses_before) = (memo.hits(), memo.misses());
     let before = ALLOCS.load(Ordering::Relaxed);
     let ops = pass();
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(memo.hits() - hits_before, ops as u64, "the measured pass is all memo hits");
+    assert_eq!(
+        (memo.hits() - hits_before, memo.misses() - misses_before),
+        (probes, 0),
+        "the measured pass hits once per distinct op of each graph"
+    );
     let per_op = allocs as f64 / ops as f64;
     assert!(
         per_op < 0.25,
