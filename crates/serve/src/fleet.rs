@@ -606,16 +606,16 @@ impl FleetReport {
             result.cost_with_energy_usd(),
         ));
 
-        // Timeline: the merged fleet series, up to 12 rows (the series
-        // folds itself coarser when the run has more windows than its
-        // cap, so this stays bounded for any horizon).
+        // Timeline: one row per window of the merged fleet series. The
+        // series holds at most 256 windows (past that it folds adjacent
+        // windows together), so the table stays bounded for any horizon.
         out.push_str("\nfleet timeline (merged across clusters):\n");
         out.push_str(
             "+--------------------+------------+------------+--------+-------+----------+\n\
              | window             |   arrivals |  completed |   slo% |  util | W/gpu    |\n\
              +--------------------+------------+------------+--------+-------+----------+\n",
         );
-        for (t0, t1, w) in result.series.iter().take(12) {
+        for (t0, t1, w) in result.series.iter() {
             let slo = if w.completed == 0 {
                 100.0
             } else {
@@ -1394,6 +1394,25 @@ mod tests {
         }
         assert!(report.render().contains("fleet totals"));
         assert!(report.render().contains("$"));
+    }
+
+    #[test]
+    fn the_report_prints_every_timeline_window() {
+        let fleet = test_fleet(24);
+        let profile = test_profile();
+        let clusters: Vec<ClusterResult> = (0..fleet.clusters.len())
+            .map(|i| run_cluster(&fleet, i, &profile, &Registry::new()))
+            .collect();
+        let result = FleetResult::from_clusters(clusters);
+        let report = FleetReport::new(&fleet, &result);
+        let (_, timeline) = report.render().split_once("fleet timeline").expect("a timeline");
+        let arrivals: Vec<u64> = timeline
+            .lines()
+            .filter(|l| l.starts_with("| ["))
+            .map(|l| l.split('|').nth(2).unwrap().trim().parse().unwrap())
+            .collect();
+        assert_eq!(arrivals.len(), 24, "one row per window");
+        assert_eq!(arrivals.iter().sum::<u64>(), result.arrivals());
     }
 
     #[test]
