@@ -72,9 +72,9 @@ impl ReplayTable {
     }
 }
 
-/// The distinct ops of one profile call. The call's attention, width,
-/// conv, probe, pass and device settings are fixed, so its op alone
-/// names an op's [`MemoKey`]: each distinct op is resolved to an entry
+/// The distinct ops of one profile call. A call's attention, width,
+/// conv, probe, pass and device settings are fixed, so within it an op
+/// alone names its [`MemoKey`]: each distinct op is resolved to an entry
 /// once, and every later node with an equal op takes that entry.
 #[derive(Debug, Default)]
 struct CallTable {
@@ -96,8 +96,8 @@ impl CallTable {
             return i;
         }
         let i = self.ops.len();
-        self.index.insert(op.clone(), i);
         self.ops.push((resolve(), 0));
+        self.index.insert(op.clone(), i);
         i
     }
 
