@@ -204,8 +204,7 @@ fn observe(
         let t = if hooked { p.profile_with_hooks(g, &mut [&mut hook]) } else { p.profile(g) };
         events.extend(t.events().iter().map(|e| OpEvent { index: 0, ..e.clone() }));
     }
-    let spans =
-        registry.finished_spans().into_iter().map(|s| (s.path, s.counter_deltas)).collect();
+    let spans = registry.finished_spans().into_iter().map(|s| (s.path, s.counter_deltas)).collect();
     (events, registry.render_prometheus(), spans, hook.seen)
 }
 
