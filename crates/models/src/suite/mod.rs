@@ -76,6 +76,8 @@ pub fn full_suite() -> Vec<Pipeline> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stage;
+    use mmg_graph::Graph;
 
     #[test]
     fn all_models_build() {
@@ -102,6 +104,55 @@ mod tests {
     fn model_ids_attached() {
         for p in full_suite() {
             assert!(p.model.is_some(), "{}", p.name);
+        }
+    }
+
+    /// `id`'s default pipeline built afresh by its per-model builder.
+    fn fresh(id: ModelId) -> Pipeline {
+        match id {
+            ModelId::Llama2 => llama::pipeline(&llama::Llama2Config::default()),
+            ModelId::Imagen => imagen::pipeline(&imagen::ImagenConfig::default()),
+            ModelId::StableDiffusion => {
+                stable_diffusion::pipeline(&stable_diffusion::StableDiffusionConfig::default())
+            }
+            ModelId::Muse => muse::pipeline(&muse::MuseConfig::default()),
+            ModelId::Parti => parti::pipeline(&parti::PartiConfig::default()),
+            ModelId::ProdImage => prod_image::pipeline(&prod_image::ProdImageConfig::default()),
+            ModelId::MakeAVideo => {
+                make_a_video::pipeline(&make_a_video::MakeAVideoConfig::default())
+            }
+            ModelId::Phenaki => phenaki::pipeline(&phenaki::PhenakiConfig::default()),
+        }
+    }
+
+    #[test]
+    fn builds_share_the_fresh_graphs_and_copies_stay_apart() {
+        let edits: [fn(Pipeline) -> Pipeline; 3] = [
+            |p| p.with_sampler_steps(4),
+            |mut p| {
+                p.stages[0].repeats += 1;
+                p
+            },
+            |mut p| {
+                p.stages.push(Stage::once("extra", Graph::new()));
+                p
+            },
+        ];
+        for id in ModelId::ALL {
+            let fresh = fresh(id);
+            let (a, b) = (build(id), build(id));
+            assert_eq!(a, fresh, "{id}");
+            for (sa, sb) in a.stages.iter().zip(&b.stages) {
+                assert!(
+                    std::ptr::eq(sa.graph.nodes(), sb.graph.nodes()),
+                    "{id}: two builds hold separate copies of stage {}",
+                    sa.name
+                );
+            }
+            for edit in edits {
+                let _edited = edit(build(id));
+                assert_eq!(build(id), fresh, "{id}: an edit to one copy reached the next build");
+            }
         }
     }
 }
