@@ -5,6 +5,8 @@
 //! (Section II) — a pipeline captures that: text encoder once, UNet step ×
 //! denoising steps, decoder once; or prefill once, decode step × tokens.
 
+use std::sync::Arc;
+
 use mmg_graph::memory::{graph_footprint, MemoryFootprint};
 use mmg_graph::{AttnKind, Graph};
 use mmg_profiler::{CategoryBreakdown, Profiler, Timeline};
@@ -18,8 +20,12 @@ pub struct Stage {
     pub name: String,
     /// Consecutive executions (denoising steps, decode steps).
     pub repeats: usize,
-    /// The operator graph of one execution.
-    pub graph: Graph,
+    /// The operator graph of one execution, shared: cloning a stage or
+    /// its pipeline copies a pointer, not the graph's nodes, so every copy
+    /// of a [`crate::suite::build`] pipeline reads the same graph.
+    /// Readers go through `Deref`; to edit one copy's graph, use
+    /// [`Arc::make_mut`], which clones it first while it is shared.
+    pub graph: Arc<Graph>,
     /// Weight-sharing group: stages with the same group run the same
     /// weights (an LLM's prefill and decode stages, or the sampled steps
     /// of an autoregressive decode). Defaults to the stage name up to a
@@ -41,7 +47,7 @@ impl Stage {
         let name = name.into();
         let weight_group =
             name.split("_t").next().unwrap_or(name.as_str()).to_owned();
-        Stage { name, repeats, graph, weight_group, denoise: false }
+        Stage { name, repeats, graph: Arc::new(graph), weight_group, denoise: false }
     }
 
     /// A stage executed once.

@@ -16,6 +16,8 @@ pub mod phenaki;
 pub mod prod_image;
 pub mod stable_diffusion;
 
+use std::sync::OnceLock;
+
 use crate::{ModelId, Pipeline, TransformerConfig};
 
 /// CLIP ViT-L/14 text encoder (Stable Diffusion's conditioner).
@@ -51,8 +53,28 @@ pub fn t5_xxl_config() -> TransformerConfig {
 }
 
 /// Builds the default pipeline for a suite member.
+///
+/// Each model's pipeline is built once per process, on the first call
+/// for it; every call returns a copy that shares the built stage graphs
+/// ([`Stage::graph`](crate::Stage::graph)), so a copy costs one
+/// allocation per stage and pipeline name, not one per node, and an edit
+/// to it reaches neither the built pipeline nor any other copy.
+///
+/// The built pipelines are program constants: pure functions of the
+/// builders' `Default` configs, with no telemetry, RNG, device or memo
+/// input, so sharing them across calls and threads cannot change any
+/// output. Concurrent first calls are safe: each model's builder runs
+/// once, under [`OnceLock::get_or_init`], and no builder calls back into
+/// `build`. A custom config goes through its per-model builder
+/// ([`parti::pipeline`], …), which builds a fresh pipeline on every call.
 #[must_use]
 pub fn build(id: ModelId) -> Pipeline {
+    static BUILT: [OnceLock<Pipeline>; ModelId::ALL.len()] =
+        [const { OnceLock::new() }; ModelId::ALL.len()];
+    BUILT[id as usize].get_or_init(|| build_fresh(id)).clone()
+}
+
+fn build_fresh(id: ModelId) -> Pipeline {
     match id {
         ModelId::Llama2 => llama::pipeline(&llama::Llama2Config::default()),
         ModelId::Imagen => imagen::pipeline(&imagen::ImagenConfig::default()),
@@ -77,7 +99,8 @@ pub fn full_suite() -> Vec<Pipeline> {
 mod tests {
     use super::*;
     use crate::Stage;
-    use mmg_graph::Graph;
+    use mmg_graph::{Graph, Op};
+    use std::sync::Arc;
 
     #[test]
     fn all_models_build() {
@@ -127,7 +150,7 @@ mod tests {
 
     #[test]
     fn builds_share_the_fresh_graphs_and_copies_stay_apart() {
-        let edits: [fn(Pipeline) -> Pipeline; 3] = [
+        let edits: [fn(Pipeline) -> Pipeline; 4] = [
             |p| p.with_sampler_steps(4),
             |mut p| {
                 p.stages[0].repeats += 1;
@@ -137,6 +160,11 @@ mod tests {
                 p.stages.push(Stage::once("extra", Graph::new()));
                 p
             },
+            |mut p| {
+                let op = Op::Linear { tokens: 1, in_features: 8, out_features: 8 };
+                Arc::make_mut(&mut p.stages[0].graph).push("extra", op);
+                p
+            },
         ];
         for id in ModelId::ALL {
             let fresh = fresh(id);
@@ -144,7 +172,7 @@ mod tests {
             assert_eq!(a, fresh, "{id}");
             for (sa, sb) in a.stages.iter().zip(&b.stages) {
                 assert!(
-                    std::ptr::eq(sa.graph.nodes(), sb.graph.nodes()),
+                    Arc::ptr_eq(&sa.graph, &sb.graph),
                     "{id}: two builds hold separate copies of stage {}",
                     sa.name
                 );
