@@ -56,9 +56,9 @@ pub fn t5_xxl_config() -> TransformerConfig {
 ///
 /// Each model's pipeline is built once per process, on the first call
 /// for it; every call returns a copy that shares the built stage graphs
-/// ([`Stage::graph`](crate::Stage::graph)), so a copy costs one
-/// allocation per stage and pipeline name, not one per node, and an edit
-/// to it reaches neither the built pipeline nor any other copy.
+/// ([`Stage::graph`](crate::Stage::graph)), so a copy allocates its
+/// names and its stage list but no node, and an edit to it reaches
+/// neither the built pipeline nor any other copy.
 ///
 /// The built pipelines are program constants: pure functions of the
 /// builders' `Default` configs, with no telemetry, RNG, device or memo
@@ -74,6 +74,7 @@ pub fn build(id: ModelId) -> Pipeline {
     BUILT[id as usize].get_or_init(|| build_fresh(id)).clone()
 }
 
+/// `id`'s default pipeline, built afresh by its per-model builder.
 fn build_fresh(id: ModelId) -> Pipeline {
     match id {
         ModelId::Llama2 => llama::pipeline(&llama::Llama2Config::default()),
@@ -130,24 +131,6 @@ mod tests {
         }
     }
 
-    /// `id`'s default pipeline built afresh by its per-model builder.
-    fn fresh(id: ModelId) -> Pipeline {
-        match id {
-            ModelId::Llama2 => llama::pipeline(&llama::Llama2Config::default()),
-            ModelId::Imagen => imagen::pipeline(&imagen::ImagenConfig::default()),
-            ModelId::StableDiffusion => {
-                stable_diffusion::pipeline(&stable_diffusion::StableDiffusionConfig::default())
-            }
-            ModelId::Muse => muse::pipeline(&muse::MuseConfig::default()),
-            ModelId::Parti => parti::pipeline(&parti::PartiConfig::default()),
-            ModelId::ProdImage => prod_image::pipeline(&prod_image::ProdImageConfig::default()),
-            ModelId::MakeAVideo => {
-                make_a_video::pipeline(&make_a_video::MakeAVideoConfig::default())
-            }
-            ModelId::Phenaki => phenaki::pipeline(&phenaki::PhenakiConfig::default()),
-        }
-    }
-
     #[test]
     fn builds_share_the_fresh_graphs_and_copies_stay_apart() {
         let edits: [fn(Pipeline) -> Pipeline; 4] = [
@@ -167,7 +150,7 @@ mod tests {
             },
         ];
         for id in ModelId::ALL {
-            let fresh = fresh(id);
+            let fresh = build_fresh(id);
             let (a, b) = (build(id), build(id));
             assert_eq!(a, fresh, "{id}");
             for (sa, sb) in a.stages.iter().zip(&b.stages) {
