@@ -69,17 +69,17 @@
 //! manifest is written to the file instead, with `elapsed_s` included.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use mmg_attn::AttnImpl;
 use mmg_core::{
-    global_memo, run_experiment_value_with, run_manifest, run_suite, run_suite_with, ExecContext,
-    ExperimentId,
+    run_experiment_value_with, run_manifest, run_suite, run_suite_with, ExecContext, ExperimentId,
 };
 use mmg_gpu::DeviceSpec;
 use mmg_models::{suite, ModelId};
 use mmg_profiler::trace::to_chrome_trace_object;
-use mmg_profiler::Profiler;
+use mmg_profiler::{CostMemo, Profiler};
 use mmg_serve::FlightRecorder;
 use mmg_telemetry::Registry;
 use serde_json::Value;
@@ -358,16 +358,18 @@ impl<'a> Flags<'a> {
 }
 
 /// Profiles one Stable Diffusion UNet denoising step with per-op cache
-/// simulation on the global registry and returns the Perfetto trace
-/// object (`{"traceEvents": [...], "displayTimeUnit": "us"}`).
-fn unet_step_trace(spec: &DeviceSpec) -> Result<String, String> {
+/// simulation and returns the Perfetto trace object
+/// (`{"traceEvents": [...], "displayTimeUnit": "us"}`). The step's
+/// telemetry lands in `registry`, the run's own.
+fn unet_step_trace(spec: &DeviceSpec, registry: &Registry) -> Result<String, String> {
     let pipeline = suite::build(ModelId::StableDiffusion);
     let stage = pipeline
         .stages
         .iter()
         .find(|s| s.name == "unet_step")
         .ok_or_else(|| "StableDiffusion pipeline has no unet_step stage".to_string())?;
-    let profiler = Profiler::new(spec.clone(), AttnImpl::Flash).with_cache_sim(20_000);
+    let profiler =
+        Profiler::with_registry(spec.clone(), AttnImpl::Flash, registry).with_cache_sim(20_000);
     Ok(to_chrome_trace_object(&profiler.profile(&stage.graph)))
 }
 
@@ -434,7 +436,8 @@ fn optimize_main(args: &[String]) -> Result<(), String> {
     };
     let opt =
         OptConfig { fuse: f.switch("--fuse"), width, graph_capture: f.switch("--graph-capture") };
-    let ctx = ExecContext::shared(f.device().unwrap_or_else(DeviceSpec::a100_80gb));
+    let spec = f.device().unwrap_or_else(DeviceSpec::a100_80gb);
+    let ctx = ExecContext::isolated(spec, Arc::new(CostMemo::new()));
     let result = optimize::run_single_ctx(&ctx, opt, f.count("--sampler-steps"));
     println!("{}", optimize::render_single(&result));
     Ok(())
@@ -465,9 +468,9 @@ fn serve_main(args: &[String]) -> Result<(), String> {
         f.count("--batch").unwrap_or(16),
     )?;
 
-    // Service curves come from the real profiler (shared memo + global
+    // Service curves come from the real profiler (the run's own memo and
     // registry), at power-of-two batch sizes up to the scheduler's cap.
-    let ctx = ExecContext::shared(spec.clone());
+    let ctx = ExecContext::isolated(spec.clone(), Arc::new(CostMemo::new()));
     capture_spans_for(f.text("--metrics-out"), &ctx.registry);
     let profiler = ctx.profiler(AttnImpl::Flash);
     let models: Vec<ModelId> = mix.models().collect();
@@ -579,8 +582,8 @@ fn token_main(args: &[String]) -> Result<(), String> {
     let admission = KvAdmission::parse(f.text("--admission").unwrap_or("prompt"))?;
 
     // The per-step decode and cumulative prefill costs come from the
-    // real profiler (shared memo + global registry).
-    let ctx = ExecContext::shared(spec.clone());
+    // real profiler (the run's own memo and registry).
+    let ctx = ExecContext::isolated(spec.clone(), Arc::new(CostMemo::new()));
     capture_spans_for(f.text("--metrics-out"), &ctx.registry);
     let profiler = ctx.profiler(AttnImpl::Flash);
     let curve = TokenServiceCurve::from_profiler(&profiler, model);
@@ -695,7 +698,7 @@ fn run_fleet(
 
     // Profile each deployed SKU once, in cycle order, before any cell
     // runs — merge order into `registry` is then independent of `jobs`.
-    let memo = global_memo();
+    let memo = Arc::new(CostMemo::new());
     let mix_str = "sd:8,parti:2";
     let n_skus = n_clusters.min(SKUS.len());
     let profiled: Vec<_> = SKUS[..n_skus]
@@ -828,8 +831,11 @@ fn suite_main(args: &[String]) -> Result<(), String> {
         .count("--jobs")
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
     let started = Instant::now();
-    let memo = global_memo();
-    let registry = mmg_telemetry::global();
+    let memo = Arc::new(CostMemo::new());
+    // Never freed: the process exit reclaims it at no cost, while
+    // dropping its thousands of entries would lengthen every run.
+    std::mem::forget(Arc::clone(&memo));
+    let registry = Registry::new();
     if let Some(reps) = f.count("--replications") {
         // Replicated serving sweep: seed × scheduler × utilization grid
         // on the worker pool, deterministic for every --jobs.
@@ -866,7 +872,7 @@ fn suite_main(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(path) = f.text("--trace-out") {
-        write_file(path, &unet_step_trace(&spec)?, "Chrome trace")?;
+        write_file(path, &unet_step_trace(&spec, &registry)?, "Chrome trace")?;
     }
     if let Some(path) = f.text("--metrics") {
         write_file(path, &registry.render_prometheus(), "metrics")?;

@@ -5,10 +5,9 @@
 //!
 //! * [`ExecContext`] bundles what every experiment needs — the simulated
 //!   device, the telemetry [`Registry`] to record into, and the shared
-//!   operator-cost memo ([`CostMemo`]). The process-wide
-//!   [`ExecContext::shared`] context keeps the classic serial behaviour
-//!   (global registry, global memo); [`ExecContext::isolated`] gives
-//!   standalone work its own registry.
+//!   operator-cost memo ([`CostMemo`]). There is no process-wide
+//!   context: the caller owns the registry and the memo, and
+//!   [`ExecContext::isolated`] gives standalone work its own registry.
 //! * [`run_suite`] executes a list of experiments across a worker pool,
 //!   starting the heaviest first. Each experiment runs on its own fresh
 //!   registry (a [`Registry::child`] of the target); at join time the
@@ -25,7 +24,7 @@
 //! safe.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use mmg_attn::AttnImpl;
 use mmg_gpu::DeviceSpec;
@@ -33,16 +32,6 @@ use mmg_profiler::{CostMemo, Profiler};
 use mmg_telemetry::Registry;
 
 use crate::runner::{run_experiment_with, ExperimentId};
-
-/// The process-wide operator-cost memo used by [`ExecContext::shared`]
-/// and as the default memo for suite runs. Shared so a whole `repro all`
-/// invocation — serial or parallel — profiles each distinct operator
-/// once.
-#[must_use]
-pub fn global_memo() -> Arc<CostMemo> {
-    static MEMO: OnceLock<Arc<CostMemo>> = OnceLock::new();
-    Arc::clone(MEMO.get_or_init(|| Arc::new(CostMemo::new())))
-}
 
 /// Everything an experiment run needs: device, telemetry sink, and the
 /// shared cost memo.
@@ -57,12 +46,6 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// The classic serial context: global registry, global memo.
-    #[must_use]
-    pub fn shared(spec: DeviceSpec) -> Self {
-        ExecContext { spec, registry: mmg_telemetry::global(), memo: global_memo() }
-    }
-
     /// A context with its own fresh registry, sharing `memo`. Work whose
     /// telemetry is merged into another registry runs on a child of that
     /// registry instead, as the worker pool's cells do.
@@ -86,15 +69,20 @@ impl ExecContext {
         Profiler::with_registry(self.spec.clone(), attn, &self.registry)
             .with_memo(Arc::clone(&self.memo))
     }
+}
 
-    /// A profiler with kernel-graph optimization passes enabled, wired to
-    /// this context's registry and memo (the [`mmg_graph::OptConfig`]
-    /// participates in memo keys, so sharing the memo with eager
-    /// profilers is safe).
-    #[must_use]
-    pub fn profiler_opt(&self, attn: AttnImpl, opt: mmg_graph::OptConfig) -> Profiler {
-        self.profiler(attn).with_opt_config(opt)
-    }
+/// One memo shared by every test of this crate, so the tests profile
+/// each distinct op once between them.
+#[cfg(test)]
+pub(crate) fn test_memo() -> Arc<CostMemo> {
+    static MEMO: std::sync::OnceLock<Arc<CostMemo>> = std::sync::OnceLock::new();
+    Arc::clone(MEMO.get_or_init(Arc::default))
+}
+
+/// An A100 context on its own registry and the tests' shared memo.
+#[cfg(test)]
+pub(crate) fn test_ctx() -> ExecContext {
+    ExecContext::isolated(DeviceSpec::a100_80gb(), test_memo())
 }
 
 /// Runs `produce(i, ctx)` for every cell index `0..n` on up to `jobs`
@@ -203,7 +191,6 @@ pub fn run_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_experiment;
 
     const SMOKE: [ExperimentId; 5] = [
         ExperimentId::Fig4,
@@ -217,7 +204,7 @@ mod tests {
     fn parallel_output_matches_serial_for_any_job_count() {
         let spec = DeviceSpec::a100_80gb();
         let serial: Vec<String> =
-            SMOKE.iter().map(|&id| run_experiment(id, &spec)).collect();
+            SMOKE.iter().map(|&id| run_experiment_with(id, &test_ctx())).collect();
         for jobs in [1, 2, 8] {
             let memo = Arc::new(CostMemo::new());
             let target = Registry::new();
@@ -287,16 +274,5 @@ mod tests {
         let mut heaviest_first = ids;
         heaviest_first.sort_by_key(|id| id.claim_rank());
         assert_eq!(started.into_inner().expect("start list lock poisoned"), heaviest_first);
-    }
-
-    #[test]
-    fn shared_context_uses_global_registry() {
-        let ctx = ExecContext::shared(DeviceSpec::a100_80gb());
-        // Telemetry recorded via the context lands in the global registry.
-        ctx.registry.counter("engine_test_shared_counter_total").inc();
-        assert_eq!(
-            mmg_telemetry::global().counter("engine_test_shared_counter_total").get(),
-            1
-        );
     }
 }

@@ -7,7 +7,6 @@
 //!    compute-bound diffusion.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_graph::OpCategory;
 use mmg_kernels::conv::ConvAlgorithm;
 use mmg_models::{suite, ModelId};
@@ -49,13 +48,7 @@ impl AblationResult {
 }
 
 /// Runs both ablations over the diffusion-heavy and transformer-heavy
-/// representatives.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> AblationResult {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// representatives, on `ctx`'s registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> AblationResult {
     let targets =
@@ -118,9 +111,10 @@ pub fn render(r: &AblationResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> AblationResult {
-        run(&DeviceSpec::a100_80gb())
+        run_ctx(&test_ctx())
     }
 
     #[test]

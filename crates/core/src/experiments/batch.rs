@@ -8,7 +8,6 @@
 //! only modest efficiency from batching.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_models::blocks::{batched_decode_step_graph, unet_step_graph};
 use mmg_models::suite::stable_diffusion::StableDiffusionConfig;
 use mmg_models::suite::parti::PartiConfig;
@@ -35,13 +34,8 @@ pub struct BatchResult {
     pub rows: Vec<BatchRow>,
 }
 
-/// Sweeps batch sizes for the UNet step and the decode step.
-#[must_use]
-pub fn run(spec: &DeviceSpec, batches: &[usize]) -> BatchResult {
-    run_ctx(&ExecContext::shared(spec.clone()), batches)
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Sweeps batch sizes for the UNet step and the decode step, on
+/// `ctx`'s registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext, batches: &[usize]) -> BatchResult {
     let profiler = ctx.profiler(AttnImpl::Flash);
@@ -95,9 +89,10 @@ pub fn render(r: &BatchResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> BatchResult {
-        run(&DeviceSpec::a100_80gb(), &default_batches())
+        run_ctx(&test_ctx(), &default_batches())
     }
 
     #[test]

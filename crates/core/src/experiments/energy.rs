@@ -24,12 +24,11 @@
 //!   and whether the mean per-GPU draw fits under a [`POWER_CAP_W`]
 //!   provisioning cap — the batch size a power-capped rack should run.
 //!
-//! Everything is derived from the same [`DeviceSpec`] power fields and
-//! roofline splits the profiler uses, so the report is deterministic
-//! and byte-identical for any `--jobs`.
+//! Everything is derived from the same [`DeviceSpec`](mmg_gpu::DeviceSpec)
+//! power fields and roofline splits the profiler uses, so the report is
+//! deterministic and byte-identical for any `--jobs`.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_models::{suite, ModelId};
 use mmg_profiler::report::render_table;
 use mmg_serve::{
@@ -158,17 +157,11 @@ fn unit_for(id: ModelId) -> &'static str {
     }
 }
 
-/// Runs the experiment on the default device context.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> EnergyResult {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Runs the experiment on `ctx`'s device, registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> EnergyResult {
     let profiler = ctx.profiler(AttnImpl::Flash);
-    let optimized = ctx.profiler_opt(AttnImpl::Flash, mmg_graph::OptConfig::all());
+    let optimized = ctx.profiler(AttnImpl::Flash).with_opt_config(mmg_graph::OptConfig::all());
 
     // Part 1: integrate the power model over every family's pipeline.
     let rows: Vec<FamilyEnergy> = FAMILIES
@@ -337,11 +330,12 @@ pub fn render(r: &EnergyResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
     use std::sync::OnceLock;
 
     fn result() -> &'static EnergyResult {
         static RESULT: OnceLock<EnergyResult> = OnceLock::new();
-        RESULT.get_or_init(|| run(&DeviceSpec::a100_80gb()))
+        RESULT.get_or_init(|| run_ctx(&test_ctx()))
     }
 
     #[test]

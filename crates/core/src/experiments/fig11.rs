@@ -2,9 +2,8 @@
 //! time and FLOPs.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_graph::AttnKind;
-use mmg_models::suite::make_a_video::{pipeline, MakeAVideoConfig};
+use mmg_models::{suite, ModelId};
 use mmg_profiler::report::{fmt_seconds, render_table};
 use serde::{Deserialize, Serialize};
 
@@ -37,17 +36,12 @@ impl Fig11Result {
     }
 }
 
-/// Profiles Make-A-Video and splits attention by kind.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> Fig11Result {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Profiles Make-A-Video and splits attention by kind, on `ctx`'s
+/// registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> Fig11Result {
     let profiler = ctx.profiler(AttnImpl::Flash);
-    let prof = pipeline(&MakeAVideoConfig::default()).profile(&profiler);
+    let prof = suite::build(ModelId::MakeAVideo).profile(&profiler);
     Fig11Result {
         spatial_s: prof.attention_time_by_kind(AttnKind::SpatialSelf),
         temporal_s: prof.attention_time_by_kind(AttnKind::Temporal),
@@ -80,9 +74,10 @@ pub fn render(r: &Fig11Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> Fig11Result {
-        run(&DeviceSpec::a100_80gb())
+        run_ctx(&test_ctx())
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Fig. 12 — L1/L2 cache hit rates of the attention-internal kernels,
 //! spatial vs. temporal, from trace-driven cache simulation.
 
-use mmg_gpu::DeviceSpec;
 use mmg_kernels::access::{AttentionKernel, VideoAttentionAccess};
 use mmg_profiler::report::{fmt_pct, render_table};
 use serde::{Deserialize, Serialize};
@@ -47,14 +46,8 @@ impl Fig12Result {
     }
 }
 
-/// Simulates the kernel access streams through the device cache hierarchy.
-#[must_use]
-pub fn run(spec: &DeviceSpec, max_probes: usize) -> Fig12Result {
-    run_ctx(&ExecContext::shared(spec.clone()), max_probes)
-}
-
-/// [`run`] against an explicit [`ExecContext`]: the cache counters land in
-/// `ctx.registry`.
+/// Simulates the kernel access streams through the device cache
+/// hierarchy; the cache counters land in `ctx.registry`.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext, max_probes: usize) -> Fig12Result {
     let v = VideoAttentionAccess::make_a_video_base();
@@ -100,9 +93,10 @@ pub fn render(r: &Fig12Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> Fig12Result {
-        run(&DeviceSpec::a100_80gb(), 200_000)
+        run_ctx(&test_ctx(), 200_000)
     }
 
     #[test]

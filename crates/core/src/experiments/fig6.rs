@@ -2,7 +2,6 @@
 //! vs. Flash Attention (flash bar normalized to the baseline total).
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_models::{suite, ModelId};
 use mmg_profiler::report::{fmt_pct, render_table};
 use serde::{Deserialize, Serialize};
@@ -52,13 +51,8 @@ impl Fig6Result {
     }
 }
 
-/// Profiles the whole suite under both attention implementations.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> Fig6Result {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Profiles the whole suite under both attention implementations, on
+/// `ctx`'s registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> Fig6Result {
     let base = ctx.profiler(AttnImpl::Baseline);
@@ -110,9 +104,10 @@ pub fn render(r: &Fig6Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> Fig6Result {
-        run(&DeviceSpec::a100_80gb())
+        run_ctx(&test_ctx())
     }
 
     #[test]

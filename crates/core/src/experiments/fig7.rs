@@ -2,7 +2,6 @@
 //! period per model).
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_models::{suite, ModelId};
 use mmg_profiler::seqlen::{trace, SeqLenSample};
 
@@ -72,13 +71,8 @@ fn stage_filter(model: ModelId, stage: &str) -> bool {
     }
 }
 
-/// Traces sequence lengths for the Fig. 7 models.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> Fig7Result {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Traces sequence lengths for the Fig. 7 models, on `ctx`'s registry
+/// and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> Fig7Result {
     let profiler = ctx.profiler(AttnImpl::Flash);
@@ -147,9 +141,10 @@ pub fn render(r: &Fig7Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> Fig7Result {
-        run(&DeviceSpec::a100_80gb())
+        run_ctx(&test_ctx())
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! across output image sizes.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_models::suite::stable_diffusion::{pipeline, StableDiffusionConfig};
 use mmg_profiler::seqlen::{histogram, trace};
 
@@ -40,13 +39,8 @@ pub struct Fig8Result {
 }
 
 /// Sweeps image sizes and histograms the UNet's attention sequence
-/// lengths (one denoising step = the repeating unit).
-#[must_use]
-pub fn run(spec: &DeviceSpec, image_sizes: &[usize]) -> Fig8Result {
-    run_ctx(&ExecContext::shared(spec.clone()), image_sizes)
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// lengths (one denoising step = the repeating unit), on `ctx`'s
+/// registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext, image_sizes: &[usize]) -> Fig8Result {
     let profiler = ctx.profiler(AttnImpl::Flash);
@@ -113,9 +107,10 @@ pub fn render(r: &Fig8Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> Fig8Result {
-        run(&DeviceSpec::a100_80gb(), &[256, 512, 1024])
+        run_ctx(&test_ctx(), &[256, 512, 1024])
     }
 
     #[test]

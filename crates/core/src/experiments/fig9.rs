@@ -2,7 +2,6 @@
 //! image size for Stable Diffusion, before and after Flash Attention.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_graph::OpCategory;
 use mmg_models::suite::stable_diffusion::{pipeline, StableDiffusionConfig};
 use mmg_profiler::report::{fmt_seconds, render_table};
@@ -30,13 +29,7 @@ pub struct Fig9Result {
     pub rows: Vec<Fig9Row>,
 }
 
-/// Sweeps Stable Diffusion output sizes.
-#[must_use]
-pub fn run(spec: &DeviceSpec, image_sizes: &[usize]) -> Fig9Result {
-    run_ctx(&ExecContext::shared(spec.clone()), image_sizes)
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Sweeps Stable Diffusion output sizes on `ctx`'s registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext, image_sizes: &[usize]) -> Fig9Result {
     let base = ctx.profiler(AttnImpl::Baseline);
@@ -95,9 +88,10 @@ pub fn render(r: &Fig9Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> Fig9Result {
-        run(&DeviceSpec::a100_80gb(), &default_sizes())
+        run_ctx(&test_ctx(), &default_sizes())
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! different optimizations.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_graph::OpCategory;
 use mmg_models::{suite, ModelId};
 use mmg_profiler::report::render_table;
@@ -49,13 +48,8 @@ impl FlashDecResult {
     }
 }
 
-/// Profiles the suite under all three attention implementations.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> FlashDecResult {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Profiles the suite under all three attention implementations, on
+/// `ctx`'s registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> FlashDecResult {
     let profile =
@@ -112,9 +106,10 @@ pub fn render(r: &FlashDecResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> FlashDecResult {
-        run(&DeviceSpec::a100_80gb())
+        run_ctx(&test_ctx())
     }
 
     #[test]

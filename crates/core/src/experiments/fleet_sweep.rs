@@ -250,13 +250,7 @@ pub fn fleet_cfg(
     }
 }
 
-/// Runs the sweep with one worker on the default device context.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> FleetSweepResult {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Runs the sweep with one worker on `ctx`'s device, registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> FleetSweepResult {
     run_jobs(&ctx.spec, 1, &ctx.memo, &ctx.registry)
@@ -433,12 +427,12 @@ pub fn render(r: &FleetSweepResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::global_memo;
+    use crate::engine::{test_ctx, test_memo};
     use std::sync::OnceLock;
 
     fn result() -> &'static FleetSweepResult {
         static RESULT: OnceLock<FleetSweepResult> = OnceLock::new();
-        RESULT.get_or_init(|| run(&DeviceSpec::a100_80gb()))
+        RESULT.get_or_init(|| run_ctx(&test_ctx()))
     }
 
     #[test]
@@ -548,7 +542,7 @@ mod tests {
         let spec = DeviceSpec::a100_80gb();
         let run_with = |jobs: usize| {
             let target = Registry::new();
-            let r = run_jobs(&spec, jobs, &global_memo(), &target);
+            let r = run_jobs(&spec, jobs, &test_memo(), &target);
             (r, target.counters_snapshot().values().to_vec())
         };
         let serial = run_with(1);

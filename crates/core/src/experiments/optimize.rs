@@ -25,7 +25,6 @@
 //! process.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_graph::{ElemWidth, OptConfig};
 use mmg_models::{suite, ModelId};
 use mmg_profiler::report::render_table;
@@ -112,13 +111,7 @@ fn pipeline_time_s(profiler: &Profiler, id: ModelId, sampler_steps: Option<usize
     pipeline.profile(profiler).total_time_s()
 }
 
-/// Runs the experiment on the default device context.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> OptResult {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Runs the experiment on `ctx`'s device, registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> OptResult {
     let fuse_only = OptConfig { fuse: true, ..OptConfig::none() };
@@ -132,7 +125,8 @@ pub fn run_ctx(ctx: &ExecContext) -> OptResult {
         .map(|&(id, family)| {
             let baseline_s = pipeline_time_s(&eager, id, None);
             let speedup = |opt: OptConfig, steps: Option<usize>| {
-                baseline_s / pipeline_time_s(&ctx.profiler_opt(AttnImpl::Baseline, opt), id, steps)
+                let optimized = ctx.profiler(AttnImpl::Baseline).with_opt_config(opt);
+                baseline_s / pipeline_time_s(&optimized, id, steps)
             };
             let sampler_speedup = suite::build(id)
                 .has_denoising_stages()
@@ -258,7 +252,7 @@ pub fn run_single_ctx(
     sampler_steps: Option<usize>,
 ) -> SingleResult {
     let eager = ctx.profiler(AttnImpl::Baseline);
-    let optimized = ctx.profiler_opt(AttnImpl::Baseline, opt);
+    let optimized = ctx.profiler(AttnImpl::Baseline).with_opt_config(opt);
     let rows = FAMILIES
         .iter()
         .map(|&(id, _)| {
@@ -315,11 +309,12 @@ pub fn render_single(r: &SingleResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
     use std::sync::OnceLock;
 
     fn result() -> &'static OptResult {
         static RESULT: OnceLock<OptResult> = OnceLock::new();
-        RESULT.get_or_init(|| run(&DeviceSpec::a100_80gb()))
+        RESULT.get_or_init(|| run_ctx(&test_ctx()))
     }
 
     #[test]
@@ -417,7 +412,7 @@ mod tests {
 
     #[test]
     fn single_config_matches_grid_column() {
-        let ctx = ExecContext::shared(DeviceSpec::a100_80gb());
+        let ctx = test_ctx();
         let single = run_single_ctx(&ctx, OptConfig::all(), None);
         let r = result();
         for row in &single.rows {
@@ -437,11 +432,8 @@ mod tests {
         let out = render(result());
         assert!(out.contains("optimization passes") && out.contains("geomean"));
         assert!(out.contains("structural"));
-        let single = run_single_ctx(
-            &ExecContext::shared(DeviceSpec::a100_80gb()),
-            OptConfig { fuse: true, ..OptConfig::none() },
-            Some(4),
-        );
+        let single =
+            run_single_ctx(&test_ctx(), OptConfig { fuse: true, ..OptConfig::none() }, Some(4));
         let out = render_single(&single);
         assert!(out.contains("fuse: true") && out.contains("4 steps"));
     }

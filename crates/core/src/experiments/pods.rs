@@ -2,7 +2,6 @@
 
 use mmg_analytics::scheduling::{pod_estimate, simulated_pod_speedup, PodEstimate};
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_models::{suite, ModelId};
 use mmg_profiler::report::render_table;
 
@@ -43,13 +42,8 @@ impl PodsResult {
 }
 
 /// Estimates pod headroom for the diffusion members of the suite (the
-/// proposal targets denoising loops) plus LLaMA2 for contrast.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> PodsResult {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// proposal targets denoising loops) plus LLaMA2 for contrast, on
+/// `ctx`'s registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> PodsResult {
     let profiler = ctx.profiler(AttnImpl::Flash);
@@ -133,9 +127,10 @@ pub fn render(r: &PodsResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> PodsResult {
-        run(&DeviceSpec::a100_80gb())
+        run_ctx(&test_ctx())
     }
 
     #[test]

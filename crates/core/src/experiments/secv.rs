@@ -3,7 +3,6 @@
 
 use mmg_analytics::seqlen_model::{scaling_exponent, DiffusionSeqModel};
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_models::suite::stable_diffusion::{pipeline, StableDiffusionConfig};
 use mmg_profiler::seqlen::trace;
 use mmg_profiler::report::render_table;
@@ -26,14 +25,8 @@ pub struct SecVResult {
     pub memory_exponent: f64,
 }
 
-/// Evaluates the analytical model and cross-checks it against the traced
-/// graphs.
-#[must_use]
-pub fn run(spec: &DeviceSpec, image_size: usize) -> SecVResult {
-    run_ctx(&ExecContext::shared(spec.clone()), image_size)
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Evaluates the analytical model and cross-checks it against the
+/// traced graphs, profiled on `ctx`'s registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext, image_size: usize) -> SecVResult {
     let model = DiffusionSeqModel::stable_diffusion(image_size);
@@ -83,9 +76,10 @@ pub fn render(r: &SecVResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> SecVResult {
-        run(&DeviceSpec::a100_80gb(), 512)
+        run_ctx(&test_ctx(), 512)
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn profile_mix_impl(
 ) -> ProfiledMix {
     let ctx = ExecContext::merging_into(spec.clone(), Arc::clone(memo), target);
     let profiler = match opt {
-        Some((cfg, _)) => ctx.profiler_opt(AttnImpl::Flash, cfg),
+        Some((cfg, _)) => ctx.profiler(AttnImpl::Flash).with_opt_config(cfg),
         None => ctx.profiler(AttnImpl::Flash),
     };
     let sampler_steps = opt.and_then(|(_, steps)| steps);
@@ -150,6 +150,7 @@ pub fn replicated_grid<K: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_memo;
 
     #[test]
     fn grid_is_key_major_with_consecutive_seeds() {
@@ -185,14 +186,8 @@ mod tests {
     #[test]
     fn profile_mix_profiles_once_and_merges_telemetry() {
         let target = Registry::new();
-        let p = profile_mix(
-            &DeviceSpec::a100_80gb(),
-            &crate::engine::global_memo(),
-            &target,
-            "sd:8,parti:2",
-            16,
-            false,
-        );
+        let p =
+            profile_mix(&DeviceSpec::a100_80gb(), &test_memo(), &target, "sd:8,parti:2", 16, false);
         assert!(p.mean_base_s > 0.0);
         assert!(p.pod_factors.is_empty());
         // Curves exist for every mix model at batch 1.
@@ -207,7 +202,7 @@ mod tests {
     fn optimized_profile_mix_serves_much_faster() {
         let target = Registry::new();
         let spec = DeviceSpec::a100_80gb();
-        let memo = crate::engine::global_memo();
+        let memo = test_memo();
         let base = profile_mix(&spec, &memo, &target, "sd:8,parti:2", 16, false);
         let opt = profile_mix_opt(
             &spec,
@@ -234,14 +229,8 @@ mod tests {
     #[test]
     fn profile_mix_pod_factors_cover_the_mix() {
         let target = Registry::new();
-        let p = profile_mix(
-            &DeviceSpec::a100_80gb(),
-            &crate::engine::global_memo(),
-            &target,
-            "sd:8,parti:2",
-            16,
-            true,
-        );
+        let p =
+            profile_mix(&DeviceSpec::a100_80gb(), &test_memo(), &target, "sd:8,parti:2", 16, true);
         assert_eq!(p.pod_factors.len(), 2);
         assert!(p.pod_factors.iter().all(|&(_, f)| f >= 1.0));
     }

@@ -141,13 +141,7 @@ fn mean_batch(r: &SimResult) -> f64 {
     r.records.iter().map(|rec| rec.batch as f64).sum::<f64>() / r.records.len() as f64
 }
 
-/// Runs the sweep on the default device context.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> ServeSweepResult {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Runs the sweep on `ctx`'s device, registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> ServeSweepResult {
     let profiler = ctx.profiler(AttnImpl::Flash);
@@ -162,7 +156,7 @@ pub fn run_ctx(ctx: &ExecContext) -> ServeSweepResult {
     // The optimized deployment: every kernel-graph pass plus the
     // distilled sampler, same batch grid and pod factors. The OptConfig
     // participates in memo keys, so both profiles share ctx.memo.
-    let opt_profiler = ctx.profiler_opt(AttnImpl::Flash, mmg_graph::OptConfig::all());
+    let opt_profiler = ctx.profiler(AttnImpl::Flash).with_opt_config(mmg_graph::OptConfig::all());
     let opt_profile = ServiceProfile::from_profiler_sampled(
         &opt_profiler,
         &models,
@@ -482,11 +476,12 @@ pub fn render(r: &ServeSweepResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{test_ctx, test_memo};
     use std::sync::OnceLock;
 
     fn result() -> &'static ServeSweepResult {
         static RESULT: OnceLock<ServeSweepResult> = OnceLock::new();
-        RESULT.get_or_init(|| run(&DeviceSpec::a100_80gb()))
+        RESULT.get_or_init(|| run_ctx(&test_ctx()))
     }
 
     #[test]
@@ -569,7 +564,7 @@ mod tests {
         let spec = DeviceSpec::a100_80gb();
         let run_with = |jobs: usize| {
             let target = Registry::new();
-            let r = run_replicated(&spec, 2, 42, jobs, &crate::engine::global_memo(), &target);
+            let r = run_replicated(&spec, 2, 42, jobs, &test_memo(), &target);
             (r, target.counters_snapshot().values().to_vec())
         };
         let serial = run_with(1);

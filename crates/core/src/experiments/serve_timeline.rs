@@ -29,7 +29,7 @@ use mmg_serve::{
 };
 use mmg_telemetry::{Registry, WindowedSeries};
 
-use crate::engine::{global_memo, run_cells_with, ExecContext};
+use crate::engine::{run_cells_with, ExecContext};
 use serde::{Deserialize, Serialize};
 
 /// GPUs in the simulated cluster (matches `serve-sweep`).
@@ -142,14 +142,8 @@ fn flatten(series: &WindowedSeries<ServeWindow>, gpus: usize, reps: f64) -> Vec<
         .collect()
 }
 
-/// Runs the timeline on the default device with one worker.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> ServeTimelineResult {
-    run_jobs(spec, 1, &global_memo(), &Registry::new())
-}
-
-/// [`run`] against an explicit [`ExecContext`] (dispatch entry point;
-/// cells still run on isolated registries merged into `ctx.registry`).
+/// Runs the timeline on `ctx`'s device with one worker: cells run on
+/// child registries merged into `ctx.registry`.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> ServeTimelineResult {
     run_jobs(&ctx.spec, 1, &ctx.memo, &ctx.registry)
@@ -271,11 +265,12 @@ pub fn render(r: &ServeTimelineResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{test_ctx, test_memo};
     use std::sync::OnceLock;
 
     fn result() -> &'static ServeTimelineResult {
         static RESULT: OnceLock<ServeTimelineResult> = OnceLock::new();
-        RESULT.get_or_init(|| run(&DeviceSpec::a100_80gb()))
+        RESULT.get_or_init(|| run_ctx(&test_ctx()))
     }
 
     #[test]
@@ -326,7 +321,7 @@ mod tests {
         let spec = DeviceSpec::a100_80gb();
         let run_with = |jobs: usize| {
             let target = Registry::new();
-            let r = run_jobs(&spec, jobs, &global_memo(), &target);
+            let r = run_jobs(&spec, jobs, &test_memo(), &target);
             (r, target.counters_snapshot().values().to_vec())
         };
         let serial = run_with(1);

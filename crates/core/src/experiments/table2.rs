@@ -2,7 +2,6 @@
 //! Section IV-B isolated attention-module speedups.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_graph::OpCategory;
 use mmg_models::{suite, ModelId};
 use mmg_profiler::report::render_table;
@@ -54,13 +53,8 @@ impl Table2Result {
     }
 }
 
-/// Profiles the suite under both implementations.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> Table2Result {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Profiles the suite under both implementations, on `ctx`'s registry
+/// and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> Table2Result {
     let base = ctx.profiler(AttnImpl::Baseline);
@@ -111,9 +105,10 @@ pub fn render(r: &Table2Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     fn result() -> Table2Result {
-        run(&DeviceSpec::a100_80gb())
+        run_ctx(&test_ctx())
     }
 
     #[test]

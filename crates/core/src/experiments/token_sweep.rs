@@ -21,7 +21,6 @@
 //! the capacity analogue of the paper's memory-bound decode argument.
 
 use mmg_attn::AttnImpl;
-use mmg_gpu::DeviceSpec;
 use mmg_models::ModelId;
 use mmg_profiler::report::render_table;
 use mmg_serve::{
@@ -133,13 +132,7 @@ impl TokenSweepResult {
     }
 }
 
-/// Runs the sweep on the default device context.
-#[must_use]
-pub fn run(spec: &DeviceSpec) -> TokenSweepResult {
-    run_ctx(&ExecContext::shared(spec.clone()))
-}
-
-/// [`run`] against an explicit [`ExecContext`] (worker registry + memo).
+/// Runs the sweep on `ctx`'s device, registry and memo.
 #[must_use]
 pub fn run_ctx(ctx: &ExecContext) -> TokenSweepResult {
     let profiler = ctx.profiler(AttnImpl::Flash);
@@ -278,11 +271,12 @@ pub fn render(r: &TokenSweepResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
     use std::sync::OnceLock;
 
     fn result() -> &'static TokenSweepResult {
         static RESULT: OnceLock<TokenSweepResult> = OnceLock::new();
-        RESULT.get_or_init(|| run(&DeviceSpec::a100_80gb()))
+        RESULT.get_or_init(|| run_ctx(&test_ctx()))
     }
 
     #[test]

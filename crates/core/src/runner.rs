@@ -209,11 +209,58 @@ impl FromStr for ExperimentId {
     }
 }
 
-/// Runs one experiment with default parameters and returns its rendered
-/// report. Uses the shared context (global registry + global memo).
-#[must_use]
-pub fn run_experiment(id: ExperimentId, spec: &DeviceSpec) -> String {
-    run_experiment_with(id, &ExecContext::shared(spec.clone()))
+/// One experiment's result with its renderer: it renders the ASCII
+/// report the CLI prints and serializes itself for `--json`.
+trait Outcome {
+    fn render(&self) -> String;
+    fn to_value(&self) -> serde_json::Value;
+}
+
+impl<T: serde::Serialize> Outcome for (T, fn(&T) -> String) {
+    fn render(&self) -> String {
+        (self.1)(&self.0)
+    }
+
+    fn to_value(&self) -> serde_json::Value {
+        serde_json::to_value(&self.0).expect("experiment results always serialize")
+    }
+}
+
+/// Runs one experiment with its default parameters: the one table of
+/// defaults behind both the ASCII report and the JSON value.
+fn run_default(id: ExperimentId, ctx: &ExecContext) -> Box<dyn Outcome> {
+    fn out<T: serde::Serialize + 'static>(result: T, render: fn(&T) -> String) -> Box<dyn Outcome> {
+        Box::new((result, render))
+    }
+    let spec = &ctx.spec;
+    match id {
+        ExperimentId::Fig1 => out(fig1::run(42), fig1::render),
+        ExperimentId::Table1 => out(table1::run(), table1::render),
+        ExperimentId::Fig4 => out(fig4::run(), fig4::render),
+        ExperimentId::Fig5 => out(fig5::run(spec), fig5::render),
+        ExperimentId::Fig6 => out(fig6::run_ctx(ctx), fig6::render),
+        ExperimentId::Table2 => out(table2::run_ctx(ctx), table2::render),
+        ExperimentId::Table3 => out(table3::run(), table3::render),
+        ExperimentId::Fig7 => out(fig7::run_ctx(ctx), fig7::render),
+        ExperimentId::Fig8 => out(fig8::run_ctx(ctx, &fig8::default_sizes()), fig8::render),
+        ExperimentId::Fig9 => out(fig9::run_ctx(ctx, &fig9::default_sizes()), fig9::render),
+        ExperimentId::Fig11 => out(fig11::run_ctx(ctx), fig11::render),
+        ExperimentId::Fig12 => out(fig12::run_ctx(ctx, 200_000), fig12::render),
+        ExperimentId::Fig13 => out(fig13::run(16, &fig13::default_frames()), fig13::render),
+        ExperimentId::SecV => out(secv::run_ctx(ctx, 512), secv::render),
+        ExperimentId::FlashDec => out(flashdec::run_ctx(ctx), flashdec::render),
+        ExperimentId::Optimize => out(optimize::run_ctx(ctx), optimize::render),
+        ExperimentId::Pods => out(pods::run_ctx(ctx), pods::render),
+        ExperimentId::Batch => out(batch::run_ctx(ctx, &batch::default_batches()), batch::render),
+        ExperimentId::Tp => out(tp::run(spec, &tp::default_widths()), tp::render),
+        ExperimentId::Ablations => out(ablations::run_ctx(ctx), ablations::render),
+        ExperimentId::ServeSweep => out(serve_sweep::run_ctx(ctx), serve_sweep::render),
+        ExperimentId::ServeTimeline => out(serve_timeline::run_ctx(ctx), serve_timeline::render),
+        ExperimentId::ServeAttrib => out(serve_attrib::run_ctx(ctx), serve_attrib::render),
+        ExperimentId::FleetSweep => out(fleet_sweep::run_ctx(ctx), fleet_sweep::render),
+        ExperimentId::TokenSweep => out(token_sweep::run_ctx(ctx), token_sweep::render),
+        ExperimentId::Energy => out(energy::run_ctx(ctx), energy::render),
+    }
 }
 
 /// Runs one experiment with default parameters against an explicit
@@ -222,46 +269,7 @@ pub fn run_experiment(id: ExperimentId, spec: &DeviceSpec) -> String {
 /// `ctx.memo`; the purely analytic ones just use `ctx.spec`.
 #[must_use]
 pub fn run_experiment_with(id: ExperimentId, ctx: &ExecContext) -> String {
-    let spec = &ctx.spec;
-    match id {
-        ExperimentId::Fig1 => fig1::render(&fig1::run(42)),
-        ExperimentId::Table1 => table1::render(&table1::run()),
-        ExperimentId::Fig4 => fig4::render(&fig4::run()),
-        ExperimentId::Fig5 => fig5::render(&fig5::run(spec)),
-        ExperimentId::Fig6 => fig6::render(&fig6::run_ctx(ctx)),
-        ExperimentId::Table2 => table2::render(&table2::run_ctx(ctx)),
-        ExperimentId::Table3 => table3::render(&table3::run()),
-        ExperimentId::Fig7 => fig7::render(&fig7::run_ctx(ctx)),
-        ExperimentId::Fig8 => fig8::render(&fig8::run_ctx(ctx, &fig8::default_sizes())),
-        ExperimentId::Fig9 => fig9::render(&fig9::run_ctx(ctx, &fig9::default_sizes())),
-        ExperimentId::Fig11 => fig11::render(&fig11::run_ctx(ctx)),
-        ExperimentId::Fig12 => fig12::render(&fig12::run_ctx(ctx, 200_000)),
-        ExperimentId::Fig13 => fig13::render(&fig13::run(16, &fig13::default_frames())),
-        ExperimentId::SecV => secv::render(&secv::run_ctx(ctx, 512)),
-        ExperimentId::FlashDec => flashdec::render(&flashdec::run_ctx(ctx)),
-        ExperimentId::Optimize => optimize::render(&optimize::run_ctx(ctx)),
-        ExperimentId::Pods => pods::render(&pods::run_ctx(ctx)),
-        ExperimentId::Batch => batch::render(&batch::run_ctx(ctx, &batch::default_batches())),
-        ExperimentId::Tp => tp::render(&tp::run(spec, &tp::default_widths())),
-        ExperimentId::Ablations => ablations::render(&ablations::run_ctx(ctx)),
-        ExperimentId::ServeSweep => serve_sweep::render(&serve_sweep::run_ctx(ctx)),
-        ExperimentId::ServeTimeline => serve_timeline::render(&serve_timeline::run_ctx(ctx)),
-        ExperimentId::ServeAttrib => serve_attrib::render(&serve_attrib::run_ctx(ctx)),
-        ExperimentId::FleetSweep => fleet_sweep::render(&fleet_sweep::run_ctx(ctx)),
-        ExperimentId::TokenSweep => token_sweep::render(&token_sweep::run_ctx(ctx)),
-        ExperimentId::Energy => energy::render(&energy::run_ctx(ctx)),
-    }
-}
-
-/// Runs one experiment and returns its result as a JSON value tree
-/// (same defaults as [`run_experiment`]; shared context).
-///
-/// # Panics
-///
-/// Never panics: every experiment result is serializable.
-#[must_use]
-pub fn run_experiment_value(id: ExperimentId, spec: &DeviceSpec) -> serde_json::Value {
-    run_experiment_value_with(id, &ExecContext::shared(spec.clone()))
+    run_default(id, ctx).render()
 }
 
 /// Runs one experiment against an explicit [`ExecContext`] and returns
@@ -273,50 +281,7 @@ pub fn run_experiment_value(id: ExperimentId, spec: &DeviceSpec) -> serde_json::
 /// Never panics: every experiment result is serializable.
 #[must_use]
 pub fn run_experiment_value_with(id: ExperimentId, ctx: &ExecContext) -> serde_json::Value {
-    fn v<T: serde::Serialize>(x: &T) -> serde_json::Value {
-        serde_json::to_value(x).expect("experiment results always serialize")
-    }
-    let spec = &ctx.spec;
-    match id {
-        ExperimentId::Fig1 => v(&fig1::run(42)),
-        ExperimentId::Table1 => v(&table1::run()),
-        ExperimentId::Fig4 => v(&fig4::run()),
-        ExperimentId::Fig5 => v(&fig5::run(spec)),
-        ExperimentId::Fig6 => v(&fig6::run_ctx(ctx)),
-        ExperimentId::Table2 => v(&table2::run_ctx(ctx)),
-        ExperimentId::Table3 => v(&table3::run()),
-        ExperimentId::Fig7 => v(&fig7::run_ctx(ctx)),
-        ExperimentId::Fig8 => v(&fig8::run_ctx(ctx, &fig8::default_sizes())),
-        ExperimentId::Fig9 => v(&fig9::run_ctx(ctx, &fig9::default_sizes())),
-        ExperimentId::Fig11 => v(&fig11::run_ctx(ctx)),
-        ExperimentId::Fig12 => v(&fig12::run_ctx(ctx, 200_000)),
-        ExperimentId::Fig13 => v(&fig13::run(16, &fig13::default_frames())),
-        ExperimentId::SecV => v(&secv::run_ctx(ctx, 512)),
-        ExperimentId::FlashDec => v(&flashdec::run_ctx(ctx)),
-        ExperimentId::Optimize => v(&optimize::run_ctx(ctx)),
-        ExperimentId::Pods => v(&pods::run_ctx(ctx)),
-        ExperimentId::Batch => v(&batch::run_ctx(ctx, &batch::default_batches())),
-        ExperimentId::Tp => v(&tp::run(spec, &tp::default_widths())),
-        ExperimentId::Ablations => v(&ablations::run_ctx(ctx)),
-        ExperimentId::ServeSweep => v(&serve_sweep::run_ctx(ctx)),
-        ExperimentId::ServeTimeline => v(&serve_timeline::run_ctx(ctx)),
-        ExperimentId::ServeAttrib => v(&serve_attrib::run_ctx(ctx)),
-        ExperimentId::FleetSweep => v(&fleet_sweep::run_ctx(ctx)),
-        ExperimentId::TokenSweep => v(&token_sweep::run_ctx(ctx)),
-        ExperimentId::Energy => v(&energy::run_ctx(ctx)),
-    }
-}
-
-/// Runs one experiment and returns its result as pretty JSON (for
-/// machine-readable pipelines; same defaults as [`run_experiment`]).
-///
-/// # Panics
-///
-/// Never panics: every experiment result is serializable.
-#[must_use]
-pub fn run_experiment_json(id: ExperimentId, spec: &DeviceSpec) -> String {
-    serde_json::to_string_pretty(&run_experiment_value(id, spec))
-        .expect("experiment results always serialize")
+    run_default(id, ctx).to_value()
 }
 
 /// Builds the run manifest for one CLI invocation: the simulated device,
@@ -365,6 +330,7 @@ pub fn run_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_ctx;
 
     #[test]
     fn parse_roundtrip() {
@@ -394,19 +360,18 @@ mod tests {
 
     #[test]
     fn cheap_experiments_render() {
-        let spec = DeviceSpec::a100_80gb();
         for id in [ExperimentId::Fig1, ExperimentId::Fig4, ExperimentId::Fig13, ExperimentId::Table3]
         {
-            let out = run_experiment(id, &spec);
+            let out = run_experiment_with(id, &test_ctx());
             assert!(!out.is_empty(), "{id}");
         }
     }
 
     #[test]
     fn cheap_experiments_emit_valid_json() {
-        let spec = DeviceSpec::a100_80gb();
         for id in [ExperimentId::Fig4, ExperimentId::Fig13, ExperimentId::Tp] {
-            let out = run_experiment_json(id, &spec);
+            let value = run_experiment_value_with(id, &test_ctx());
+            let out = serde_json::to_string_pretty(&value).unwrap();
             let v: serde_json::Value = serde_json::from_str(&out).unwrap();
             assert!(v.is_object() || v.is_array(), "{id}");
         }

@@ -9,6 +9,11 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use mmg_attn::AttnImpl;
+use mmg_gpu::DeviceSpec;
+use mmg_models::{suite, ModelId};
+use mmg_profiler::Profiler;
+use mmg_telemetry::Registry;
 use serde_json::Value;
 
 /// A temporary directory for one test's artifacts, removed on drop.
@@ -90,15 +95,34 @@ fn check_starts_never_decrease(what: &str, starts: &[f64]) {
     }
 }
 
+/// The Prometheus render of a fresh registry that profiled one Stable
+/// Diffusion UNet step with cache simulation, as `--trace-out` does.
+fn traced_unet_step_metrics() -> String {
+    let registry = Registry::new();
+    let pipeline = suite::build(ModelId::StableDiffusion);
+    let stage = pipeline.stages.iter().find(|s| s.name == "unet_step").expect("SD's unet_step");
+    let _ = Profiler::with_registry(DeviceSpec::a100_80gb(), AttnImpl::Flash, &registry)
+        .with_cache_sim(20_000)
+        .profile(&stage.graph);
+    registry.render_prometheus()
+}
+
 #[test]
 fn an_experiment_run_writes_metrics_trace_and_manifest() {
     let dir = TempDir::new("fig4");
     let (metrics, trace, manifest) =
         (dir.file("metrics.txt"), dir.file("trace.json"), dir.file("run.json"));
     repro_ok(&["fig4", "--metrics", &metrics, "--trace-out", &trace, "--manifest", &manifest]);
-    read_nonempty(&metrics);
+    // fig4 is analytic and records nothing, so the run's dump holds the
+    // traced step's telemetry and nothing else.
+    assert_eq!(read_nonempty(&metrics), traced_unet_step_metrics(), "the traced step's telemetry");
     check_trace(&read_nonempty(&trace));
     let _: Value = serde_json::from_str(&read_nonempty(&manifest)).expect("manifest parses");
+
+    let untraced = dir.file("untraced.txt");
+    repro_ok(&["fig4", "--metrics", &untraced]);
+    let dump = std::fs::read_to_string(&untraced).expect("metrics written");
+    assert!(dump.is_empty(), "fig4 without --trace-out dumps telemetry:\n{dump}");
 }
 
 #[test]

@@ -298,11 +298,11 @@ impl CacheMetrics {
 
 impl CacheHierarchy {
     /// Builds the hierarchy from a device spec (L1 = one SM's 4-way cache,
-    /// L2 = 16-way device cache), recording to the global telemetry
-    /// registry.
+    /// L2 = 16-way device cache), recording to a private registry no one
+    /// reads.
     #[must_use]
     pub fn for_device(spec: &DeviceSpec) -> Self {
-        CacheHierarchy::for_device_with_registry(spec, &mmg_telemetry::global())
+        CacheHierarchy::for_device_with_registry(spec, &Registry::new())
     }
 
     /// Like [`CacheHierarchy::for_device`], recording to a specific
@@ -322,11 +322,11 @@ impl CacheHierarchy {
         CacheHierarchy::with_registry(l1, l2, registry)
     }
 
-    /// Builds from explicit per-level configs, recording to the global
-    /// telemetry registry.
+    /// Builds from explicit per-level configs, recording to a private
+    /// registry no one reads.
     #[must_use]
     pub fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
-        CacheHierarchy::with_registry(l1, l2, &mmg_telemetry::global())
+        CacheHierarchy::with_registry(l1, l2, &Registry::new())
     }
 
     /// Builds from explicit per-level configs and a telemetry registry.

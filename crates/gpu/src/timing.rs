@@ -87,10 +87,10 @@ pub struct TimingEngine {
 
 impl TimingEngine {
     /// Creates an engine for a device, registering its metric family in
-    /// the global telemetry registry.
+    /// a private registry no one reads.
     #[must_use]
     pub fn new(spec: DeviceSpec) -> Self {
-        TimingEngine::with_registry(spec, &mmg_telemetry::global())
+        TimingEngine::with_registry(spec, &Registry::new())
     }
 
     /// Creates an engine whose launches are charged to `registry`, and

@@ -327,8 +327,8 @@ impl VideoAttentionAccess {
     }
 
     /// Replays the stream for `kernel` through a fresh device hierarchy and
-    /// returns the hit statistics. Cache counters land in the global
-    /// telemetry registry.
+    /// returns the hit statistics. Cache counters land in a private
+    /// registry no one reads.
     #[must_use]
     pub fn simulate(
         &self,
@@ -337,7 +337,8 @@ impl VideoAttentionAccess {
         spec: &DeviceSpec,
         max_probes: usize,
     ) -> HierarchyStats {
-        self.simulate_with_registry(kernel, temporal, spec, max_probes, &mmg_telemetry::global())
+        let registry = mmg_telemetry::Registry::new();
+        self.simulate_with_registry(kernel, temporal, spec, max_probes, &registry)
     }
 
     /// Like [`VideoAttentionAccess::simulate`], recording cache counters

@@ -156,11 +156,11 @@ pub struct Profiler {
 
 impl Profiler {
     /// Creates a profiler for a device using the given attention
-    /// implementation and FP16 activations, recording telemetry to the
-    /// global registry.
+    /// implementation and FP16 activations, recording telemetry to a
+    /// private registry no one reads.
     #[must_use]
     pub fn new(spec: DeviceSpec, attn: AttnImpl) -> Self {
-        Profiler::with_registry(spec, attn, &mmg_telemetry::global())
+        Profiler::with_registry(spec, attn, &Registry::new())
     }
 
     /// Like [`Profiler::new`], recording telemetry to a specific

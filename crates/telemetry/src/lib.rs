@@ -16,10 +16,9 @@
 //!   text exposition; [`Registry::snapshot_json`] emits a JSON snapshot
 //!   (counters, gauges, histogram quantiles, finished spans).
 //!
-//! A process-wide registry is available via [`global`]; experiment code
-//! that needs isolation (tests, parallel sweeps) creates its own
-//! [`Registry::new`], or a [`Registry::child`] of the registry it will
-//! be merged into, and uses the same handle API.
+//! There is no process-wide registry: telemetry lands only in a
+//! registry its caller holds, a [`Registry::new`] or a
+//! [`Registry::child`] of the registry it will be merged into.
 
 #![deny(missing_docs)]
 
@@ -36,7 +35,7 @@ pub use timeseries::{WindowValue, WindowedSeries};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde_json::Value;
@@ -607,8 +606,7 @@ impl Registry {
     }
 
     /// Zeroes every counter/gauge/histogram and clears finished spans.
-    /// Existing handles stay valid. Meant for test isolation around the
-    /// [`global`] registry.
+    /// Existing handles stay valid.
     pub fn reset(&self) {
         for v in self.inner.counters.lock().expect("counter registry poisoned").values() {
             v.store(0, Ordering::Relaxed);
@@ -786,15 +784,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// The process-wide registry. All default instrumentation in the
-/// workspace records here; [`Registry::reset`] gives tests isolation.
-/// Like every [`Registry::new`], it starts with span capture off.
-#[must_use]
-pub fn global() -> Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new).clone()
 }
 
 #[cfg(test)]
@@ -1041,16 +1030,6 @@ mod tests {
         assert!(r.finished_spans().is_empty());
         c.inc();
         assert_eq!(r.counter("c").get(), 1);
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        let a = global();
-        let b = global();
-        let c = a.counter("global_smoke_total");
-        let before = c.get();
-        b.counter("global_smoke_total").inc();
-        assert_eq!(c.get(), before + 1);
     }
 
     #[test]

@@ -9,19 +9,26 @@
 //! cargo run --release --example scaling_study
 //! ```
 
+use std::sync::Arc;
+
 use mmgen::analytics::seqlen_model::{scaling_exponent, DiffusionSeqModel};
 use mmgen::attn::AttnImpl;
 use mmgen::core::experiments::{fig9, table2};
+use mmgen::core::ExecContext;
 use mmgen::gpu::DeviceSpec;
 use mmgen::models::suite::stable_diffusion::{pipeline, StableDiffusionConfig};
 use mmgen::profiler::report::fmt_seconds;
-use mmgen::profiler::Profiler;
+use mmgen::profiler::{CostMemo, Profiler};
 
 fn main() {
     let a100 = DeviceSpec::a100_80gb();
+    // One memo for every profiled experiment below; its keys carry the
+    // device, so the GPU generations never share an entry.
+    let memo = Arc::new(CostMemo::new());
+    let ctx = |spec: &DeviceSpec| ExecContext::isolated(spec.clone(), Arc::clone(&memo));
 
     // 1. Fig. 9 sweep.
-    println!("{}", fig9::render(&fig9::run(&a100, &[64, 128, 256, 512])));
+    println!("{}", fig9::render(&fig9::run_ctx(&ctx(&a100), &[64, 128, 256, 512])));
 
     // 2. Section V memory law vs a wider sweep.
     println!("Analytical similarity-matrix memory (Section V):");
@@ -55,7 +62,7 @@ fn main() {
     // 4. Device-generation ablation of Table II.
     println!("\nFlash Attention end-to-end speedup across GPU generations:");
     for spec in [DeviceSpec::v100_32gb(), DeviceSpec::a100_80gb(), DeviceSpec::h100_80gb()] {
-        let r = table2::run(&spec);
+        let r = table2::run_ctx(&ctx(&spec));
         let sd = r.row("StableDiffusion").expect("sd row").e2e_speedup;
         let llama = r.row("LLaMA2").expect("llama row").e2e_speedup;
         println!("  {:<16} SD {:.2}x   LLaMA2 {:.2}x", spec.name, sd, llama);

@@ -2,11 +2,13 @@
 //! pod scheduling, tensor parallelism, serving, DiT, and the noise
 //! schedule working together through the public API.
 
+use std::sync::{Arc, OnceLock};
+
 use mmgen::analytics::parallel::tp_decode_step;
 use mmgen::analytics::scheduling::{pod_estimate, simulated_pod_speedup};
 use mmgen::attn::AttnImpl;
 use mmgen::core::experiments::{ablations, batch, flashdec, pods, tp};
-use mmgen::core::{run_experiment, run_experiment_json, ExperimentId};
+use mmgen::core::{run_experiment_value_with, run_experiment_with, ExecContext, ExperimentId};
 use mmgen::gpu::DeviceSpec;
 use mmgen::models::diffusion::NoiseSchedule;
 use mmgen::models::suite::dit::{dit_step_graph, pipeline as dit_pipeline, DitConfig};
@@ -14,7 +16,7 @@ use mmgen::models::suite::parti::PartiConfig;
 use mmgen::models::suite::stable_diffusion::{pipeline as sd_pipeline, StableDiffusionConfig};
 use mmgen::models::ModelId;
 use mmgen::profiler::trace::to_trace_events;
-use mmgen::profiler::Profiler;
+use mmgen::profiler::{CostMemo, Profiler};
 use mmgen::serve::{
     simulate, ArrivalProcess, RequestMix, RequestRecord, ScenarioCfg, SchedulerKind, ServiceCurve,
     ServiceProfile, SloSpec,
@@ -24,6 +26,13 @@ use mmgen::tensor::Tensor;
 
 fn spec() -> DeviceSpec {
     DeviceSpec::a100_80gb()
+}
+
+/// An A100 context on its own registry. Every test here shares one
+/// memo, so each distinct op is profiled once between them.
+fn ctx() -> ExecContext {
+    static MEMO: OnceLock<Arc<CostMemo>> = OnceLock::new();
+    ExecContext::isolated(spec(), Arc::clone(MEMO.get_or_init(Arc::default)))
 }
 
 /// p99 latency of `n` Poisson arrivals at `rate` into one FIFO GPU with
@@ -50,9 +59,11 @@ fn fifo_p99_s(rate: f64, service_s: f64, n: u64, seed: u64) -> f64 {
 #[test]
 fn extension_experiments_run_and_render() {
     for id in [ExperimentId::FlashDec, ExperimentId::Pods, ExperimentId::Batch, ExperimentId::Tp, ExperimentId::Ablations] {
-        let text = run_experiment(id, &spec());
+        let c = ctx();
+        let text = run_experiment_with(id, &c);
         assert!(text.len() > 60, "{id} too short");
-        let json = run_experiment_json(id, &spec());
+        let json = serde_json::to_string_pretty(&run_experiment_value_with(id, &c))
+            .expect("experiment results serialize");
         let _: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
     }
 }
@@ -131,11 +142,12 @@ fn tp_and_batch_compose_for_decode() {
 #[test]
 fn experiment_structs_expose_typed_results() {
     let s = spec();
-    assert_eq!(flashdec::run(&s).rows.len(), 8);
-    assert!(pods::run(&s).row("StableDiffusion").is_some());
+    let c = ctx();
+    assert_eq!(flashdec::run_ctx(&c).rows.len(), 8);
+    assert!(pods::run_ctx(&c).row("StableDiffusion").is_some());
     assert_eq!(tp::run(&s, &[1, 2]).rows.len(), 2);
-    assert_eq!(batch::run(&s, &[1, 4]).rows.len(), 2);
-    assert!(ablations::run(&s).row("LLaMA2").is_some());
+    assert_eq!(batch::run_ctx(&c, &[1, 4]).rows.len(), 2);
+    assert!(ablations::run_ctx(&c).row("LLaMA2").is_some());
     let e = pod_estimate(
         &sd_pipeline(&StableDiffusionConfig::default())
             .profile(&Profiler::new(s, AttnImpl::Flash))
